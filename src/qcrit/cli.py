@@ -22,9 +22,6 @@ from . import theorems as th
 from .digits import PrimePower
 from .finite_field import field_make
 
-_SUITES = ("equivariance", "logderiv", "admissible-order", "admissible-witness",
-           "orbit-min", "cyclic-digits", "projection", "coleman")
-
 
 def _prime_power(args) -> PrimePower:
     return PrimePower(args.p, args.lam)
@@ -171,43 +168,15 @@ def _cmd_witness(args):
                         f"e={w.e} f={w.f} g={w.g} r={w.r}")
 
 
-def _run_suite(name: str, args, pq: PrimePower, spec) -> th.VerifyReport:
-    m_bound, ell_bound = th.desk_bounds(args.p)
-    if args.m_bound:
-        m_bound = args.m_bound
-    if args.ell_bound:
-        ell_bound = args.ell_bound
-    if name == "equivariance":
-        return th.verify_equivariance(pq, spec, args.prec,
-                                      args.trials or 50, args.seed)
-    if name == "logderiv":
-        return th.verify_logderiv(spec, args.prec, args.trials or 100,
-                                  args.seed)
-    if name == "admissible-order":
-        return th.verify_admissible_order(args.p, m_bound, ell_bound)
-    if name == "admissible-witness":
-        return th.verify_admissible_witness(args.p, m_bound, ell_bound)
-    if name == "orbit-min":
-        return th.verify_orbit_min(pq, args.c_bound, args.oracle_bound)
-    if name == "cyclic-digits":
-        return th.verify_cyclic_digits(pq, args.bound)
-    if name == "projection":
-        return th.verify_projection_formula(pq, spec, args.proj_prec,
-                                            args.k_bound, args.proj_ell_bound)
-    if name == "coleman":
-        ext = args.ext_degree
-        if ext is None:
-            ext = spec.n // pq.lam if spec.n % pq.lam == 0 else 1
-        return th.verify_coleman(pq, ext, args.prec, args.trials or 25,
-                                 args.seed)
-    raise ValueError(f"unknown statement {name!r}")
-
-
 def _cmd_verify(args):
     pq = _prime_power(args)
     spec = _field(args)
-    names = list(_SUITES) if args.statement == "all" else [args.statement]
-    reports = [_run_suite(name, args, pq, spec) for name in names]
+    options = {name: getattr(args, name) for name in th.SuiteOptions._fields}
+    if args.statement == "all":
+        reports = th.verify_all(pq, spec, **options)
+    else:
+        reports = [th.SUITES[args.statement](pq, spec,
+                                             th.SuiteOptions(**options))]
     ok = all(r.passed for r in reports)
     payload = {"pass": ok,
                "reports": [r.to_json_dict(include_timing=args.timing)
@@ -379,21 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(handler=_cmd_witness)
 
     c = cmds.add_parser("verify", parents=[out_opts], help="run verification sweeps")
-    c.add_argument("statement", choices=("all",) + _SUITES)
+    c.add_argument("statement", choices=("all", *th.SUITES))
     _add_pq(c)
     _add_field(c)
-    c.add_argument("--prec", type=int, default=128)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--trials", type=int, default=None)
-    c.add_argument("--m-bound", type=int, default=None)
-    c.add_argument("--ell-bound", type=int, default=None)
-    c.add_argument("--c-bound", type=int, default=1000)
-    c.add_argument("--oracle-bound", type=int, default=10000)
-    c.add_argument("--bound", type=int, default=10000)
-    c.add_argument("--k-bound", type=int, default=31)
-    c.add_argument("--proj-ell-bound", type=int, default=3)
-    c.add_argument("--proj-prec", type=int, default=256)
-    c.add_argument("--ext-degree", type=int, default=None)
+    # unset options leave each sweep's own default in force
+    for name in th.SuiteOptions._fields:
+        c.add_argument("--" + name.replace("_", "-"), type=int, default=None)
     c.add_argument("--timing", action="store_true",
                    help="include wall-clock timings in JSON output")
     c.set_defaults(handler=_cmd_verify)

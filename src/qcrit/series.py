@@ -457,20 +457,22 @@ class AdditiveSeries:
             raise ValueError("prime power and field have different characteristics")
         if prec < 1:
             raise ValueError("precision must be at least 1")
+        self.spec = spec
+        self.pq = pq
+        self.prec = prec
+        # compare indices, not q**i: an untrusted index can be huge
+        top = self.max_index()
         clean = {}
         for i, c in terms.items():
             if c.spec != spec:
                 raise ValueError("coefficient from a different field")
             if i < 0:
                 raise ValueError("negative term index")
-            if pq.q ** i > prec:
+            if i > top:
                 raise ValueError(
                     f"term X^(q^{i}) exceeds precision bound {prec}")
             if c:
                 clean[i] = c
-        self.spec = spec
-        self.pq = pq
-        self.prec = prec
         self.terms = clean
 
     @classmethod

@@ -3,9 +3,13 @@ statement over a bounded or randomized domain and returns a structured
 report. Failures are data, not exceptions; a report carries minimal
 counterexamples with everything needed to reproduce them.
 
-All sweeps are deterministic given their parameters and seed. Trials are
-independent, so each sweep could be partitioned across workers; reports
-would merge by trial index.
+All sweeps are deterministic given their parameters and seed. A randomized
+sweep draws every trial from one random.Random(seed) stream, so trial t
+depends on all trials before it: a sweep cannot be split by trial index
+without changing its draws.
+
+SUITES is the one list of sweeps: `qcrit verify` takes its statement names
+from it and verify_all runs it in order.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import digits
 from .digits import (PrimePower, WitnessError,
@@ -64,9 +69,10 @@ class VerifyReport:
 
 class _Collector:
     """Accumulates counterexamples with a cap so a badly broken build does
-    not flood the report."""
+    not flood the report, and times the sweep from its own creation."""
 
     def __init__(self):
+        self.t0 = time.perf_counter()
         self.items: list = []
         self.total = 0
 
@@ -74,13 +80,13 @@ class _Collector:
         self.total += 1
         if len(self.items) < _MAX_COUNTEREXAMPLES:
             self.items.append(payload)
-        elif len(self.items) == _MAX_COUNTEREXAMPLES:
-            self.items.append({"truncated": True, "collected": _MAX_COUNTEREXAMPLES})
 
-    def finish(self) -> list:
-        if self.total > _MAX_COUNTEREXAMPLES and self.items:
-            self.items[-1] = {"truncated": True, "total_failures": self.total}
-        return self.items
+    def report(self, statement: str, params: dict, scope: str,
+               checks: int) -> VerifyReport:
+        if self.total > _MAX_COUNTEREXAMPLES:
+            self.items.append({"truncated": True, "total_failures": self.total})
+        return VerifyReport(statement, params, scope, checks, self.items,
+                            (time.perf_counter() - self.t0) * 1e3)
 
 
 def _first_mismatch(a: TruncSeries, b: TruncSeries) -> dict:
@@ -121,11 +127,10 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     composition group: the identity, single series X + beta*X^(q^ell), and
     products of up to four of them.
     """
-    t0 = time.perf_counter()
+    bad = _Collector()
     if spec.p != pq.p:
         raise ValueError("field characteristic does not match the prime power")
     rng = random.Random(seed)
-    bad = _Collector()
     for trial in range(trials):
         factors = 0 if trial == 0 else 1 + (trial - 1) % 4
         f = _random_unit(spec, prec, rng)
@@ -137,13 +142,11 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
                      "gamma": _gamma_json(gamma),
                      "unit": [c.to_json() for c in f.coeffs],
                      **_first_mismatch(lhs, rhs)})
-    return VerifyReport(
-        statement="projection_equivariance",
-        params={"p": pq.p, "lambda": pq.lam, "q": pq.q, "n": spec.n,
-                "prec": prec, "trials": trials, "seed": seed},
-        scope=f"{trials} random (unit, gamma) pairs at precision {prec}",
-        checks=trials, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return bad.report(
+        "projection_equivariance",
+        {"p": pq.p, "lambda": pq.lam, "q": pq.q, "n": spec.n, "prec": prec,
+         "trials": trials, "seed": seed},
+        f"{trials} random (unit, gamma) pairs at precision {prec}", trials)
 
 
 def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
@@ -157,10 +160,9 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
     - surjectivity onto that constraint, via the explicit section;
     - substitution of alpha*X commutes with D.
     """
-    t0 = time.perf_counter()
+    bad = _Collector()
     p = spec.p
     rng = random.Random(seed)
-    bad = _Collector()
     zero = TruncSeries.zero(spec, prec)
     checks = 0
     for trial in range(trials):
@@ -208,31 +210,39 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
             bad.add({"trial": trial, "check": "argument_scaling", "seed": seed,
                      "alpha": alpha.to_json()})
         checks += 6
-    return VerifyReport(
-        statement="logderiv_structure",
-        params={"p": p, "n": spec.n, "prec": prec, "trials": trials,
-                "seed": seed},
-        scope=f"{trials} trials x 6 checks at precision {prec}",
-        checks=checks, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return bad.report(
+        "logderiv_structure",
+        {"p": p, "n": spec.n, "prec": prec, "trials": trials, "seed": seed},
+        f"{trials} trials x 6 checks at precision {prec}", checks)
 
 
 # ---------------------------------------------------------------------------
 # Digit-combinatorial statements
 # ---------------------------------------------------------------------------
 
+def _admissible_bounds(p: int, m_bound: int | None,
+                       ell_bound: int | None) -> tuple[int, int]:
+    """The given bounds, with desk_bounds(p) standing in for a missing one."""
+    default_m, default_ell = desk_bounds(p)
+    return (default_m if m_bound is None else m_bound,
+            default_ell if ell_bound is None else ell_bound)
+
+
+def _admissible_report(bad: _Collector, statement: str, p: int, m_bound: int,
+                       ell_bound: int, count: int) -> VerifyReport:
+    return bad.report(
+        statement, {"p": p, "m_bound": m_bound, "ell_bound": ell_bound},
+        f"all {count} admissible quadruples with m <= {m_bound}, "
+        f"ell <= {ell_bound}", count)
+
+
 def verify_admissible_order(p: int, m_bound: int | None = None,
                             ell_bound: int | None = None) -> VerifyReport:
     """Every admissible quadruple (j, k, ell, m) has k strictly below m in
     the digital well-ordering; and when the digit cores agree, j is forced
     to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0."""
-    t0 = time.perf_counter()
-    default_m, default_ell = desk_bounds(p)
-    if m_bound is None:
-        m_bound = default_m
-    if ell_bound is None:
-        ell_bound = default_ell
     bad = _Collector()
+    m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     count = 0
     for quad in admissible_quadruples(p, m_bound, ell_bound):
         count += 1
@@ -246,13 +256,8 @@ def verify_admissible_order(p: int, m_bound: int | None = None,
             if e == 0 or e % ell != 0 or j * (p ** ell - 1) != p ** e - 1:
                 bad.add({"quad": list(quad), "check": "forced_j",
                          "ord_k": e})
-    return VerifyReport(
-        statement="admissible_order",
-        params={"p": p, "m_bound": m_bound, "ell_bound": ell_bound},
-        scope=f"all {count} admissible quadruples with m <= {m_bound}, "
-              f"ell <= {ell_bound}",
-        checks=count, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return _admissible_report(bad, "admissible_order", p, m_bound, ell_bound,
+                              count)
 
 
 def verify_admissible_witness(p: int, m_bound: int | None = None,
@@ -260,13 +265,8 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
     """Every admissible quadruple admits the unique congruence witness r
     and satisfies both derived inequalities; any violation surfaces as a
     counterexample rather than an exception."""
-    t0 = time.perf_counter()
-    default_m, default_ell = desk_bounds(p)
-    if m_bound is None:
-        m_bound = default_m
-    if ell_bound is None:
-        ell_bound = default_ell
     bad = _Collector()
+    m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     count = 0
     for quad in admissible_quadruples(p, m_bound, ell_bound):
         count += 1
@@ -274,13 +274,8 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
             admissible_witness(quad, p)
         except WitnessError as err:
             bad.add(err.payload)
-    return VerifyReport(
-        statement="admissible_witness",
-        params={"p": p, "m_bound": m_bound, "ell_bound": ell_bound},
-        scope=f"all {count} admissible quadruples with m <= {m_bound}, "
-              f"ell <= {ell_bound}",
-        checks=count, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return _admissible_report(bad, "admissible_witness", p, m_bound,
+                              ell_bound, count)
 
 
 def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
@@ -289,9 +284,8 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
     (orbit_min+1)*q^i - 1 are exactly those coprime to p whose digit core
     is minimal in their orbit; and the critical sets coincide with their
     direct-definition scans."""
-    t0 = time.perf_counter()
-    p, lam, q = pq.p, pq.lam, pq.q
     bad = _Collector()
+    p, lam, q = pq.p, pq.lam, pq.q
     checks = 0
     mus: dict[int, int] = {}
     for c in range(1, max(c_bound, q - 1) + 1):
@@ -342,13 +336,11 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
         diff = sorted(closure.symmetric_difference(by_core))[:10]
         bad.add({"check": "critical_closure", "difference_sample": diff})
 
-    return VerifyReport(
-        statement="orbit_min_critical",
-        params={"p": p, "lambda": lam, "q": q, "c_bound": c_bound,
-                "oracle_bound": oracle_bound},
-        scope=f"minima for c <= {c_bound}; set windows up to {oracle_bound}",
-        checks=checks, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return bad.report(
+        "orbit_min_critical",
+        {"p": p, "lambda": lam, "q": q, "c_bound": c_bound,
+         "oracle_bound": oracle_bound},
+        f"minima for c <= {c_bound}; set windows up to {oracle_bound}", checks)
 
 
 def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
@@ -367,10 +359,9 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
     For lam = 1 the first and third families are vacuous and reported as
     trivially passing.
     """
-    t0 = time.perf_counter()
+    bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
     table = digits._orbit_min_table(pq, q * p ** (2 * lam))
-    bad = _Collector()
     checks = 0
     for c in range(1, bound + 1):
         brs = [min_residue(c * p ** i, pq) for i in range(lam)]
@@ -399,16 +390,23 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
     scope = f"all statements for c <= {bound}"
     if lam == 1:
         scope += " (rotation families vacuous at lambda=1)"
-    return VerifyReport(
-        statement="cyclic_digit_bounds",
-        params={"p": p, "lambda": lam, "q": q, "bound": bound},
-        scope=scope, checks=checks, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return bad.report("cyclic_digit_bounds",
+                      {"p": p, "lambda": lam, "q": q, "bound": bound},
+                      scope, checks)
 
 
 # ---------------------------------------------------------------------------
 # The reduction identity on generators
 # ---------------------------------------------------------------------------
+
+def _coeff_pool(spec: FieldSpec) -> list:
+    """Generator coefficients: every nonzero element of a field of at most
+    9 elements, else g, g^2 and g^3 for the field generator g."""
+    if spec.order <= 9:
+        return list(spec.nonzero_elements())
+    g = spec.gen() if spec.n > 1 else spec.one()
+    return [g, g * g, g * g * g]
+
 
 def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
                               k_bound: int = 31, ell_bound: int = 3,
@@ -419,19 +417,14 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
     series and taking the logarithmic derivative); and off the multiples of
     p every non-leading term sits in the orbit of k, strictly above k in
     the digital order."""
-    t0 = time.perf_counter()
+    bad = _Collector()
     p = pq.p
     if spec.p != p:
         raise ValueError("field characteristic does not match the prime power")
     if coeff_pool is None:
-        if spec.order <= 9:
-            coeff_pool = list(spec.nonzero_elements())
-        else:
-            g = spec.gen() if spec.n > 1 else spec.one()
-            coeff_pool = [g, g * g, g * g * g]
+        coeff_pool = _coeff_pool(spec)
     ah = artin_hasse(p, prec, spec)
     x_plus = {}
-    bad = _Collector()
     checks = 0
     kres = {}
     for k in range(1, k_bound + 1):
@@ -483,15 +476,13 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
                         if not shape_ok:
                             bad.add({**point, "check": "term_shape", "m": m})
                             break
-    return VerifyReport(
-        statement="projection_formula",
-        params={"p": p, "lambda": pq.lam, "q": pq.q, "n": spec.n,
-                "prec": prec, "k_bound": k_bound, "ell_bound": ell_bound,
-                "pool_size": len(coeff_pool)},
-        scope=f"grid k <= {k_bound} coprime to {p}, ell <= {ell_bound}, "
-              f"{len(coeff_pool)}^2 coefficient pairs, precision {prec}",
-        checks=checks, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return bad.report(
+        "projection_formula",
+        {"p": p, "lambda": pq.lam, "q": pq.q, "n": spec.n, "prec": prec,
+         "k_bound": k_bound, "ell_bound": ell_bound,
+         "pool_size": len(coeff_pool)},
+        f"grid k <= {k_bound} coprime to {p}, ell <= {ell_bound}, "
+        f"{len(coeff_pool)}^2 coefficient pairs, precision {prec}", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +503,7 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
     Surjectivity of Psi is witnessed by hitting each basis monomial
     X^(c+1) for c in the critical base set.
     """
-    t0 = time.perf_counter()
+    bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
     spec = field_make(p, lam * ext_degree)
     sub = spec.subfield_elements(lam)
@@ -520,7 +511,6 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
         raise AssertionError("subfield enumeration did not find q elements")
     sub_nonzero = [a for a in sub if a]
     rng = random.Random(seed)
-    bad = _Collector()
     checks = 0
     for trial in range(trials):
         factors = 0 if trial == 0 else 1 + (trial - 1) % 4
@@ -551,14 +541,12 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
         if not image.agrees(target):
             bad.add({"check": "surjectivity", "c": c,
                      **_first_mismatch(image, target)})
-    return VerifyReport(
-        statement="coleman_equivariance",
-        params={"p": p, "lambda": lam, "q": q, "ext_degree": ext_degree,
-                "prec": prec, "trials": trials, "seed": seed},
-        scope=f"{trials} trials x {len(sub_nonzero)} Teichmueller scalings; "
-              f"{hit} surjectivity witnesses",
-        checks=checks, counterexamples=bad.finish(),
-        elapsed_ms=(time.perf_counter() - t0) * 1e3)
+    return bad.report(
+        "coleman_equivariance",
+        {"p": p, "lambda": lam, "q": q, "ext_degree": ext_degree,
+         "prec": prec, "trials": trials, "seed": seed},
+        f"{trials} trials x {len(sub_nonzero)} Teichmueller scalings; "
+        f"{hit} surjectivity witnesses", checks)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +562,7 @@ def explore_generators(pq: PrimePower, spec: FieldSpec, k_bound: int = 63,
     p = pq.p
     if spec.p != p:
         raise ValueError("field characteristic does not match the prime power")
-    if spec.order <= 9:
-        pool = list(spec.nonzero_elements())
-    else:
-        g = spec.gen() if spec.n > 1 else spec.one()
-        pool = [g, g * g, g * g * g]
+    pool = _coeff_pool(spec)
     ah = artin_hasse(p, prec, spec)
     rows = []
     for k in range(1, min(k_bound, prec) + 1):
@@ -606,19 +590,70 @@ def explore_generators(pq: PrimePower, spec: FieldSpec, k_bound: int = 63,
 # Orchestration
 # ---------------------------------------------------------------------------
 
+class SuiteOptions(NamedTuple):
+    """The options of the suites in SUITES, named as in `qcrit verify`.
+
+    None leaves a sweep's own default in force, and so does 0 for trials,
+    m_bound and ell_bound. proj_prec and proj_ell_bound are the precision
+    and the ell bound of the projection sweep."""
+
+    prec: int | None = None
+    seed: int | None = None
+    trials: int | None = None
+    m_bound: int | None = None
+    ell_bound: int | None = None
+    c_bound: int | None = None
+    oracle_bound: int | None = None
+    bound: int | None = None
+    k_bound: int | None = None
+    proj_ell_bound: int | None = None
+    proj_prec: int | None = None
+    ext_degree: int | None = None
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are set; the sweep supplies the rest."""
+    return {k: v for k, v in kwargs.items() if v is not None}
+
+
+def _randomized(o: SuiteOptions) -> dict:
+    return _given(prec=o.prec, trials=o.trials or None, seed=o.seed)
+
+
+def _ext_degree(pq: PrimePower, spec: FieldSpec, o: SuiteOptions) -> int:
+    """The given degree, else n / lambda when lambda divides n, else 1."""
+    if o.ext_degree is not None:
+        return o.ext_degree
+    return spec.n // pq.lam if spec.n % pq.lam == 0 else 1
+
+
+# Statement name -> runner(pq, spec, options), in the order of `verify all`.
+# The runners look the verify_* functions up when they run, so a rebinding
+# of those module attributes reaches them.
+SUITES = {
+    "equivariance": lambda pq, spec, o: verify_equivariance(
+        pq, spec, **_randomized(o)),
+    "logderiv": lambda pq, spec, o: verify_logderiv(spec, **_randomized(o)),
+    "admissible-order": lambda pq, spec, o: verify_admissible_order(
+        pq.p, o.m_bound or None, o.ell_bound or None),
+    "admissible-witness": lambda pq, spec, o: verify_admissible_witness(
+        pq.p, o.m_bound or None, o.ell_bound or None),
+    "orbit-min": lambda pq, spec, o: verify_orbit_min(
+        pq, **_given(c_bound=o.c_bound, oracle_bound=o.oracle_bound)),
+    "cyclic-digits": lambda pq, spec, o: verify_cyclic_digits(
+        pq, **_given(bound=o.bound)),
+    "projection": lambda pq, spec, o: verify_projection_formula(
+        pq, spec, **_given(prec=o.proj_prec, k_bound=o.k_bound,
+                           ell_bound=o.proj_ell_bound)),
+    "coleman": lambda pq, spec, o: verify_coleman(
+        pq, _ext_degree(pq, spec, o), **_randomized(o)),
+}
+
+
 def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
-               seed: int = 0, trials: int | None = None) -> list[VerifyReport]:
-    """Run every verification sweep at desk-scale defaults."""
-    m_bound, ell_bound = desk_bounds(pq.p)
-    ext = spec.n // pq.lam if spec.n % pq.lam == 0 else 1
-    return [
-        verify_equivariance(pq, spec, prec, trials or 50, seed),
-        verify_logderiv(spec, prec, trials or 100, seed),
-        verify_admissible_order(pq.p, m_bound, ell_bound),
-        verify_admissible_witness(pq.p, m_bound, ell_bound),
-        verify_orbit_min(pq),
-        verify_cyclic_digits(pq),
-        verify_projection_formula(pq, spec, prec=max(prec, 256)),
-        verify_coleman(pq, ext_degree=ext, prec=prec, trials=trials or 25,
-                       seed=seed),
-    ]
+               seed: int = 0, trials: int | None = None,
+               **options) -> list[VerifyReport]:
+    """Run every suite of SUITES in order; `qcrit verify all` is this run.
+    options are further fields of SuiteOptions."""
+    o = SuiteOptions(prec=prec, seed=seed, trials=trials, **options)
+    return [run(pq, spec, o) for run in SUITES.values()]

@@ -1,10 +1,16 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from qcrit.cli import main
+import pytest
+
+from qcrit.cli import build_parser, main
+from qcrit.digits import PrimePower
+from qcrit.finite_field import field_make
+from qcrit.theorems import SUITES, verify_all
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -122,6 +128,41 @@ def test_text_and_json_agree_on_results(capsys):
     assert ("ALL PASS" in out_t) == payload["pass"]
 
 
+def test_verify_choices_are_the_suite_registry():
+    cmds = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    statement = next(a for a in cmds.choices["verify"]._actions
+                     if a.dest == "statement")
+    assert tuple(statement.choices) == ("all", *SUITES)
+
+
+SMALL = {"prec": 32, "trials": 2, "seed": 7, "m_bound": 64, "ell_bound": 3,
+         "c_bound": 50, "oracle_bound": 500, "bound": 200, "k_bound": 7,
+         "proj_ell_bound": 1, "proj_prec": 32}
+
+
+@pytest.mark.parametrize("p,lam", [(2, 2), (3, 1)])
+def test_verify_all_is_the_cli_run(capsys, p, lam):
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in SMALL.items()]
+    code, payload = run_json(capsys, "verify", "all", "--p", str(p),
+                             "--lambda", str(lam), "--n", "2", *flags)
+    reports = verify_all(PrimePower(p, lam), field_make(p, 2), **SMALL)
+    assert code == 0
+    assert [r.to_json_dict(include_timing=False) for r in reports] \
+        == payload["reports"]
+    assert all(r["checks"] > 0 for r in payload["reports"])
+
+
+def test_verify_all_checks_projection_at_its_own_precision():
+    reports = verify_all(PrimePower(2, 1), field_make(2, 1), prec=300,
+                         trials=1, m_bound=16, ell_bound=2, c_bound=10,
+                         oracle_bound=100, bound=20, k_bound=3,
+                         proj_ell_bound=1)
+    precs = {r.statement: r.params.get("prec") for r in reports}
+    assert precs["projection_formula"] == 256
+    assert precs["projection_equivariance"] == precs["coleman_equivariance"] == 300
+
+
 def test_explore_rows(capsys):
     code, payload = run_json(capsys, "explore", "--p", "2", "--lambda", "1",
                              "--k-bound", "15", "--prec", "64")
@@ -181,6 +222,10 @@ def test_usage_errors_exit_two(capsys):
     assert main([]) == 2
     assert main(["core", "963"]) == 2  # missing --p
     assert main(["core", "0", "--p", "3"]) == 2  # domain error
+    huge_index = {"field": {"p": 3, "n": 1, "modulus": [0, 1]},
+                  "q": {"p": 3, "lambda": 1}, "prec": 16,
+                  "terms": {"1" + "0" * 30: [1]}}
+    assert main(["series", "invert", "--g", json.dumps(huge_index)]) == 2
 
 
 def test_env_var_controls_format(capsys, monkeypatch):

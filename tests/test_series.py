@@ -388,6 +388,19 @@ def test_additive_rejects_mismatched_characteristic():
         AdditiveSeries(F9, PQ4, 16, {})
 
 
+def test_additive_term_index_bound():
+    AdditiveSeries(F4, PQ4, 16, {2: F4.one()})  # X^16 is within precision 16
+    with pytest.raises(ValueError, match="exceeds precision bound 16"):
+        AdditiveSeries(F4, PQ4, 16, {3: F4.one()})
+
+
+def test_additive_huge_term_index_is_rejected_at_once():
+    doc = {"field": field_make(3, 1).to_json(), "q": {"p": 3, "lambda": 1},
+           "prec": 16, "terms": {"1" + "0" * 30: [1]}}
+    with pytest.raises(ValueError, match="exceeds precision bound 16"):
+        AdditiveSeries.from_json(doc)
+
+
 # ---------------------------------------------------------------------------
 # Named series
 # ---------------------------------------------------------------------------

@@ -100,8 +100,11 @@ def test_counterexamples_are_collected(monkeypatch):
     assert r.counterexamples[0]["check"] == "digital_order"
     assert "quad" in r.counterexamples[0]
     # the collector caps runaway failures but records the total
-    if len(r.counterexamples) > theorems._MAX_COUNTEREXAMPLES:
-        assert r.counterexamples[-1].get("truncated")
+    cap = theorems._MAX_COUNTEREXAMPLES
+    assert r.checks > cap
+    assert len(r.counterexamples) == cap + 1
+    assert r.counterexamples[-1] == {"truncated": True,
+                                     "total_failures": r.checks}
 
 
 def test_equivariance_route_matches_formula_route():

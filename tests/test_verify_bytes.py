@@ -1,0 +1,80 @@
+"""Byte identity of `qcrit verify`: the stdout and exit code of small runs,
+recorded as SHA-256 digests before the suites moved into one registry.
+
+Text output carries each suite's wall-clock time as "(N ms)"; it is masked
+before hashing. JSON output omits timings, so it is hashed as printed.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from qcrit.cli import main
+
+SMALL = ("--n", "2", "--prec", "32", "--trials", "2", "--seed", "7",
+         "--m-bound", "64", "--ell-bound", "3", "--c-bound", "50",
+         "--oracle-bound", "500", "--bound", "200", "--k-bound", "7",
+         "--proj-ell-bound", "1", "--proj-prec", "32")
+
+# (format, verify arguments, exit code, SHA-256 of stdout)
+RUNS = [
+    ("json", ("admissible-order", "--p", "3", "--lambda", "1",
+              "--m-bound", "243", "--ell-bound", "4"), 0,
+     "14c231b3b76184b69ad60873e7e514cb60d8b8374975f2420435e81b067ec78d"),
+    ("json", ("admissible-witness", "--p", "3", "--lambda", "1",
+              "--m-bound", "243", "--ell-bound", "4"), 0,
+     "e036e23e1fbfc754ea7a3754d27627539d9cd5dc5ac9052668e0fbb92fc59402"),
+    ("json", ("orbit-min", "--p", "3", "--lambda", "2", "--c-bound", "200",
+              "--oracle-bound", "3000"), 0,
+     "e39b5927fefb55506d7abd5210ed1500c2815d03b637469e61c4ac6f39e59cd5"),
+    ("json", ("cyclic-digits", "--p", "3", "--lambda", "2", "--bound", "1200"),
+     0, "4c89407705d0882e12bf89566c397f8d984f530739500b92f5a28d77ee683674"),
+    ("json", ("equivariance", "--p", "2", "--lambda", "2", "--n", "2",
+              "--prec", "96", "--trials", "5", "--seed", "7"), 0,
+     "c21b515619fd3a3326deed4c344dc826f07e92d6ce46e74f8f9803fef1f12b0c"),
+    ("json", ("logderiv", "--p", "3", "--lambda", "1", "--prec", "96",
+              "--trials", "3", "--seed", "7"), 0,
+     "e005a3cc0cdecb7f62f2f29831467bad74b8fddb89cb8b5c93ef6268f86239fa"),
+    ("json", ("projection", "--p", "2", "--lambda", "1", "--n", "2",
+              "--proj-prec", "64", "--k-bound", "7", "--proj-ell-bound", "2"),
+     0, "affa988f9cbf96ecbff5e3ef3605b85705e25d5ad776d8701fe0f672bd5de627"),
+    ("json", ("coleman", "--p", "2", "--lambda", "1", "--n", "2",
+              "--prec", "96", "--trials", "5", "--seed", "7"), 0,
+     "19cf54d6cd6f0823f49cdc58a938f1c1d09c0aa9b2b052de04eb274e3c872920"),
+    ("json", ("all", "--p", "2", "--lambda", "2", *SMALL), 0,
+     "757f68df34d7b117a49780295fc19211c45dfb9ffc88368f4acc076f9438a52b"),
+    ("text", ("all", "--p", "2", "--lambda", "2", *SMALL), 0,
+     "effb88561220acd8cccf33571ffc804591d0dd0beda37531a5dd728d54b771cc"),
+    ("json", ("all", "--p", "3", "--lambda", "1", *SMALL), 0,
+     "46ef68eec571f0fa1501c4b91cd9e74facc8f0a5e0bca7d4aa74efd4e19c36b9"),
+    ("text", ("all", "--p", "3", "--lambda", "1", *SMALL), 0,
+     "ac5c0d6e26d5f2a3ccf516e4b0eae810313e020a1629bbb16a967f5b063effed"),
+    # a trial count of 0 means the suite's default (100 for logderiv)
+    ("json", ("logderiv", "--p", "2", "--lambda", "1", "--prec", "8",
+              "--trials", "0"), 0,
+     "6b45fe135f5113527bd9bce7c23d8ec2eb3a00eab1ba7288ccc54f4d818d52d6"),
+    # a negative trial count runs no trial
+    ("json", ("logderiv", "--p", "2", "--lambda", "1", "--prec", "8",
+              "--trials", "-1"), 0,
+     "10b1f73e18a2aeeda5c3ead959998f8db337212e52f8c98a6838601d71ce706a"),
+    # an admissible bound of 0 means the desk default
+    ("json", ("admissible-order", "--p", "2", "--lambda", "1",
+              "--m-bound", "64", "--ell-bound", "0"), 0,
+     "daeab0171d2a9abb25fb6c273a80454b55886c787e98273f282bd50d14254398"),
+    # lambda does not divide n: Coleman runs over the degree-1 extension
+    ("json", ("coleman", "--p", "2", "--lambda", "2", "--n", "3",
+              "--prec", "16", "--trials", "2"), 0,
+     "e3c04e213fb4cc8858322731303a64ac98d50873eed619a45e60367bc6ee97b2"),
+]
+
+
+@pytest.mark.parametrize("fmt,args,code,digest", RUNS,
+                         ids=[f"{fmt}-{args[0]}-{i}"
+                              for i, (fmt, args, *_) in enumerate(RUNS)])
+def test_verify_stdout_is_byte_identical(capsys, fmt, args, code, digest):
+    assert main(["--format", fmt, "verify", *args]) == code
+    out = capsys.readouterr().out
+    if fmt == "text":
+        out = re.sub(r"\(\d+ ms\)", "(_ ms)", out)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
