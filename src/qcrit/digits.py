@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .finite_field import is_prime
+from .finite_field import check_prime
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -153,8 +153,7 @@ class PrimePower:
     q: int = field(init=False, compare=False)
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"p must be prime, got {self.p!r}")
+        check_prime(self.p)
         if self.lam < 1:
             raise ValueError(f"exponent must be >= 1, got {self.lam!r}")
         object.__setattr__(self, "q", self.p ** self.lam)

@@ -3,22 +3,45 @@
 A field is described by a FieldSpec: characteristic p, extension degree n,
 and a monic irreducible modulus over F_p. Elements are coordinate vectors
 in the power basis 1, t, ..., t^(n-1), where t is a root of the modulus.
+An element's index packs its coordinates as base-p digits.
 
-Specs and elements are immutable, so everything here is safe to share
-across threads. Small fields (at most 128 elements) precompute full
-operation tables and intern their elements, which keeps coefficient
-arithmetic in the series layer cheap.
+Every field has the same operation tables on indices (_add, _mul, _neg,
+_inv, _frob1) and an index -> element table (_elements), built on first
+use. Fields of at most 256 elements store them as tuples; above that they
+are small objects that compute each entry when indexed. The build is
+idempotent and specs and elements are otherwise immutable, so everything
+here is safe to share across threads.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from operator import xor
 from typing import Iterator, Sequence
 
-# Fields with at most this many elements get full add/mul/inv tables and
-# interned element objects; larger fields fall back to polynomial arithmetic.
-_TABLE_LIMIT = 128
+# Fields with at most this many elements store their tables as tuples. The
+# q-by-q add and mul tables are the large ones: at 256 elements each holds
+# 2^16 references to cached small ints, about 0.5 MB, so a field's tables
+# take about 1 MB. Larger fields compute each entry when it is indexed.
+_TABLE_LIMIT = 256
+
+# Characteristics from 2^32 up would make is_prime's trial division, and
+# fields above 2^64 elements the search for an irreducible modulus, run
+# for minutes; both are refused before that work starts.
+_P_LIMIT = 2 ** 32
+_ORDER_LIMIT = 2 ** 64
+
+_TABLES = ("_elements", "_add", "_mul", "_neg", "_inv", "_frob1")
 
 _SPEC_CACHE: dict = {}
+
+
+def check_prime(p) -> None:
+    """Raise ValueError unless p is a prime below 2^32."""
+    if isinstance(p, int) and p >= _P_LIMIT:
+        raise ValueError(f"p must be below 2^32, got {p}")
+    if not isinstance(p, int) or not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
 
 
 def is_prime(m: int) -> bool:
@@ -44,6 +67,22 @@ def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
     return a
+
+
+def _unpack(idx: int, p: int, n: int) -> list[int]:
+    """The n base-p digits of idx, lowest first."""
+    cs = []
+    for _ in range(n):
+        idx, d = divmod(idx, p)
+        cs.append(d)
+    return cs
+
+
+def _pack(cs: Sequence[int], p: int) -> int:
+    idx = 0
+    for c in reversed(cs):
+        idx = idx * p + c
+    return idx
 
 
 def _poly_mul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
@@ -73,17 +112,12 @@ def _poly_rem(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
     return _trim(a[:dm])
 
 
-def _poly_rem_any(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    """Remainder modulo an arbitrary nonzero polynomial."""
-    lead_inv = pow(b[-1], -1, p)
-    monic = [(c * lead_inv) % p for c in b]
-    return _poly_rem(a, monic, p)
-
-
 def _poly_gcd(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
     a, b = _trim(list(a)), _trim(list(b))
     while b:
-        a, b = b, _poly_rem_any(a, b, p)
+        # remainder modulo b made monic
+        lead_inv = pow(b[-1], -1, p)
+        a, b = b, _poly_rem(a, [c * lead_inv % p for c in b], p)
     return a
 
 
@@ -115,26 +149,16 @@ def _is_irreducible(mod: Sequence[int], p: int) -> bool:
         iterates[k] = h
     if iterates[n] != x:
         return False
-    r = 2
-    m = n
-    while r * r <= m:
+    m, r = n, 2
+    while m > 1:
         if m % r == 0:
-            diff = list(iterates[n // r])
-            while len(diff) < 2:
-                diff.append(0)
+            diff = iterates[n // r] + [0, 0]
             diff[1] = (diff[1] - 1) % p
             if len(_poly_gcd(diff, mod, p)) != 1:
                 return False
             while m % r == 0:
                 m //= r
         r += 1
-    if m > 1:
-        diff = list(iterates[n // m])
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        if len(_poly_gcd(diff, mod, p)) != 1:
-            return False
     return True
 
 
@@ -146,12 +170,7 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
     field descriptions round-trip.
     """
     for m in range(p ** n):
-        cand = []
-        v = m
-        for _ in range(n):
-            v, d = divmod(v, p)
-            cand.append(d)
-        cand.append(1)
+        cand = _unpack(m, p, n) + [1]
         if _is_irreducible(cand, p):
             return tuple(cand)
     raise RuntimeError(f"no irreducible of degree {n} over F_{p}")
@@ -164,14 +183,16 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
 class FieldSpec:
     """Immutable description of F_{p^n} = F_p[t]/(modulus)."""
 
-    __slots__ = ("p", "n", "modulus", "order", "interned",
-                 "_elements", "_add", "_mul", "_neg", "_inv", "_frob1")
+    __slots__ = ("p", "n", "modulus", "order") + _TABLES
 
     def __init__(self, p: int, n: int, modulus: Sequence[int] | None = None):
-        if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"p must be prime, got {p!r}")
+        check_prime(p)
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"extension degree must be >= 1, got {n!r}")
+        # n > 64 is refused first, so p ** n stays small
+        if n > 64 or p ** n > _ORDER_LIMIT:
+            raise ValueError(
+                f"field of order {p}^{n} has more than 2^64 elements")
         if modulus is None:
             modulus = default_modulus(p, n)
         else:
@@ -189,58 +210,99 @@ class FieldSpec:
         self.n = n
         self.modulus = modulus
         self.order = p ** n
-        self.interned = self.order <= _TABLE_LIMIT
-        if self.interned:
-            self._build_tables()
-        else:
-            self._elements = None
-            self._add = self._mul = self._neg = self._inv = self._frob1 = None
 
-    def _build_tables(self) -> None:
-        p, n, order = self.p, self.n, self.order
-        coords = []
-        for idx in range(order):
-            v, cs = idx, []
-            for _ in range(n):
-                v, d = divmod(v, p)
-                cs.append(d)
-            coords.append(tuple(cs))
-        self._elements = tuple(
-            FieldElement(self, cs, idx) for idx, cs in enumerate(coords))
-        add = []
-        for a in coords:
-            row = []
-            for b in coords:
-                s = 0
-                for k in range(n - 1, -1, -1):
-                    s = s * p + (a[k] + b[k]) % p
-                row.append(s)
-            add.append(tuple(row))
+    def __getattr__(self, name):
+        # Only unset slots get here: the tables, on their first use.
+        if name not in _TABLES:
+            raise AttributeError(name)
+        if self.order <= _TABLE_LIMIT:
+            self._store_tables()
+        else:
+            self._compute_tables()
+        return object.__getattribute__(self, name)
+
+    def _new_element(self, idx: int) -> FieldElement:
+        return FieldElement(self, tuple(_unpack(idx, self.p, self.n)), idx)
+
+    def _antilog(self) -> list[int]:
+        """Indices of g^0, ..., g^(q-2) for the least primitive element g."""
+        p, n, mod = self.p, self.n, self.modulus
+        for g in range(1, self.order):
+            gpoly = _unpack(g, p, n)
+            powers, x = [1], [1]
+            while True:
+                x = _poly_rem(_poly_mul(x, gpoly, p), mod, p)
+                v = _pack(x, p)
+                if v == 1:
+                    break
+                powers.append(v)
+            if len(powers) == self.order - 1:
+                return powers
+        raise AssertionError(f"F_{self.order} has no primitive element; this is a bug")
+
+    def _store_tables(self) -> None:
+        p, n, q = self.p, self.n, self.order
+        # a + b: add p^k to the row of a - p^k, where k is the lowest
+        # nonzero digit of a; shift[k] adds p^k to every index
+        shift = []
+        for k in range(n):
+            pk = p ** k
+            shift.append(tuple(y - (p - 1) * pk if (y // pk) % p == p - 1 else y + pk
+                               for y in range(q)))
+        add = [tuple(range(q))]
+        for a in range(1, q):
+            k, pk = 0, 1
+            while a // pk % p == 0:
+                k, pk = k + 1, pk * p
+            add.append(tuple(map(shift[k].__getitem__, add[a - pk])))
+        # a * b = g^(log a + log b) for a, b nonzero
+        exp = self._antilog()
+        log = [0] * q
+        for i, v in enumerate(exp):
+            log[v] = i
+        nonzero_logs = log[1:]
+        exp2 = exp * 2
+        mul = [(0,) * q]
+        for a in range(1, q):
+            rotated = exp2[log[a]:]
+            mul.append((0, *map(rotated.__getitem__, nonzero_logs)))
+        qm = q - 1
+        self._inv = (0, *(exp[-lg % qm] for lg in nonzero_logs))
+        self._frob1 = (0, *(exp[lg * p % qm] for lg in nonzero_logs))
+        self._neg = tuple(row.index(0) for row in add)
         self._add = tuple(add)
-        mul = []
-        for a in coords:
-            row = []
-            at = _trim(list(a))
-            for b in coords:
-                prod = _poly_rem(_poly_mul(at, _trim(list(b)), p), self.modulus, p)
-                s = 0
-                for k in range(len(prod) - 1, -1, -1):
-                    s = s * p + prod[k]
-                row.append(s)
-            mul.append(tuple(row))
         self._mul = tuple(mul)
-        self._neg = tuple(self._add[i].index(0) for i in range(order))
-        inv = [0] * order
-        for i in range(1, order):
-            inv[i] = self._mul[i].index(1)
-        self._inv = tuple(inv)
-        frob = []
-        for i in range(order):
-            acc = i
-            for _ in range(p - 1):
-                acc = self._mul[acc][i]
-            frob.append(acc)
-        self._frob1 = tuple(frob)
+        self._elements = tuple(map(self._new_element, range(q)))
+
+    def _compute_tables(self) -> None:
+        p, n, q, mod = self.p, self.n, self.order, self.modulus
+
+        def add_digits(a, b):
+            s, place = 0, 1
+            while a or b:
+                a, x = divmod(a, p)
+                b, y = divmod(b, p)
+                s += (x + y) % p * place
+                place *= p
+            return s
+
+        def mul(apoly, b):
+            return _pack(_poly_rem(_poly_mul(apoly, _unpack(b, p, n), p), mod, p), p)
+
+        def neg(a):
+            return _pack([-c % p for c in _unpack(a, p, n)], p)
+
+        def power(e):
+            return lambda a: _pack(_poly_powmod(_unpack(a, p, n), e, mod, p), p)
+
+        add = xor if p == 2 else add_digits
+        self._elements = _Computed(self._new_element)
+        self._add = _Computed(lambda a: _Computed(partial(add, a)))
+        self._mul = _Computed(
+            lambda a: _Computed(partial(mul, _trim(_unpack(a, p, n)))))
+        self._neg = _Computed(neg)
+        self._inv = _Computed(power(q - 2))
+        self._frob1 = _Computed(power(p))
 
     # -- constructors -------------------------------------------------------
 
@@ -250,24 +312,13 @@ class FieldSpec:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
         if any(c < 0 or c >= self.p for c in coords):
             raise ValueError("coordinates must lie in [0, p)")
-        if self.interned:
-            idx = 0
-            for c in reversed(coords):
-                idx = idx * self.p + c
-            return self._elements[idx]
-        return FieldElement(self, coords, None)
+        return self._elements[_pack(coords, self.p)]
 
     def from_index(self, idx: int) -> FieldElement:
         """Element whose coordinates are the base-p digits of idx."""
         if idx < 0 or idx >= self.order:
             raise ValueError(f"index {idx} out of range for field of order {self.order}")
-        if self.interned:
-            return self._elements[idx]
-        v, cs = idx, []
-        for _ in range(self.n):
-            v, d = divmod(v, self.p)
-            cs.append(d)
-        return FieldElement(self, tuple(cs), None)
+        return self._elements[idx]
 
     def zero(self) -> FieldElement:
         return self.from_index(0)
@@ -346,18 +397,28 @@ def field_make(p: int, n: int, modulus: Sequence[int] | None = None) -> FieldSpe
     return spec
 
 
+class _Computed:
+    """A table of a field too large to store: indexing computes the entry.
+    The rows of a two-index table are again computed tables."""
+
+    __slots__ = ("entry",)
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __getitem__(self, i):
+        return self.entry(i)
+
+
 class FieldElement:
-    """Immutable element of F_{p^n}, held as n coordinates in [0, p)."""
+    """Immutable element of F_{p^n}, held as n coordinates in [0, p) and
+    their packed index."""
 
     __slots__ = ("spec", "coords", "idx")
 
-    def __init__(self, spec: FieldSpec, coords: tuple[int, ...], idx: int | None):
+    def __init__(self, spec: FieldSpec, coords: tuple[int, ...], idx: int):
         self.spec = spec
         self.coords = coords
-        if idx is None:
-            idx = 0
-            for c in reversed(coords):
-                idx = idx * spec.p + c
         self.idx = idx
 
     def _check(self, other: FieldElement) -> None:
@@ -372,41 +433,25 @@ class FieldElement:
     def __add__(self, other: FieldElement) -> FieldElement:
         self._check(other)
         spec = self.spec
-        if spec.interned:
-            return spec._elements[spec._add[self.idx][other.idx]]
-        p = spec.p
-        return FieldElement(
-            spec, tuple((a + b) % p for a, b in zip(self.coords, other.coords)), None)
+        return spec._elements[spec._add[self.idx][other.idx]]
 
     def __sub__(self, other: FieldElement) -> FieldElement:
         return self + (-other)
 
     def __neg__(self) -> FieldElement:
         spec = self.spec
-        if spec.interned:
-            return spec._elements[spec._neg[self.idx]]
-        p = spec.p
-        return FieldElement(spec, tuple((-a) % p for a in self.coords), None)
+        return spec._elements[spec._neg[self.idx]]
 
     def __mul__(self, other: FieldElement) -> FieldElement:
         self._check(other)
         spec = self.spec
-        if spec.interned:
-            return spec._elements[spec._mul[self.idx][other.idx]]
-        p = spec.p
-        prod = _poly_rem(
-            _poly_mul(_trim(list(self.coords)), _trim(list(other.coords)), p),
-            spec.modulus, p)
-        prod.extend([0] * (spec.n - len(prod)))
-        return FieldElement(spec, tuple(prod), None)
+        return spec._elements[spec._mul[self.idx][other.idx]]
 
     def inverse(self) -> FieldElement:
         if self.idx == 0:
             raise ZeroDivisionError("inverse of zero field element")
         spec = self.spec
-        if spec.interned:
-            return spec._elements[spec._inv[self.idx]]
-        return self ** (spec.order - 2)
+        return spec._elements[spec._inv[self.idx]]
 
     def __pow__(self, e: int) -> FieldElement:
         if e < 0:
@@ -427,15 +472,10 @@ class FieldElement:
     def frobenius(self, i: int = 1) -> FieldElement:
         """The i-th power of the p-power map, x -> x^(p^i)."""
         spec = self.spec
-        i %= spec.n
-        if i == 0:
-            return self
-        if spec.interned:
-            idx = self.idx
-            for _ in range(i):
-                idx = spec._frob1[idx]
-            return spec._elements[idx]
-        return self ** (spec.p ** i)
+        idx, frob1 = self.idx, spec._frob1
+        for _ in range(i % spec.n):
+            idx = frob1[idx]
+        return spec._elements[idx]
 
     def in_subfield(self, m: int) -> bool:
         if self.spec.n % m != 0:

@@ -133,33 +133,21 @@ class TruncSeries:
         """Cauchy product at the smaller precision."""
         n = self._binop_prec(other)
         spec = self.spec
-        if spec.interned:
-            add, mul, elems = spec._add, spec._mul, spec._elements
-            a = [c.idx for c in self.coeffs[:n + 1]]
-            b = [c.idx for c in other.coeffs[:n + 1]]
-            na = sum(1 for v in a if v)
-            nb = sum(1 for v in b if v)
-            if na > nb:
-                a, b = b, a
-            out = [0] * (n + 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    row = mul[ai]
-                    for j in range(n - i + 1):
-                        bj = b[j]
-                        if bj:
-                            k = i + j
-                            out[k] = add[out[k]][row[bj]]
-            return TruncSeries(spec, n, [elems[v] for v in out])
-        zero = spec.zero()
-        out = [zero] * (n + 1)
-        for i, ai in enumerate(self.coeffs[:n + 1]):
+        add, mul = spec._add, spec._mul
+        a = [c.idx for c in self.coeffs[:n + 1]]
+        b = [c.idx for c in other.coeffs[:n + 1]]
+        if a.count(0) < b.count(0):
+            a, b = b, a
+        out = [0] * (n + 1)
+        for i, ai in enumerate(a):
             if ai:
+                row = mul[ai]
                 for j in range(n - i + 1):
-                    bj = other.coeffs[j]
+                    bj = b[j]
                     if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return TruncSeries(spec, n, out)
+                        k = i + j
+                        out[k] = add[out[k]][row[bj]]
+        return _from_indices(spec, n, out)
 
     def __pow__(self, e: int) -> TruncSeries:
         if e < 0:
@@ -191,34 +179,23 @@ class TruncSeries:
         if not self.coeffs[0]:
             raise ValueError("series with zero constant term has no reciprocal")
         spec, n = self.spec, self.prec
-        if spec.interned:
-            add, mul, neg, elems = spec._add, spec._mul, spec._neg, spec._elements
-            a = [c.idx for c in self.coeffs]
-            inv0 = spec._inv[a[0]]
-            sup = [k for k in range(1, n + 1) if a[k]]
-            out = [0] * (n + 1)
-            out[0] = inv0
-            row0 = mul[inv0]
-            for m in range(1, n + 1):
-                s = 0
-                for k in sup:
-                    if k > m:
-                        break
-                    bj = out[m - k]
-                    if bj:
-                        s = add[s][mul[a[k]][bj]]
-                out[m] = row0[neg[s]]
-            return TruncSeries(spec, n, [elems[v] for v in out])
-        inv0 = self.coeffs[0].inverse()
-        zero = spec.zero()
-        out = [inv0] + [zero] * n
+        add, mul, neg = spec._add, spec._mul, spec._neg
+        a = [c.idx for c in self.coeffs]
+        inv0 = spec._inv[a[0]]
+        rows = [(k, mul[a[k]]) for k in range(1, n + 1) if a[k]]
+        out = [0] * (n + 1)
+        out[0] = inv0
+        row0 = mul[inv0]
         for m in range(1, n + 1):
-            s = zero
-            for k in range(1, m + 1):
-                if self.coeffs[k]:
-                    s = s + self.coeffs[k] * out[m - k]
-            out[m] = -(inv0 * s)
-        return TruncSeries(spec, n, out)
+            s = 0
+            for k, row in rows:
+                if k > m:
+                    break
+                bj = out[m - k]
+                if bj:
+                    s = add[s][row[bj]]
+            out[m] = row0[neg[s]]
+        return _from_indices(spec, n, out)
 
     def derivative(self) -> TruncSeries:
         """Formal derivative; precision drops by one. In characteristic p
@@ -246,39 +223,22 @@ class TruncSeries:
         if v is None:
             return TruncSeries.monomial(spec, n, 0, self.coeffs[0])
         top = min(self.prec, n // v)
-        if spec.interned:
-            add, mul, elems = spec._add, spec._mul, spec._elements
-            a = [c.idx for c in self.coeffs]
-            g = [c.idx for c in inner.coeffs[:n + 1]]
-            gn = [(j, gj) for j, gj in enumerate(g) if gj]
-            res = [0] * (n + 1)
-            res[0] = a[top]
-            for i in range(top - 1, -1, -1):
-                new = [0] * (n + 1)
-                for j, gj in gn:
-                    row = mul[gj]
-                    for jr in range(n - j + 1):
-                        rv = res[jr]
-                        if rv:
-                            k = j + jr
-                            new[k] = add[new[k]][row[rv]]
-                new[0] = add[new[0]][a[i]]
-                res = new
-            return TruncSeries(spec, n, [elems[idx] for idx in res])
-        zero = spec.zero()
-        gn = [(j, gj) for j, gj in enumerate(inner.coeffs[:n + 1]) if gj]
-        res = [zero] * (n + 1)
-        res[0] = self.coeffs[top]
+        add, mul = spec._add, spec._mul
+        a = [c.idx for c in self.coeffs]
+        rows = [(j, mul[c.idx]) for j, c in enumerate(inner.coeffs[:n + 1]) if c]
+        res = [0] * (n + 1)
+        res[0] = a[top]
         for i in range(top - 1, -1, -1):
-            new = [zero] * (n + 1)
-            for j, gj in gn:
+            new = [0] * (n + 1)
+            for j, row in rows:
                 for jr in range(n - j + 1):
                     rv = res[jr]
                     if rv:
-                        new[j + jr] = new[j + jr] + gj * rv
-            new[0] = new[0] + self.coeffs[i]
+                        k = j + jr
+                        new[k] = add[new[k]][row[rv]]
+            new[0] = add[new[0]][a[i]]
             res = new
-        return TruncSeries(spec, n, res)
+        return _from_indices(spec, n, res)
 
     # -- serialization ------------------------------------------------------
 
@@ -322,6 +282,11 @@ class TruncSeries:
         return f"<series {self} over F_{self.spec.order}>"
 
 
+def _from_indices(spec: FieldSpec, prec: int, idxs: list[int]) -> TruncSeries:
+    elements = spec._elements
+    return TruncSeries(spec, prec, [elements[v] for v in idxs])
+
+
 # ---------------------------------------------------------------------------
 # Logarithmic derivative and its section
 # ---------------------------------------------------------------------------
@@ -336,36 +301,24 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
         raise ValueError("logarithmic derivative requires a unit series")
     spec, n = f.spec, f.prec
     # Solve X f' = f * t coefficient by coefficient: the degree-m equation
-    # reads m*a_m = sum_{j<m} a_j t_(m-j).
-    if spec.interned:
-        add, mul, neg, elems = spec._add, spec._mul, spec._neg, spec._elements
-        p = spec.p
-        a = [c.idx for c in f.coeffs]
-        inv0 = spec._inv[a[0]]
-        sup = [k for k in range(1, n + 1) if a[k]]
-        t = [0] * (n + 1)
-        row0 = mul[inv0]
-        scalars = [spec.scalar(i).idx for i in range(p)]
-        for m in range(1, n + 1):
-            s = mul[scalars[m % p]][a[m]]
-            for k in sup:
-                if k >= m:
-                    break
-                tv = t[m - k]
-                if tv:
-                    s = add[s][neg[mul[a[k]][tv]]]
-            t[m] = row0[s]
-        return TruncSeries(spec, n, [elems[v] for v in t])
-    zero = spec.zero()
-    inv0 = f.coeffs[0].inverse()
-    t = [zero] * (n + 1)
+    # reads m*a_m = sum_{j<m} a_j t_(m-j). The integer m is the prime-field
+    # element of index m mod p.
+    add, mul, neg = spec._add, spec._mul, spec._neg
+    p = spec.p
+    a = [c.idx for c in f.coeffs]
+    rows = [(k, mul[neg[a[k]]]) for k in range(1, n + 1) if a[k]]
+    t = [0] * (n + 1)
+    row0 = mul[spec._inv[a[0]]]
     for m in range(1, n + 1):
-        s = spec.scalar(m) * f.coeffs[m]
-        for k in range(1, m):
-            if f.coeffs[k]:
-                s = s - f.coeffs[k] * t[m - k]
-        t[m] = inv0 * s
-    return TruncSeries(spec, n, t)
+        s = mul[m % p][a[m]]
+        for k, row in rows:
+            if k >= m:
+                break
+            tv = t[m - k]
+            if tv:
+                s = add[s][row[tv]]
+        t[m] = row0[s]
+    return _from_indices(spec, n, t)
 
 
 def solve_log_deriv(t: TruncSeries) -> TruncSeries:
@@ -380,30 +333,33 @@ def solve_log_deriv(t: TruncSeries) -> TruncSeries:
     p = spec.p
     if t.coeffs[0]:
         raise ValueError("a logarithmic derivative has zero constant term")
+    a = [c.idx for c in t.coeffs]
+    frob1 = spec._frob1
     for i in range(1, n // p + 1):
-        if t.coeffs[p * i] != t.coeffs[i] ** p:
+        if a[p * i] != frob1[a[i]]:
             raise ValueError(
                 f"coefficient constraint a_(p*i) = a_i^p fails at i={i}; "
                 "series is not a logarithmic derivative")
-    zero = spec.zero()
-    f = [spec.one()] + [zero] * n
+    add, mul, inv = spec._add, spec._mul, spec._inv
+    rows = [(k, mul[a[k]]) for k in range(1, n + 1) if a[k]]
+    f = [0] * (n + 1)
+    f[0] = 1
     for m in range(1, n + 1):
-        s = zero
-        for j in range(m):
-            if f[j]:
-                tv = t.coeffs[m - j]
-                if tv:
-                    s = s + f[j] * tv
+        s = 0
+        for k, row in rows:
+            if k > m:
+                break
+            fv = f[m - k]
+            if fv:
+                s = add[s][row[fv]]
         if m % p:
-            f[m] = spec.scalar(m).inverse() * s
-        else:
+            f[m] = mul[inv[m % p]][s]
+        elif s:
             # The degree-m equation degenerates to 0 = s; with the
-            # constraint verified above this always holds.
-            if s:
-                raise AssertionError(
-                    f"inconsistent section at degree {m}; this is a bug")
-            f[m] = zero
-    return TruncSeries(spec, n, f)
+            # constraint verified above this never happens.
+            raise AssertionError(
+                f"inconsistent section at degree {m}; this is a bug")
+    return _from_indices(spec, n, f)
 
 
 # ---------------------------------------------------------------------------

@@ -217,7 +217,7 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["core"] == 3
 
 
-def test_usage_errors_exit_two(capsys):
+def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["definitely-not-a-command"]) == 2
     assert main([]) == 2
     assert main(["core", "963"]) == 2  # missing --p
@@ -226,6 +226,19 @@ def test_usage_errors_exit_two(capsys):
                   "q": {"p": 3, "lambda": 1}, "prec": 16,
                   "terms": {"1" + "0" * 30: [1]}}
     assert main(["series", "invert", "--g", json.dumps(huge_index)]) == 2
+    # oversized fields are refused before any primality or modulus search
+    assert main(["is-critical", "5", "--p", "1000000000000000003",
+                 "--lambda", "1"]) == 2
+    assert main(["series", "eval", "--kind", "artin-hasse",
+                 "--p", "1000000000000000003", "--n", "1", "--prec", "4"]) == 2
+    assert main(["series", "eval", "--kind", "random-unit", "--p", "2",
+                 "--n", "3000", "--prec", "2", "--seed", "1"]) == 2
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"field": {"p": 2, "n": 300, "modulus": [1] * 301},
+                                "prec": 1, "coeffs": [[1] + [0] * 299, [0] * 300]}))
+    capsys.readouterr()
+    assert main(["series", "logderiv", "--f", str(wide)]) == 2
+    assert "more than 2^64 elements" in capsys.readouterr().err
 
 
 def test_env_var_controls_format(capsys, monkeypatch):

@@ -1,30 +1,20 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
+from qcrit.digits import PrimePower
 from qcrit.finite_field import FieldSpec, default_modulus, field_make
 
+from field_oracle import poly_mul_mod
+
 
 # ---------------------------------------------------------------------------
-# Independent oracle: schoolbook polynomial arithmetic mod (modulus, p)
+# Independent oracles: irreducibility by trial division
 # ---------------------------------------------------------------------------
-
-def poly_mul_mod(a, b, modulus, p):
-    n = len(modulus) - 1
-    prod = [0] * (2 * n)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            prod[i + j] = (prod[i + j] + ai * bj) % p
-    for i in range(len(prod) - 1, n - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(n):
-                prod[i - n + j] = (prod[i - n + j] - c * modulus[j]) % p
-    return tuple(prod[:n])
-
 
 def brute_irreducible(poly, p):
     # trial division by every monic polynomial of degree 1..deg//2
@@ -87,6 +77,24 @@ def test_nonprime_p_rejected():
         field_make(1, 1)
 
 
+def test_oversized_parameters_rejected_before_any_search():
+    # p from 2^32 up would spend minutes in trial division, and fields of
+    # more than 2^64 elements in the search for a modulus
+    for p in (2 ** 32 + 15, 2 ** 61 - 1, 10 ** 18 + 3):
+        with pytest.raises(ValueError, match="below 2"):
+            field_make(p, 1)
+        with pytest.raises(ValueError, match="below 2"):
+            PrimePower(p, 1)
+    for p, n in ((2, 65), (2, 3000), (3, 41), (65537, 5)):
+        with pytest.raises(ValueError, match="more than 2"):
+            field_make(p, n)
+    with pytest.raises(ValueError, match="more than 2"):
+        FieldSpec(2, 300, [1] * 301)
+    assert field_make(2, 64).order == 2 ** 64
+    assert field_make(3, 40).order == 3 ** 40
+    assert field_make(4294967291, 1).order == 4294967291
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldSpec(2, 2, [1, 0, 1])  # (x+1)^2
@@ -135,6 +143,34 @@ def test_field_axioms_randomized():
         assert a * (b + c) == a * b + a * c
         assert a + (-a) == spec.zero()
         count += 1
+
+
+@pytest.mark.parametrize("p,n", [(2, 8), (3, 6)])
+def test_tables_built_on_first_use_by_racing_threads(p, n):
+    # a fresh spec, so every thread may find the tables unbuilt and build
+    # them; all of them must still see correct products
+    spec = FieldSpec(p, n)
+    failures, threads = [], []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            a, b = spec.random_element(rng), spec.random_element(rng)
+            if (a * b).coords != poly_mul_mod(a.coords, b.coords, spec.modulus, p):
+                failures.append((a, b))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
 
 
 @pytest.mark.parametrize("p,n", [(2, 4), (3, 2), (5, 1), (2, 8)])

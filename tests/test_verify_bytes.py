@@ -1,5 +1,8 @@
 """Byte identity of `qcrit verify`: the stdout and exit code of small runs,
-recorded as SHA-256 digests before the suites moved into one registry.
+recorded as SHA-256 digests before the suites moved into one registry. The
+runs over fields of more than 128 elements were recorded while those fields
+still used per-element polynomial arithmetic, before every field got
+operation tables.
 
 Text output carries each suite's wall-clock time as "(N ms)"; it is masked
 before hashing. JSON output omits timings, so it is hashed as printed.
@@ -66,6 +69,22 @@ RUNS = [
     ("json", ("coleman", "--p", "2", "--lambda", "2", "--n", "3",
               "--prec", "16", "--trials", "2"), 0,
      "e3c04e213fb4cc8858322731303a64ac98d50873eed619a45e60367bc6ee97b2"),
+    # fields of 256, 243, 256, 512 and 729 elements
+    ("json", ("equivariance", "--p", "2", "--lambda", "4", "--n", "8",
+              "--prec", "32", "--trials", "2", "--seed", "7"), 0,
+     "d6f90e6c0085f438c03b34615f5eb99e87e8c5050fac9edcb980bdb597cf19e7"),
+    ("json", ("logderiv", "--p", "3", "--lambda", "1", "--n", "5",
+              "--prec", "32", "--trials", "1", "--seed", "7"), 0,
+     "429c6dae0f956a25d47e7c6bfdae6a01a041a28da3281e753d26f59fde20d7cb"),
+    ("json", ("coleman", "--p", "2", "--lambda", "2", "--n", "8",
+              "--prec", "32", "--trials", "2", "--seed", "7"), 0,
+     "d779b1baaa6baaa1a6e1943aad14902aa550c9df32b9d57d22948268cbb6ff5b"),
+    ("json", ("logderiv", "--p", "2", "--lambda", "1", "--n", "9",
+              "--prec", "24", "--trials", "1", "--seed", "7"), 0,
+     "ff603fdd77d13d997b511bfa5dabaeae2d578b3c63b6d9d80406090ca64bbfd4"),
+    ("json", ("equivariance", "--p", "3", "--lambda", "2", "--n", "6",
+              "--prec", "24", "--trials", "2", "--seed", "7"), 0,
+     "a4ef801382565bb25315703c500fb895d6fd0549b3ac9cc663b1d7173733bf5a"),
 ]
 
 
