@@ -410,6 +410,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
+        for name in ("prec", "proj_prec"):
+            sr.check_prec(getattr(args, name, None))
         code, payload, text = args.handler(args)
     except (ValueError, ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

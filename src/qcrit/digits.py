@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple, Sequence
 
-from .finite_field import check_prime
+from .finite_field import _ORDER_LIMIT, check_prime
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -156,6 +156,9 @@ class PrimePower:
         check_prime(self.p)
         if self.lam < 1:
             raise ValueError(f"exponent must be >= 1, got {self.lam!r}")
+        # lambda > 64 is refused first, so p ** lam stays small
+        if self.lam > 64 or self.p ** self.lam > _ORDER_LIMIT:
+            raise ValueError(f"q = {self.p}^{self.lam} exceeds 2^64")
         object.__setattr__(self, "q", self.p ** self.lam)
 
     def to_json(self) -> dict:

@@ -17,12 +17,25 @@ by coefficient and stay inside the group.
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from .digits import PrimePower, is_critical, lucas_binom
-from .finite_field import FieldElement, FieldSpec
+from .finite_field import FieldElement, FieldSpec, _pack
+
+
+# The largest precision that the CLI options and JSON documents accept.
+# The exact Artin-Hasse recursion is cubic in it: about 7 s at 2048 and
+# 53 s at 4096.
+MAX_PREC = 2048
+
+
+def check_prec(prec: int | None) -> None:
+    """Raise ValueError if prec is above MAX_PREC."""
+    if prec is not None and prec > MAX_PREC:
+        raise ValueError(f"precision {prec} exceeds the limit {MAX_PREC}")
 
 
 # ---------------------------------------------------------------------------
@@ -132,34 +145,25 @@ class TruncSeries:
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         """Cauchy product at the smaller precision."""
         n = self._binop_prec(other)
-        spec = self.spec
-        add, mul = spec._add, spec._mul
-        a = [c.idx for c in self.coeffs[:n + 1]]
-        b = [c.idx for c in other.coeffs[:n + 1]]
-        if a.count(0) < b.count(0):
-            a, b = b, a
-        out = [0] * (n + 1)
-        for i, ai in enumerate(a):
-            if ai:
-                row = mul[ai]
-                for j in range(n - i + 1):
-                    bj = b[j]
-                    if bj:
-                        k = i + j
-                        out[k] = add[out[k]][row[bj]]
-        return _from_indices(spec, n, out)
+        return _from_indices(self.spec, n,
+                             _mul(self.spec, _idx(self), _idx(other), n))
 
     def __pow__(self, e: int) -> TruncSeries:
+        """Power by base-p digits: f^(p^j) is a Frobenius spread, so f^e
+        takes (digit sum of e) - 1 products."""
         if e < 0:
             raise ValueError("negative powers: use inverse_mult() first")
-        result = TruncSeries.one(self.spec, self.prec)
-        base = self
+        spec, n = self.spec, self.prec
+        base, result = _idx(self), None
         while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+            e, digit = divmod(e, spec.p)
+            for _ in range(digit):
+                result = base if result is None else _mul(spec, result, base, n)
+            if e:
+                base = _spread(spec, base, n)
+        if result is None:
+            return TruncSeries.one(spec, n)
+        return _from_indices(spec, n, result)
 
     def scale(self, alpha: FieldElement) -> TruncSeries:
         """Multiply every coefficient by alpha."""
@@ -178,24 +182,8 @@ class TruncSeries:
         """Multiplicative inverse of a unit, at the same precision."""
         if not self.coeffs[0]:
             raise ValueError("series with zero constant term has no reciprocal")
-        spec, n = self.spec, self.prec
-        add, mul, neg = spec._add, spec._mul, spec._neg
-        a = [c.idx for c in self.coeffs]
-        inv0 = spec._inv[a[0]]
-        rows = [(k, mul[a[k]]) for k in range(1, n + 1) if a[k]]
-        out = [0] * (n + 1)
-        out[0] = inv0
-        row0 = mul[inv0]
-        for m in range(1, n + 1):
-            s = 0
-            for k, row in rows:
-                if k > m:
-                    break
-                bj = out[m - k]
-                if bj:
-                    s = add[s][row[bj]]
-            out[m] = row0[neg[s]]
-        return _from_indices(spec, n, out)
+        return _from_indices(self.spec, self.prec,
+                             _inverse(self.spec, _idx(self), self.prec))
 
     def derivative(self) -> TruncSeries:
         """Formal derivative; precision drops by one. In characteristic p
@@ -210,35 +198,15 @@ class TruncSeries:
         """Composition self(inner); requires inner(0) = 0.
 
         Exact through min(prec) because the inner series has positive
-        valuation. Evaluated by Horner's rule, stopping at the last
-        coefficient of self that can still reach the target precision.
-        """
+        valuation. Computed by splitting self by exponent residues mod p
+        (see _compose), with no Horner loop."""
         if self.spec != inner.spec:
             raise ValueError("series over different fields")
         if inner.coeffs[0]:
             raise ValueError("inner series must have zero constant term")
-        spec = self.spec
         n = min(self.prec, inner.prec)
-        v = inner.valuation()
-        if v is None:
-            return TruncSeries.monomial(spec, n, 0, self.coeffs[0])
-        top = min(self.prec, n // v)
-        add, mul = spec._add, spec._mul
-        a = [c.idx for c in self.coeffs]
-        rows = [(j, mul[c.idx]) for j, c in enumerate(inner.coeffs[:n + 1]) if c]
-        res = [0] * (n + 1)
-        res[0] = a[top]
-        for i in range(top - 1, -1, -1):
-            new = [0] * (n + 1)
-            for j, row in rows:
-                for jr in range(n - j + 1):
-                    rv = res[jr]
-                    if rv:
-                        k = j + jr
-                        new[k] = add[new[k]][row[rv]]
-            new[0] = add[new[0]][a[i]]
-            res = new
-        return _from_indices(spec, n, res)
+        return _from_indices(self.spec, n,
+                             _compose(self.spec, _idx(self), _idx(inner), n))
 
     # -- serialization ------------------------------------------------------
 
@@ -248,9 +216,11 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> TruncSeries:
+        prec = int(data["prec"])
+        check_prec(prec)
         spec = FieldSpec.from_json(data["field"])
         coeffs = [spec.element(c) for c in data["coeffs"]]
-        return cls(spec, int(data["prec"]), coeffs)
+        return cls(spec, prec, coeffs)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncSeries) and self.spec == other.spec
@@ -287,6 +257,192 @@ def _from_indices(spec: FieldSpec, prec: int, idxs: list[int]) -> TruncSeries:
     return TruncSeries(spec, prec, [elements[v] for v in idxs])
 
 
+def _idx(f: TruncSeries) -> list[int]:
+    return [c.idx for c in f.coeffs]
+
+
+# ---------------------------------------------------------------------------
+# Kernels on index lists
+# ---------------------------------------------------------------------------
+# Series are lists of packed element indices, and each kernel returns the
+# n + 1 coefficients through degree n. The crossovers below come from
+# timings on F_4, F_9, F_243 and F_256 at precision 128, 512 and 2048
+# (tools/series_ops.py).
+
+# An operand with at most this many nonzero coefficients is multiplied row
+# by row; denser products go through one big-int product.
+_SPARSE = 16
+# inverse_mult solves through this degree one coefficient at a time, then
+# doubles the precision by Newton steps.
+_NEWTON_BASE = 128
+# log_deriv above this precision is X f' f^(-1); below, its recurrence.
+_LOG_DERIV_NEWTON = 256
+
+# memoryview formats of the slot widths a product can be unpacked with
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
+
+
+def _mul(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
+    a, b = a[:n + 1], b[:n + 1]
+    nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
+    if nonzero_a > nonzero_b:
+        a, b, nonzero_a = b, a, nonzero_b
+    if nonzero_a <= _SPARSE:
+        return _mul_rows(spec, a, b, n)
+    return _mul_kronecker(spec, a, b, n)
+
+
+def _mul_rows(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
+    """The schoolbook product, one row per nonzero coefficient of a."""
+    add, mul = spec._add, spec._mul
+    out = [0] * (n + 1)
+    for i, ai in enumerate(a):
+        if ai:
+            row = mul[ai]
+            seg = b[:n + 1 - i]
+            out[i:i + len(seg)] = [add[o][row[x]] if x else o
+                                   for o, x in zip(out[i:i + len(seg)], seg)]
+    return out
+
+
+def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int],
+                   n: int) -> list[int]:
+    """The product by Kronecker substitution.
+
+    A coefficient is a polynomial in t of degree below d = spec.n, so a
+    product coefficient has degree below 2d - 1 in t. Each gets 2d - 1
+    slots, one per power of t, and every slot holds the integer sum of
+    coordinate products, at most min(len) * d * (p-1)^2. Substituting a
+    power of two for t and for X turns the series into two big ints, whose
+    one product holds every slot of the product series."""
+    p, d = spec.p, spec.n
+    w = 2 * d - 1
+    bits = (min(len(a), len(b)) * d * (p - 1) ** 2).bit_length()
+    slot = (bits + 7) // 8
+    slot = next((s for s in _SLOT_FORMATS if s >= slot), slot)
+    prod = _kron_pack(spec, a, slot, w) * _kron_pack(spec, b, slot, w)
+    count = min(n + 1, len(a) + len(b) - 1)
+    raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * w * slot, "little"))
+    raw = raw[:count * w * slot]
+    if slot in _SLOT_FORMATS:
+        slots = raw.cast(_SLOT_FORMATS[slot])
+    else:
+        slots = [int.from_bytes(raw[i:i + slot], "little")
+                 for i in range(0, len(raw), slot)]
+    # coordinate j of every product coefficient is slots[j::w] mod p
+    digits = [[v % p for v in slots[j::w]] for j in range(w)]
+    low = _horner(digits[:d], p)
+    if d > 1:
+        # t^d * h(t) for the high part h = digits d .. 2d-2
+        add, row = spec._add, spec._mul[_pack([-c % p for c in spec.modulus[:d]], p)]
+        low = [add[lo][row[h]] if h else lo
+               for lo, h in zip(low, _horner(digits[d:], p))]
+    return low + [0] * (n + 1 - count)
+
+
+def _horner(digits: list[list[int]], p: int) -> list[int]:
+    """Pack digit planes (lowest first) into element indices."""
+    acc = digits[-1]
+    for plane in reversed(digits[:-1]):
+        acc = [x * p + y for x, y in zip(acc, plane)]
+    return acc
+
+
+def _kron_pack(spec: FieldSpec, a: list[int], slot: int, w: int) -> int:
+    """The big int with coordinate j of a[i] in slot i * w + j."""
+    p, d = spec.p, spec.n
+    stride = w * slot
+    buf = bytearray(len(a) * stride)
+    width = ((p - 1).bit_length() + 7) // 8
+    pj = 1
+    for j in range(d):
+        plane = [x // pj % p for x in a]
+        for k in range(width):
+            buf[j * slot + k::stride] = bytes(
+                plane if width == 1 else [x >> 8 * k & 255 for x in plane])
+        pj *= p
+    return int.from_bytes(buf, "little")
+
+
+def _spread(spec: FieldSpec, a: list[int], n: int) -> list[int]:
+    """f^p through degree n: f_i^p moves to degree i*p."""
+    p, frob = spec.p, spec._frob1
+    out = [0] * (n + 1)
+    out[::p] = [frob[c] if c else 0 for c in a[:n // p + 1]]
+    return out
+
+
+def _compose(spec: FieldSpec, a: list[int], g: list[int], n: int) -> list[int]:
+    """a(g) through degree n, for g with zero constant term.
+
+    Coefficients of a past n // val(g) cannot reach degree n and are
+    dropped first. A monomial g = c X^v sends a_i to a_i c^i X^(iv).
+    Otherwise a is split by exponent residues mod p,
+    a(Y) = sum_r Y^r A_r(Y^p), and A_r(g^p) = (A_r o G)(X^p) with G the
+    Frobenius image of g's coefficients: a composition at precision
+    n // p. The parts are combined with one product by g each."""
+    support = [i for i in range(1, n + 1) if g[i]]
+    if not support:
+        return [a[0]] + [0] * n
+    v = support[0]
+    a = a[:n // v + 1]
+    p, add, mul = spec.p, spec._add, spec._mul
+    if len(support) == 1:
+        c, power = g[v], 1
+        res = [0] * (n + 1)
+        for i, ai in enumerate(a):
+            res[i * v] = mul[ai][power]
+            power = mul[power][c]
+        return res
+    frob = spec._frob1
+    inner = [frob[c] if c else 0 for c in g[:n // p + 1]]
+    res = None
+    for r in reversed(range(min(p, len(a)))):
+        part = a[r::p]
+        if len(part) > 1:
+            part = _compose(spec, part, inner, n // p)
+        res = [0] * (n + 1) if res is None else _mul(spec, res, g, n)
+        at = slice(0, len(part) * p, p)
+        res[at] = [add[x][y] if y else x for x, y in zip(res[at], part)]
+    return res
+
+
+def _inverse(spec: FieldSpec, a: list[int], n: int) -> list[int]:
+    """1/f through degree n for a unit f: the recurrence through degree
+    _NEWTON_BASE, then Newton steps g <- g + g(1 - f g), each of which
+    doubles the number of exact coefficients."""
+    tops = []
+    while n > _NEWTON_BASE:
+        tops.append(n)
+        n //= 2
+    g = _inverse_recurrence(spec, a, n)
+    neg = spec._neg
+    for top in reversed(tops):
+        # f g = 1 + X^k e through degree top, with k = len(g) > top / 2
+        e = _mul(spec, a, g, top)[len(g):]
+        g += [neg[c] for c in _mul(spec, g, e, top - len(g))]
+    return g
+
+
+def _inverse_recurrence(spec: FieldSpec, a: list[int], n: int) -> list[int]:
+    add, mul, neg = spec._add, spec._mul, spec._neg
+    inv0 = spec._inv[a[0]]
+    rows = [(k, mul[a[k]]) for k in range(1, n + 1) if a[k]]
+    out = [0] * (n + 1)
+    out[0] = inv0
+    row0 = mul[inv0]
+    for m in range(1, n + 1):
+        s = 0
+        for k, row in rows:
+            if k > m:
+                break
+            bj = out[m - k]
+            if bj:
+                s = add[s][row[bj]]
+        out[m] = row0[neg[s]]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Logarithmic derivative and its section
 # ---------------------------------------------------------------------------
@@ -300,12 +456,21 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
     if not f.coeffs[0]:
         raise ValueError("logarithmic derivative requires a unit series")
     spec, n = f.spec, f.prec
+    a = _idx(f)
+    if n <= _LOG_DERIV_NEWTON:
+        return _from_indices(spec, n, _log_deriv_recurrence(spec, a, n))
+    # the coefficient of X f' at degree m is m * a_m, m read mod p
+    mul, p = spec._mul, spec.p
+    xf = [mul[m % p][c] for m, c in enumerate(a)]
+    return _from_indices(spec, n, _mul(spec, xf, _inverse(spec, a, n), n))
+
+
+def _log_deriv_recurrence(spec: FieldSpec, a: list[int], n: int) -> list[int]:
     # Solve X f' = f * t coefficient by coefficient: the degree-m equation
     # reads m*a_m = sum_{j<m} a_j t_(m-j). The integer m is the prime-field
     # element of index m mod p.
     add, mul, neg = spec._add, spec._mul, spec._neg
     p = spec.p
-    a = [c.idx for c in f.coeffs]
     rows = [(k, mul[neg[a[k]]]) for k in range(1, n + 1) if a[k]]
     t = [0] * (n + 1)
     row0 = mul[spec._inv[a[0]]]
@@ -318,7 +483,7 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
             if tv:
                 s = add[s][row[tv]]
         t[m] = row0[s]
-    return _from_indices(spec, n, t)
+    return t
 
 
 def solve_log_deriv(t: TruncSeries) -> TruncSeries:
@@ -537,10 +702,12 @@ class AdditiveSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> AdditiveSeries:
+        prec = int(data["prec"])
+        check_prec(prec)
         spec = FieldSpec.from_json(data["field"])
         pq = PrimePower.from_json(data["q"])
         terms = {int(i): spec.element(c) for i, c in data["terms"].items()}
-        return cls(spec, pq, int(data["prec"]), terms)
+        return cls(spec, pq, prec, terms)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, AdditiveSeries) and self.spec == other.spec

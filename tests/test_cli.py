@@ -239,6 +239,36 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     capsys.readouterr()
     assert main(["series", "logderiv", "--f", str(wide)]) == 2
     assert "more than 2^64 elements" in capsys.readouterr().err
+    # q = p^lambda is bounded by 2^64 before it is computed
+    assert main(["is-critical", "5", "--p", "2", "--lambda", "100000000"]) == 2
+    assert main(["mu", "5", "--p", "3", "--lambda", "41"]) == 2
+
+
+def test_precision_above_the_limit_exits_two(capsys, tmp_path):
+    field = {"p": 2, "n": 1, "modulus": [0, 1]}
+    dense = tmp_path / "dense.json"
+    dense.write_text(json.dumps({"field": field, "prec": 10 ** 9,
+                                 "coeffs": [[1]]}))
+    additive = tmp_path / "additive.json"
+    additive.write_text(json.dumps({"field": field, "q": {"p": 2, "lambda": 1},
+                                    "prec": 10 ** 9, "terms": {"0": [1]}}))
+    for argv in (
+            ["series", "eval", "--kind", "artin-hasse", "--p", "2", "--prec", "3000000"],
+            ["series", "eval", "--kind", "random-unit", "--p", "2", "--prec", "2049"],
+            ["verify", "logderiv", "--p", "2", "--lambda", "1", "--prec", "2049"],
+            ["verify", "all", "--p", "2", "--lambda", "1", "--prec", "10000000"],
+            ["verify", "projection", "--p", "2", "--lambda", "1", "--proj-prec", "2049"],
+            ["explore", "--p", "2", "--lambda", "1", "--prec", "2049"],
+            ["series", "logderiv", "--f", str(dense)],
+            ["series", "psi", "--f", str(dense), "--p", "2", "--lambda", "1"],
+            ["series", "compose", "--f", str(dense), "--g", str(dense)],
+            ["series", "invert", "--g", str(additive)]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "exceeds the limit 2048" in capsys.readouterr().err, argv
+    code, out = run_json(capsys, "series", "eval", "--kind", "orbit", "--p", "2",
+                         "--prec", "2048")
+    assert code == 0 and out["prec"] == 2048
 
 
 def test_env_var_controls_format(capsys, monkeypatch):

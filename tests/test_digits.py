@@ -408,6 +408,14 @@ def test_prime_power_validation():
         PrimePower(2, 0)
 
 
+def test_prime_power_refuses_q_above_2_to_the_64():
+    assert PrimePower(2, 64).q == 2 ** 64
+    assert PrimePower(3, 40).q == 3 ** 40
+    for p, lam in ((2, 65), (3, 41), (4294967291, 3), (2, 10 ** 8)):
+        with pytest.raises(ValueError, match="exceeds 2\\^64"):
+            PrimePower(p, lam)
+
+
 def test_prime_power_json():
     pq = PrimePower(3, 2)
     assert PrimePower.from_json(pq.to_json()) == pq

@@ -6,7 +6,7 @@ import pytest
 
 from qcrit.digits import PrimePower, critical_members, is_critical
 from qcrit.finite_field import field_make
-from qcrit.series import (AdditiveSeries, TruncSeries, artin_hasse,
+from qcrit.series import (MAX_PREC, AdditiveSeries, TruncSeries, artin_hasse,
                           critical_projection, critical_projection_formula,
                           log_deriv, orbit_series, random_gamma, random_unit,
                           solve_log_deriv, twisted_orbit_series)
@@ -593,6 +593,18 @@ def test_additive_json_round_trip():
     again = AdditiveSeries.from_json(json.loads(blob))
     assert again == g
     assert json.dumps(again.to_json(), sort_keys=True) == blob
+
+
+def test_json_precision_is_capped():
+    f = TruncSeries.zero(F4, MAX_PREC).to_json()
+    assert TruncSeries.from_json(f).prec == MAX_PREC
+    g = AdditiveSeries.identity(F4, PQ4, MAX_PREC).to_json()
+    assert AdditiveSeries.from_json(g).prec == MAX_PREC
+    # refused before the coefficients are read
+    for doc, cls in ((f, TruncSeries), (g, AdditiveSeries)):
+        with pytest.raises(ValueError, match="exceeds the limit 2048"):
+            cls.from_json({**doc, "prec": MAX_PREC + 1, "coeffs": None,
+                           "terms": None})
 
 
 def test_trunc_series_validation():

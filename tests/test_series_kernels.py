@@ -1,0 +1,181 @@
+"""The sub-quadratic series kernels against the quadratic loops they
+replaced (series_reference), on both sides of every crossover, and against
+the independent coordinate oracle (field_oracle) on random inputs.
+
+The crossovers are the sparse-operand rule of products (_SPARSE nonzero
+coefficients), the Newton base of inverse_mult (_NEWTON_BASE), the Newton
+form of log_deriv (above _LOG_DERIV_NEWTON), the byte width of the
+Kronecker slots, which grows with the precision and with p, and in
+compose the residue split, which starts at precision p, and the monomial
+inner series.
+"""
+
+import random
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qcrit import series as sr
+from qcrit.finite_field import field_make
+from qcrit.series import TruncSeries, log_deriv
+
+import series_reference as ref
+from field_oracle import (series_compose, series_inverse, series_log_deriv,
+                          series_mul, series_power)
+
+S = sr._SPARSE
+
+# (p, n): prime fields, small tables, large tables, computed entries
+SMALL = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
+LARGE = [(3, 5), (2, 8)]
+COMPUTED = [(2, 9), (3, 6), (257, 1), (4294967291, 1)]
+
+
+def precisions(p, top):
+    """0, 1, p-1, p and the precisions around the crossovers, up to top."""
+    return sorted({n for n in (0, 1, p - 1, p, 127, 128, 129, 255, 256, 257, 1024)
+                   if n <= top})
+
+
+def grid(fields, top):
+    return [(p, n, prec) for p, n in fields
+            for prec in precisions(p, top)]
+
+
+GRID = grid(SMALL, 1024) + grid(LARGE, 257) + grid(COMPUTED, 129)
+IDS = [f"F{p ** n}-prec{prec}" for p, n, prec in GRID]
+
+
+def random_idx(spec, length, rng, nonzero=None, valuation=0, unit=False):
+    """Random index list; with `nonzero`, exactly that many nonzero entries
+    (or all, if the list is shorter) at random positions from `valuation`."""
+    out = [0] * length
+    places = list(range(valuation, length))
+    if nonzero is not None:
+        places = sorted(rng.sample(places, min(nonzero, len(places))))
+    for i in places:
+        out[i] = rng.randrange(1, spec.order)
+    if unit:
+        out[0] = rng.randrange(1, spec.order)
+    return out
+
+
+def series(spec, idx):
+    return TruncSeries(spec, len(idx) - 1, [spec.from_index(i) for i in idx])
+
+
+def idx(f):
+    return [c.idx for c in f.coeffs]
+
+
+@pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
+def test_mul_matches_schoolbook(p, n, prec):
+    spec = field_make(p, n)
+    rng = random.Random(prec * 31 + spec.order)
+    dense = random_idx(spec, prec + 1, rng)
+    for nonzero in (S, S + 1, None):
+        other = random_idx(spec, prec + 1, rng, nonzero=nonzero)
+        got = idx(series(spec, dense) * series(spec, other))
+        assert got == ref.mul(spec, dense, other, prec), nonzero
+
+
+@pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
+def test_inverse_and_log_deriv_match_recurrences(p, n, prec):
+    spec = field_make(p, n)
+    rng = random.Random(prec * 37 + spec.order)
+    a = random_idx(spec, prec + 1, rng, unit=True)
+    f = series(spec, a)
+    assert idx(f.inverse_mult()) == ref.inverse(spec, a, prec)
+    assert idx(log_deriv(f)) == ref.log_deriv(spec, a, prec)
+
+
+@pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
+def test_pow_matches_square_and_multiply(p, n, prec):
+    spec = field_make(p, n)
+    rng = random.Random(prec * 41 + spec.order)
+    a = random_idx(spec, prec + 1, rng, nonzero=3)
+    f = series(spec, a)
+    for e in (0, 1, 2, p, 2 * p + 1, 13):
+        assert idx(f ** e) == ref.power(spec, a, e, prec), e
+
+
+def compose_cases(fields, precs, budget):
+    """(p, n, prec, valuation, inner nonzeros), with None for a dense inner
+    series. The reference Horner loop costs about
+    (prec / valuation) * nonzeros * prec table lookups; cases above the
+    budget are left out."""
+    cases = []
+    for p, n in fields:
+        for prec in sorted({0, 1, p - 1, p, *precs}):
+            if prec > max(precs):
+                continue
+            for v in (1, 2, 5, 31):
+                if v > max(prec, 1):
+                    continue
+                for nonzero in (1, 3, S + 1, None):
+                    cost = (prec // v + 1) * min(nonzero or prec, prec) * prec
+                    if cost <= budget:
+                        cases.append((p, n, prec, v, nonzero))
+    return cases
+
+
+COMPOSE = (compose_cases(SMALL, (127, 128, 129, 255, 256, 257, 1024), 5e6)
+           + compose_cases(LARGE, (129, 257), 2e6)
+           + compose_cases(COMPUTED, (40,), 1e5))
+
+
+@pytest.mark.parametrize("p,n,prec,v,nonzero", COMPOSE, ids=[
+    f"F{p ** n}-prec{prec}-val{v}-nz{nz}" for p, n, prec, v, nz in COMPOSE])
+def test_compose_matches_horner(p, n, prec, v, nonzero):
+    spec = field_make(p, n)
+    rng = random.Random(prec * 43 + v * 7 + spec.order)
+    a = random_idx(spec, prec + 1, rng)
+    g = random_idx(spec, prec + 1, rng, nonzero=nonzero, valuation=v)
+    if v <= prec:
+        g[v] = g[v] or 1
+    got = idx(series(spec, a).compose(series(spec, g)))
+    assert got == ref.compose(spec, a, g, prec)
+
+
+# ---------------------------------------------------------------------------
+# Property test against the coordinate oracle
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
+THRESHOLDS = {
+    "default": {"_SPARSE": S, "_NEWTON_BASE": sr._NEWTON_BASE,
+                "_LOG_DERIV_NEWTON": sr._LOG_DERIV_NEWTON},
+    # low enough that every kernel branch runs at small precision
+    "low": {"_SPARSE": 2, "_NEWTON_BASE": 3, "_LOG_DERIV_NEWTON": 5},
+}
+
+
+@st.composite
+def operands(draw):
+    p, n = draw(st.sampled_from(ORACLE_FIELDS))
+    spec = field_make(p, n)
+    prec = draw(st.integers(0, 48))
+    coeff = st.integers(0, spec.order - 1)
+    f = draw(st.lists(coeff, min_size=prec + 1, max_size=prec + 1))
+    g = draw(st.lists(coeff, min_size=prec + 1, max_size=prec + 1))
+    f[0] = f[0] or 1
+    g[0] = 0
+    return spec, f, g, draw(st.integers(0, 3 * p))
+
+
+@pytest.mark.parametrize("thresholds", THRESHOLDS)
+@settings(max_examples=30)
+@given(operands())
+def test_kernels_match_coordinate_oracle(thresholds, case):
+    spec, f, g, e = case
+    mod, p = spec.modulus, spec.p
+    fc = [spec.from_index(i).coords for i in f]
+    gc = [spec.from_index(i).coords for i in g]
+    with mock.patch.multiple(sr, **THRESHOLDS[thresholds]):
+        fs, gs = series(spec, f), series(spec, g)
+        assert [c.coords for c in (fs * gs).coeffs] == series_mul(fc, gc, mod, p)
+        assert [c.coords for c in fs.inverse_mult().coeffs] == series_inverse(fc, mod, p)
+        assert [c.coords for c in log_deriv(fs).coeffs] == series_log_deriv(fc, mod, p)
+        assert [c.coords for c in (gs ** e).coeffs] == series_power(gc, e, mod, p)
+        assert [c.coords for c in fs.compose(gs).coeffs] == series_compose(fc, gc, mod, p)
