@@ -43,28 +43,25 @@ def check_prec(prec: int | None) -> None:
 # ---------------------------------------------------------------------------
 
 class TruncSeries:
-    """Power series over F_{p^n} known exactly through degree prec."""
+    """Power series over F_{p^n} known exactly through degree prec.
 
-    __slots__ = ("spec", "prec", "coeffs")
+    A series holds idx, the packed element indices of its prec + 1
+    coefficients, and every operation computes on them with the field's
+    tables. FieldElements are the API and JSON boundary: the constructor
+    takes them, and coeffs and coefficient() build them when read."""
+
+    __slots__ = ("spec", "prec", "idx")
 
     def __init__(self, spec: FieldSpec, prec: int, coeffs: Sequence[FieldElement]):
-        if prec < 0:
-            raise ValueError("precision must be nonnegative")
-        coeffs = tuple(coeffs)
-        if len(coeffs) != prec + 1:
-            raise ValueError(f"expected {prec + 1} coefficients, got {len(coeffs)}")
-        for c in coeffs:
-            if c.spec is not spec and c.spec != spec:
-                raise ValueError("coefficient from a different field")
-        self.spec = spec
-        self.prec = prec
-        self.coeffs = coeffs
+        idx = tuple(_index(spec, c) for c in coeffs)
+        _check_length(prec, len(idx))
+        self.spec, self.prec, self.idx = spec, prec, idx
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, spec: FieldSpec, prec: int) -> TruncSeries:
-        return cls(spec, prec, (spec.zero(),) * (prec + 1))
+        return _series(spec, prec, (0,) * (prec + 1))
 
     @classmethod
     def one(cls, spec: FieldSpec, prec: int) -> TruncSeries:
@@ -79,9 +76,9 @@ class TruncSeries:
                  coeff: FieldElement) -> TruncSeries:
         if k < 0 or k > prec:
             raise ValueError(f"exponent {k} outside [0, {prec}]")
-        cs = [spec.zero()] * (prec + 1)
-        cs[k] = coeff
-        return cls(spec, prec, cs)
+        out = [0] * (prec + 1)
+        out[k] = _index(spec, coeff)
+        return _series(spec, prec, out)
 
     @classmethod
     def from_scalars(cls, spec: FieldSpec, values: Sequence[int]) -> TruncSeries:
@@ -90,37 +87,36 @@ class TruncSeries:
 
     # -- accessors ----------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple[FieldElement, ...]:
+        """The coefficients as field elements, built on each read."""
+        return tuple(map(self.spec._elements.__getitem__, self.idx))
+
     def coefficient(self, i: int) -> FieldElement:
         if i < 0 or i > self.prec:
             raise ValueError(f"coefficient {i} beyond precision {self.prec}")
-        return self.coeffs[i]
-
-    def constant_term(self) -> FieldElement:
-        return self.coeffs[0]
+        return self.spec._elements[self.idx[i]]
 
     def is_unit(self) -> bool:
-        return bool(self.coeffs[0])
+        return bool(self.idx[0])
 
     def valuation(self) -> int | None:
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        return None
+        return next((i for i, c in enumerate(self.idx) if c), None)
 
     def support(self) -> list[int]:
-        return [i for i, c in enumerate(self.coeffs) if c]
+        return [i for i, c in enumerate(self.idx) if c]
 
     def truncate(self, prec: int) -> TruncSeries:
         if prec > self.prec:
             raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        return TruncSeries(self.spec, prec, self.coeffs[:prec + 1])
+        return _series(self.spec, prec, self.idx[:prec + 1])
 
     def agrees(self, other: TruncSeries) -> bool:
         """Equality through the smaller of the two precisions."""
         if self.spec != other.spec:
             return False
         n = min(self.prec, other.prec)
-        return self.coeffs[:n + 1] == other.coeffs[:n + 1]
+        return self.idx[:n + 1] == other.idx[:n + 1]
 
     # -- ring operations ----------------------------------------------------
 
@@ -131,22 +127,19 @@ class TruncSeries:
 
     def __add__(self, other: TruncSeries) -> TruncSeries:
         n = self._binop_prec(other)
-        return TruncSeries(self.spec, n,
-                           [a + b for a, b in zip(self.coeffs, other.coeffs)][:n + 1])
+        add = self.spec._add
+        return _series(self.spec, n, [add[a][b] for a, b in zip(self.idx, other.idx)])
 
     def __sub__(self, other: TruncSeries) -> TruncSeries:
-        n = self._binop_prec(other)
-        return TruncSeries(self.spec, n,
-                           [a - b for a, b in zip(self.coeffs, other.coeffs)][:n + 1])
+        return self + (-other)
 
     def __neg__(self) -> TruncSeries:
-        return TruncSeries(self.spec, self.prec, [-a for a in self.coeffs])
+        return _series(self.spec, self.prec, map(self.spec._neg.__getitem__, self.idx))
 
     def __mul__(self, other: TruncSeries) -> TruncSeries:
         """Cauchy product at the smaller precision."""
         n = self._binop_prec(other)
-        return _from_indices(self.spec, n,
-                             _mul(self.spec, _idx(self), _idx(other), n))
+        return _series(self.spec, n, _mul(self.spec, self.idx, other.idx, n))
 
     def __pow__(self, e: int) -> TruncSeries:
         """Power by base-p digits: f^(p^j) is a Frobenius spread, so f^e
@@ -154,7 +147,7 @@ class TruncSeries:
         if e < 0:
             raise ValueError("negative powers: use inverse_mult() first")
         spec, n = self.spec, self.prec
-        base, result = _idx(self), None
+        base, result = self.idx, None
         while e:
             e, digit = divmod(e, spec.p)
             for _ in range(digit):
@@ -163,36 +156,37 @@ class TruncSeries:
                 base = _spread(spec, base, n)
         if result is None:
             return TruncSeries.one(spec, n)
-        return _from_indices(spec, n, result)
+        return _series(spec, n, result)
 
     def scale(self, alpha: FieldElement) -> TruncSeries:
         """Multiply every coefficient by alpha."""
-        return TruncSeries(self.spec, self.prec, [alpha * c for c in self.coeffs])
+        row = self.spec._mul[_index(self.spec, alpha)]
+        return _series(self.spec, self.prec, map(row.__getitem__, self.idx))
 
     def scale_arg(self, alpha: FieldElement) -> TruncSeries:
         """Substitute alpha*X for X: coefficient a_i becomes a_i * alpha^i."""
-        out = []
-        power = self.spec.one()
-        for c in self.coeffs:
-            out.append(c * power)
-            power = power * alpha
-        return TruncSeries(self.spec, self.prec, out)
+        mul = self.spec._mul
+        row = mul[_index(self.spec, alpha)]
+        out, power = [], 1
+        for c in self.idx:
+            out.append(mul[power][c])
+            power = row[power]
+        return _series(self.spec, self.prec, out)
 
     def inverse_mult(self) -> TruncSeries:
         """Multiplicative inverse of a unit, at the same precision."""
-        if not self.coeffs[0]:
+        if not self.idx[0]:
             raise ValueError("series with zero constant term has no reciprocal")
-        return _from_indices(self.spec, self.prec,
-                             _inverse(self.spec, _idx(self), self.prec))
+        return _series(self.spec, self.prec, _inverse(self.spec, self.idx, self.prec))
 
     def derivative(self) -> TruncSeries:
         """Formal derivative; precision drops by one. In characteristic p
         the coefficients at multiples of p are annihilated."""
         if self.prec == 0:
             raise ValueError("cannot differentiate a degree-0 truncation")
-        spec = self.spec
-        out = [spec.scalar(i) * self.coeffs[i] for i in range(1, self.prec + 1)]
-        return TruncSeries(spec, self.prec - 1, out)
+        mul, p = self.spec._mul, self.spec.p
+        return _series(self.spec, self.prec - 1,
+                       [mul[i % p][c] for i, c in enumerate(self.idx) if i])
 
     def compose(self, inner: TruncSeries) -> TruncSeries:
         """Composition self(inner); requires inner(0) = 0.
@@ -202,11 +196,10 @@ class TruncSeries:
         (see _compose), with no Horner loop."""
         if self.spec != inner.spec:
             raise ValueError("series over different fields")
-        if inner.coeffs[0]:
+        if inner.idx[0]:
             raise ValueError("inner series must have zero constant term")
         n = min(self.prec, inner.prec)
-        return _from_indices(self.spec, n,
-                             _compose(self.spec, _idx(self), _idx(inner), n))
+        return _series(self.spec, n, _compose(self.spec, self.idx, inner.idx, n))
 
     # -- serialization ------------------------------------------------------
 
@@ -219,15 +212,16 @@ class TruncSeries:
         prec = int(data["prec"])
         check_prec(prec)
         spec = FieldSpec.from_json(data["field"])
-        coeffs = [spec.element(c) for c in data["coeffs"]]
-        return cls(spec, prec, coeffs)
+        coeffs = data["coeffs"]
+        _check_length(prec, len(coeffs))
+        return cls(spec, prec, [spec.element(c) for c in coeffs])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, TruncSeries) and self.spec == other.spec
-                and self.prec == other.prec and self.coeffs == other.coeffs)
+                and self.prec == other.prec and self.idx == other.idx)
 
     def __hash__(self) -> int:
-        return hash((self.spec, self.prec, self.coeffs))
+        return hash((self.spec, self.prec, self.idx))
 
     def __str__(self) -> str:
         parts = []
@@ -252,22 +246,34 @@ class TruncSeries:
         return f"<series {self} over F_{self.spec.order}>"
 
 
-def _from_indices(spec: FieldSpec, prec: int, idxs: list[int]) -> TruncSeries:
-    elements = spec._elements
-    return TruncSeries(spec, prec, [elements[v] for v in idxs])
+def _check_length(prec: int, count: int) -> None:
+    if prec < 0:
+        raise ValueError("precision must be nonnegative")
+    if count != prec + 1:
+        raise ValueError(f"expected {prec + 1} coefficients, got {count}")
 
 
-def _idx(f: TruncSeries) -> list[int]:
-    return [c.idx for c in f.coeffs]
+def _index(spec: FieldSpec, c: FieldElement) -> int:
+    """The index of c, after checking that c lies in spec."""
+    if c.spec is not spec and c.spec != spec:
+        raise ValueError("element from a different field")
+    return c.idx
+
+
+def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
+    """The series with these prec + 1 indices of spec, taken unchecked."""
+    f = object.__new__(TruncSeries)
+    f.spec, f.prec, f.idx = spec, prec, tuple(idx)
+    return f
 
 
 # ---------------------------------------------------------------------------
 # Kernels on index lists
 # ---------------------------------------------------------------------------
-# Series are lists of packed element indices, and each kernel returns the
-# n + 1 coefficients through degree n. The crossovers below come from
-# timings on F_4, F_9, F_243 and F_256 at precision 128, 512 and 2048
-# (tools/series_ops.py).
+# A kernel takes series as sequences of packed element indices and returns
+# the list of the n + 1 coefficients through degree n. The crossovers below
+# come from timings on F_4, F_9, F_243 and F_256 at precision 128, 512 and
+# 2048 (tools/series_ops.py).
 
 # An operand with at most this many nonzero coefficients is multiplied row
 # by row; denser products go through one big-int product.
@@ -282,7 +288,7 @@ _LOG_DERIV_NEWTON = 256
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
 
 
-def _mul(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
+def _mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int], n: int) -> list[int]:
     a, b = a[:n + 1], b[:n + 1]
     nonzero_a, nonzero_b = len(a) - a.count(0), len(b) - b.count(0)
     if nonzero_a > nonzero_b:
@@ -453,16 +459,15 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
     A group homomorphism from units to series with zero constant term;
     its kernel is exactly the units supported on multiples of p.
     """
-    if not f.coeffs[0]:
+    spec, n, a = f.spec, f.prec, f.idx
+    if not a[0]:
         raise ValueError("logarithmic derivative requires a unit series")
-    spec, n = f.spec, f.prec
-    a = _idx(f)
     if n <= _LOG_DERIV_NEWTON:
-        return _from_indices(spec, n, _log_deriv_recurrence(spec, a, n))
+        return _series(spec, n, _log_deriv_recurrence(spec, a, n))
     # the coefficient of X f' at degree m is m * a_m, m read mod p
     mul, p = spec._mul, spec.p
     xf = [mul[m % p][c] for m, c in enumerate(a)]
-    return _from_indices(spec, n, _mul(spec, xf, _inverse(spec, a, n), n))
+    return _series(spec, n, _mul(spec, xf, _inverse(spec, a, n), n))
 
 
 def _log_deriv_recurrence(spec: FieldSpec, a: list[int], n: int) -> list[int]:
@@ -494,11 +499,10 @@ def solve_log_deriv(t: TruncSeries) -> TruncSeries:
     logarithmic derivative and a ValueError is raised. Coefficients of f
     at multiples of p are not determined by t; this section sets them to
     zero, fixing one preimage out of the coset under units in X^p."""
-    spec, n = t.spec, t.prec
+    spec, n, a = t.spec, t.prec, t.idx
     p = spec.p
-    if t.coeffs[0]:
+    if a[0]:
         raise ValueError("a logarithmic derivative has zero constant term")
-    a = [c.idx for c in t.coeffs]
     frob1 = spec._frob1
     for i in range(1, n // p + 1):
         if a[p * i] != frob1[a[i]]:
@@ -524,7 +528,7 @@ def solve_log_deriv(t: TruncSeries) -> TruncSeries:
             # constraint verified above this never happens.
             raise AssertionError(
                 f"inconsistent section at degree {m}; this is a bug")
-    return _from_indices(spec, n, f)
+    return _series(spec, n, f)
 
 
 # ---------------------------------------------------------------------------
@@ -547,16 +551,15 @@ def critical_projection(t: TruncSeries, pq: PrimePower) -> TruncSeries:
     """Keep only coefficients at critical exponents, shifted up one degree:
     sum a_k X^k maps to X * sum over critical k of a_k X^k. Input must have
     zero constant term; output precision is one higher."""
-    if t.coeffs[0]:
+    if t.idx[0]:
         raise ValueError("projection requires zero constant term")
-    spec, n = t.spec, t.prec
+    n = t.prec
     crit = _critical_set(pq, n)
-    out = [spec.zero()] * (n + 2)
-    for k in range(1, n + 1):
-        c = t.coeffs[k]
+    out = [0] * (n + 2)
+    for k, c in enumerate(t.idx):
         if c and k in crit:
             out[k + 1] = c
-    return TruncSeries(spec, n + 1, out)
+    return _series(t.spec, n + 1, out)
 
 
 # ---------------------------------------------------------------------------
@@ -665,35 +668,37 @@ class AdditiveSeries:
         exponents multiplied by q^i."""
         if self.spec != g.spec:
             raise ValueError("series over different fields")
-        if g.coeffs[0]:
+        if g.idx[0]:
             raise ValueError("action requires zero constant term")
         spec, pq = self.spec, self.pq
         n = min(self.prec, g.prec)
-        lam = pq.lam
-        out = [spec.zero()] * (n + 1)
+        add, mul, frob1 = spec._add, spec._mul, spec._frob1
+        out = [0] * (n + 1)
         for i, a in self.terms.items():
             qi = pq.q ** i
             if qi > n:
                 continue
+            row, twist = mul[a.idx], pq.lam * i % spec.n
             for k in range(1, n // qi + 1):
-                c = g.coeffs[k]
+                c = g.idx[k]
                 if c:
-                    idx = k * qi
-                    out[idx] = out[idx] + a * c.frobenius(lam * i)
-        return TruncSeries(spec, n, out)
+                    # a * c^(q^i)
+                    for _ in range(twist):
+                        c = frob1[c]
+                    out[k * qi] = add[out[k * qi]][row[c]]
+        return _series(spec, n, out)
 
     def as_trunc(self, prec: int | None = None) -> TruncSeries:
         if prec is None:
             prec = self.prec
         if prec > self.prec:
             raise ValueError(f"cannot extend precision {self.prec} to {prec}")
-        spec = self.spec
-        out = [spec.zero()] * (prec + 1)
+        out = [0] * (prec + 1)
         for i, a in self.terms.items():
             e = self.pq.q ** i
             if e <= prec:
-                out[e] = out[e] + a
-        return TruncSeries(spec, prec, out)
+                out[e] = a.idx
+        return _series(self.spec, prec, out)
 
     def to_json(self) -> dict:
         return {"field": self.spec.to_json(), "q": self.pq.to_json(),
@@ -718,7 +723,7 @@ class AdditiveSeries:
         q = self.pq.q
         parts = []
         for i, c in sorted(self.terms.items()):
-            xs = "X" if i == 0 else f"X^{q}^{i}" if i == 1 else f"X^{q}^{i}"
+            xs = "X" if i == 0 else f"X^{q}^{i}"
             cs = str(c)
             parts.append(xs if cs == "1" else f"({cs})*{xs}")
         return "<additive " + (" + ".join(parts) if parts else "0") + ">"
@@ -757,8 +762,8 @@ def artin_hasse(p: int, prec: int, spec: FieldSpec) -> TruncSeries:
     sum_i X^(p^i)."""
     if spec.p != p:
         raise ValueError(f"field has characteristic {spec.p}, not {p}")
-    residues = _artin_hasse_residues(p, prec)
-    return TruncSeries(spec, prec, [spec.scalar(r) for r in residues])
+    # a residue r in [0, p) is the index of the prime-field element r
+    return _series(spec, prec, _artin_hasse_residues(p, prec))
 
 
 def orbit_series(k: int, alpha: FieldElement, prec: int) -> TruncSeries:
@@ -769,12 +774,12 @@ def orbit_series(k: int, alpha: FieldElement, prec: int) -> TruncSeries:
     p = spec.p
     if k < 1 or k % p == 0:
         raise ValueError(f"exponent {k} must be positive and coprime to {p}")
-    out = [spec.zero()] * (prec + 1)
-    i = 0
-    while k * p ** i <= prec:
-        out[k * p ** i] = alpha.frobenius(i)
-        i += 1
-    return TruncSeries(spec, prec, out)
+    out = [0] * (prec + 1)
+    c, frob1 = alpha.idx, spec._frob1
+    while k <= prec:
+        out[k] = c
+        c, k = frob1[c], k * p
+    return _series(spec, prec, out)
 
 
 def twisted_orbit_series(k: int, alpha: FieldElement, ell: int,
@@ -850,9 +855,10 @@ def critical_projection_formula(k: int, alpha: FieldElement, ell: int,
 # different random instances.
 
 def _random_unit(spec: FieldSpec, prec: int, rng: random.Random) -> TruncSeries:
-    coeffs = [spec.random_nonzero(rng)]
-    coeffs.extend(spec.random_element(rng) for _ in range(prec))
-    return TruncSeries(spec, prec, coeffs)
+    q = spec.order
+    idx = [rng.randrange(1, q)]
+    idx.extend(rng.randrange(q) for _ in range(prec))
+    return _series(spec, prec, idx)
 
 
 def random_unit(spec: FieldSpec, prec: int, seed: int) -> TruncSeries:
@@ -864,9 +870,7 @@ def _random_gamma(pq: PrimePower, spec: FieldSpec, prec: int,
                   rng: random.Random, factors: int,
                   pool: Sequence[FieldElement] | None = None) -> AdditiveSeries:
     gamma = AdditiveSeries.identity(spec, pq, prec)
-    ell_max = 0
-    while pq.q ** (ell_max + 1) <= prec:
-        ell_max += 1
+    ell_max = gamma.max_index()
     if ell_max < 1:
         return gamma
     for _ in range(factors):

@@ -92,10 +92,9 @@ class _Collector:
 def _first_mismatch(a: TruncSeries, b: TruncSeries) -> dict:
     n = min(a.prec, b.prec)
     for i in range(n + 1):
-        if a.coeffs[i] != b.coeffs[i]:
-            return {"degree": i,
-                    "lhs": a.coeffs[i].to_json(),
-                    "rhs": b.coeffs[i].to_json()}
+        lhs, rhs = a.coefficient(i), b.coefficient(i)
+        if lhs != rhs:
+            return {"degree": i, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
     return {}
 
 
@@ -186,7 +185,7 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
                      "index": i0})
         # image constraint on the same random unit
         for i in range(1, prec // p + 1):
-            if df.coeffs[p * i] != df.coeffs[i] ** p:
+            if df.coefficient(p * i) != df.coefficient(i) ** p:
                 bad.add({"trial": trial, "check": "image_constraint",
                          "seed": seed, "index": i})
                 break
@@ -299,14 +298,10 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
             mus[c] = mu
 
     # Window comparison of the two descriptions of core-minimal integers.
+    # The digital minimum of an orbit has its least core.
     scan_bound = max(oracle_bound, q * p ** (2 * lam))
-    core_min: dict[int, int] = {}
-    for n in range(1, scan_bound + 1):
-        if n % p:
-            oid = orbit_id(n, pq)
-            core = p_core(n, p)
-            if oid not in core_min or core < core_min[oid]:
-                core_min[oid] = core
+    core_min = {oid: p_core(n, p)
+                for oid, n in digits._orbit_min_table(pq, scan_bound).items()}
     lhs = set()
     for mu in set(mus.values()):
         m = mu
@@ -468,7 +463,7 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
                         if m % p == 0:
                             continue
                         if m == k:
-                            if closed.coeffs[m] != alpha:
+                            if closed.coefficient(m) != alpha:
                                 shape_ok = False
                         elif (m % (pq.q - 1) not in kres[k]
                               or digital_cmp(m, k, p) != GREATER):

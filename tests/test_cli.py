@@ -244,6 +244,14 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert main(["mu", "5", "--p", "3", "--lambda", "41"]) == 2
 
 
+def test_coefficient_count_is_checked_before_conversion(capsys, tmp_path):
+    doc = tmp_path / "long.json"
+    doc.write_text(json.dumps({"field": {"p": 2, "n": 1, "modulus": [0, 1]},
+                               "prec": 0, "coeffs": [[0], "x"]}))
+    assert main(["series", "logderiv", "--f", str(doc)]) == 2
+    assert "expected 1 coefficients, got 2" in capsys.readouterr().err
+
+
 def test_precision_above_the_limit_exits_two(capsys, tmp_path):
     field = {"p": 2, "n": 1, "modulus": [0, 1]}
     dense = tmp_path / "dense.json"

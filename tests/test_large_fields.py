@@ -96,3 +96,27 @@ def test_additive_action_matches_oracle(field):
                 for w, c in zip(want, power)]
         power = series_power(power, pq.q, mod, p)
     assert coords(gamma.apply_to(to_series(spec, g))) == want
+
+
+def test_linear_operations_match_oracle(field):
+    # +, -, negation, scale, scale_arg and derivative read the index
+    # tables, computed ones included
+    spec, _ = field
+    rng = random.Random(spec.order + 4)
+    mod, p = spec.modulus, spec.p
+    f = random_coeffs(spec, 17, rng)
+    g = random_coeffs(spec, 13, rng)
+    a = random_coeffs(spec, 1, rng, unit=True)[0]
+    fs, gs, alpha = to_series(spec, f), to_series(spec, g), spec.element(a)
+    neg_g = [tuple(-c % p for c in x) for x in g]
+    assert coords(fs + gs) == [coord_add(x, y, p) for x, y in zip(f, g)]
+    assert coords(-gs) == neg_g
+    assert coords(fs - gs) == [coord_add(x, y, p) for x, y in zip(f, neg_g)]
+    assert coords(fs.scale(alpha)) == [poly_mul_mod(a, x, mod, p) for x in f]
+    powers = [spec.one().coords]
+    while len(powers) < len(f):
+        powers.append(poly_mul_mod(powers[-1], a, mod, p))
+    assert coords(fs.scale_arg(alpha)) == [
+        poly_mul_mod(x, w, mod, p) for x, w in zip(f, powers)]
+    assert coords(fs.derivative()) == [
+        tuple(i * c % p for c in x) for i, x in enumerate(f) if i]

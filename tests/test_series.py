@@ -612,3 +612,36 @@ def test_trunc_series_validation():
         TruncSeries(F4, 4, [F4.zero()] * 4)
     with pytest.raises(ValueError):
         TruncSeries(F4, 2, [F4.zero(), F9.zero(), F4.zero()])
+
+
+def test_json_coefficient_count_is_checked_before_conversion():
+    doc = {"field": {"p": 2, "n": 1, "modulus": [0, 1]}, "prec": 0,
+           "coeffs": [[0], "x"]}
+    with pytest.raises(ValueError, match="expected 1 coefficients, got 2"):
+        TruncSeries.from_json(doc)
+
+
+@pytest.mark.parametrize("alpha", [F9.gen(), F9.from_index(8)],
+                         ids=["index-in-range", "index-out-of-range"])
+def test_elements_of_another_field_are_refused(alpha):
+    # an F_9 index read in the F_4 tables would give a wrong row or an
+    # IndexError, so the field is checked before the index is used
+    f = random_unit(F4, 8, 1)
+    with pytest.raises(ValueError, match="different field"):
+        f.scale(alpha)
+    with pytest.raises(ValueError, match="different field"):
+        f.scale_arg(alpha)
+    with pytest.raises(ValueError, match="different field"):
+        TruncSeries.monomial(F4, 8, 2, alpha)
+
+
+def test_coefficients_are_views_of_the_indices():
+    f = random_unit(F9, 12, 5)
+    assert f.coeffs == tuple(F9.from_index(i) for i in f.idx)
+    assert [f.coefficient(i) for i in range(13)] == list(f.coeffs)
+    assert TruncSeries(F9, 12, f.coeffs) == f
+    assert hash(TruncSeries(F9, 12, f.coeffs)) == hash(f)
+    assert f.truncate(4).idx == f.idx[:5]
+    g = TruncSeries.monomial(F9, 6, 3, F9.gen())
+    assert g.valuation() == 3 and g.support() == [3]
+    assert TruncSeries.zero(F9, 6).valuation() is None

@@ -69,7 +69,7 @@ def crossovers(repeat: int) -> dict:
     for p, n, _ in FIELDS:
         spec = field_make(p, n)
         for prec in (128, 2048):
-            dense = sr._idx(sr.random_unit(spec, prec, 4))
+            dense = [c.idx for c in sr.random_unit(spec, prec, 4).coeffs]
             for nonzero in (4, 8, 16, 32):
                 sparse = [0] * (prec + 1)
                 for i in range(nonzero):
@@ -80,7 +80,7 @@ def crossovers(repeat: int) -> dict:
                     "kronecker_ms": best(
                         lambda: sr._mul_kronecker(spec, sparse, dense, prec), repeat)})
         for prec in (64, 128, 256, 512):
-            a = sr._idx(sr.random_unit(spec, prec, 5))
+            a = [c.idx for c in sr.random_unit(spec, prec, 5).coeffs]
             xf = [spec._mul[m % p][c] for m, c in enumerate(a)]
             out["inverse_recurrence_vs_newton"].append({
                 "field": spec.order, "prec": prec,
