@@ -7,8 +7,8 @@ from .digits import (AdmissibleQuadruple, AdmissibleWitness, PrimePower,
                      coprime_part, critical_base_set, critical_members,
                      digital_cmp, digital_key, from_digits, is_admissible,
                      is_critical, lucas_binom, min_residue, orbit_id,
-                     orbit_members, orbit_min, orbit_min_bruteforce,
-                     orbit_residues, ord_p, p_core, p_defect, to_digits)
+                     orbit_min, orbit_residues, ord_p, p_core, p_defect,
+                     to_digits)
 from .finite_field import FieldElement, FieldSpec, default_modulus, field_make
 from .series import (AdditiveSeries, TruncSeries, artin_hasse,
                      critical_projection, critical_projection_formula,

@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from pathlib import Path
 
 from . import digits as dg
@@ -144,11 +145,8 @@ def _cmd_lucas(args):
 
 
 def _cmd_admissible(args):
-    quads = []
-    for quad in dg.admissible_quadruples(args.p, args.m_bound, args.ell_bound):
-        quads.append(list(quad))
-        if args.limit and len(quads) >= args.limit:
-            break
+    quads = [list(quad) for quad in islice(dg.admissible_quadruples(
+        args.p, args.m_bound, args.ell_bound), args.limit or None)]
     payload = {"p": args.p, "m_bound": args.m_bound,
                "ell_bound": args.ell_bound, "count": len(quads),
                "quadruples": quads}
@@ -297,38 +295,22 @@ def build_parser() -> argparse.ArgumentParser:
                    help="upper bound for the full set (default q)")
     c.set_defaults(handler=_cmd_criticals)
 
-    c = cmds.add_parser("is-critical", parents=[out_opts], help="criticality test with the "
-                                            "cyclic digit table")
-    c.add_argument("k", type=int)
-    _add_pq(c)
-    c.set_defaults(handler=_cmd_is_critical)
-
-    c = cmds.add_parser("mu", parents=[out_opts], help="digital minimum of a residue orbit")
-    c.add_argument("c", type=int)
-    _add_pq(c)
-    c.set_defaults(handler=_cmd_mu)
-
-    c = cmds.add_parser("core", parents=[out_opts], help="digit core")
-    c.add_argument("n", type=int)
-    c.add_argument("--p", type=int, required=True)
-    c.set_defaults(handler=_cmd_core)
-
-    c = cmds.add_parser("defect", parents=[out_opts], help="digit defect")
-    c.add_argument("n", type=int)
-    c.add_argument("--p", type=int, required=True)
-    c.set_defaults(handler=_cmd_defect)
-
-    c = cmds.add_parser("cmp", parents=[out_opts], help="digital well-ordering comparison")
-    c.add_argument("m", type=int)
-    c.add_argument("n", type=int)
-    c.add_argument("--p", type=int, required=True)
-    c.set_defaults(handler=_cmd_cmp)
-
-    c = cmds.add_parser("lucas", parents=[out_opts], help="binomial coefficient mod p")
-    c.add_argument("m", type=int)
-    c.add_argument("k", type=int)
-    c.add_argument("--p", type=int, required=True)
-    c.set_defaults(handler=_cmd_lucas)
+    for name, operands, handler, text in (
+            ("is-critical", "k", _cmd_is_critical,
+             "criticality test with the cyclic digit table"),
+            ("mu", "c", _cmd_mu, "digital minimum of a residue orbit"),
+            ("core", "n", _cmd_core, "digit core"),
+            ("defect", "n", _cmd_defect, "digit defect"),
+            ("cmp", "m n", _cmd_cmp, "digital well-ordering comparison"),
+            ("lucas", "m k", _cmd_lucas, "binomial coefficient mod p")):
+        c = cmds.add_parser(name, parents=[out_opts], help=text)
+        for operand in operands.split():
+            c.add_argument(operand, type=int)
+        if name in ("is-critical", "mu"):
+            _add_pq(c)
+        else:
+            c.add_argument("--p", type=int, required=True)
+        c.set_defaults(handler=handler)
 
     c = cmds.add_parser("admissible", parents=[out_opts], help="enumerate admissible quadruples")
     c.add_argument("--p", type=int, required=True)
@@ -412,6 +394,7 @@ def main(argv=None) -> int:
     try:
         for name in ("prec", "proj_prec"):
             sr.check_prec(getattr(args, name, None))
+        dg.check_m_bound(getattr(args, "m_bound", None))
         code, payload, text = args.handler(args)
     except (ValueError, ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
-from .finite_field import _ORDER_LIMIT, check_prime
+from .finite_field import _ORDER_LIMIT, check_prime, json_member
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -104,12 +105,7 @@ def p_core(n: int, p: int) -> int:
 
 def p_defect(n: int, p: int) -> int:
     """Length of the minimal expansion of the digit core."""
-    core = p_core(n, p)
-    length = 0
-    while core:
-        core //= p
-        length += 1
-    return length
+    return len(to_digits(p_core(n, p), p))
 
 
 def digital_key(n: int, p: int) -> tuple[int, int, int]:
@@ -133,11 +129,7 @@ def digital_key(n: int, p: int) -> tuple[int, int, int]:
 def digital_cmp(m: int, n: int, p: int) -> int:
     """-1, 0 or 1 as m precedes, equals or follows n in the digital order."""
     a, b = digital_key(m, p), digital_key(n, p)
-    if a < b:
-        return LESS
-    if a > b:
-        return GREATER
-    return EQUAL
+    return (a > b) - (a < b)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +158,7 @@ class PrimePower:
 
     @classmethod
     def from_json(cls, data: dict) -> "PrimePower":
-        return cls(int(data["p"]), int(data["lambda"]))
+        return cls(json_member(data, "p", int), json_member(data, "lambda", int))
 
 
 def min_residue(c: int, pq: PrimePower) -> int:
@@ -180,13 +172,6 @@ def orbit_residues(c: int, pq: PrimePower) -> frozenset[int]:
     """Residues mod q-1 of p^i * c for all i."""
     m = pq.q - 1
     return frozenset((c * pq.p ** i) % m for i in range(pq.lam))
-
-
-def orbit_members(c: int, pq: PrimePower, bound: int) -> list[int]:
-    """Integers up to the bound, coprime to p, congruent to some p^i * c mod q-1."""
-    res = orbit_residues(c, pq)
-    p, m = pq.p, pq.q - 1
-    return [n for n in range(1, bound + 1) if n % p and n % m in res]
 
 
 def orbit_id(c: int, pq: PrimePower) -> int:
@@ -214,18 +199,6 @@ def orbit_min(c: int, pq: PrimePower) -> int:
         if cand >= 1 and cand % p and cand % m in res:
             return cand
     raise RuntimeError("no orbit representative found; internal invariant violated")
-
-
-def orbit_min_bruteforce(c: int, pq: PrimePower, bound: int | None = None) -> int:
-    """Reference implementation: scan the orbit up to a bound and take the
-    digital minimum directly. Used as an independent oracle in tests."""
-    if bound is None:
-        bound = pq.q * pq.p ** (2 * pq.lam)
-    members = orbit_members(c, pq, bound)
-    if not members:
-        raise RuntimeError(f"orbit of {c} has no member below {bound}")
-    p = pq.p
-    return min(members, key=lambda n: digital_key(n, p))
 
 
 def _orbit_min_table(pq: PrimePower, bound: int) -> dict[int, int]:
@@ -317,34 +290,94 @@ def is_admissible(j: int, k: int, ell: int, m: int, p: int) -> bool:
     binomial(k-1, j) nonzero mod p."""
     if j < 1 or k < 1 or ell < 1 or m < 1:
         return False
-    if m % p == 0:
-        return False
-    if m != k + j * (p ** ell - 1):
+    # p^ell > m once ell reaches the bit length of m: no p ** ell then
+    if m % p == 0 or ell >= m.bit_length() or m != k + j * (p ** ell - 1):
         return False
     return lucas_binom(k - 1, j, p) != 0
+
+
+# The p = 2 desk bound: listing its 473,580 quadruples takes about 100 MB.
+MAX_M_BOUND = 4096
+
+
+def check_m_bound(m_bound: int | None) -> None:
+    """Raise ValueError if m_bound is above MAX_M_BOUND."""
+    if m_bound is not None and m_bound > MAX_M_BOUND:
+        raise ValueError(f"m_bound {m_bound} exceeds the limit {MAX_M_BOUND}")
+
+
+class DigitTables(NamedTuple):
+    """Per-integer tables of 1 <= n <= m_bound + 1; entry 0 is a placeholder."""
+
+    p: int
+    ordp: list[int]     # ord_p(n)
+    core: list[int]     # p_core(n)
+    gord: list[int]     # ord_p(n / p^ord_p(n) + 1)
+    rank: list[int]     # dense rank of digital_key(n): the digital order
+    packed: list[int]   # base-p digits in fields, the lowest digit lowest
+    guard: int          # the top bit of every field, above the digit
+
+    def runs(self, ell_bound: int) -> Iterator[tuple[int, int, int, list[int]]]:
+        """(m, ell, step = p^ell - 1, js), ascending, js the j of the admissible
+        quadruples. By Lucas, binomial(k-1, j) != 0 mod p exactly when no
+        digit of j exceeds that of k-1: subtracting j's fields from k-1's
+        with the guard bits set keeps them all. Then j <= k-1 = m-1 - j*step."""
+        p, digits, guard = self.p, self.packed, self.guard
+        guarded = [d | guard for d in digits]
+        for m in range(1, len(digits) - 1):
+            if m % p == 0:
+                continue
+            top, pl = m - 1, p
+            for ell in range(1, ell_bound + 1):
+                if pl > top:
+                    break
+                step = pl - 1
+                js = [j for j in range(1, top // pl + 1)
+                      if (guarded[top - j * step] - digits[j]) & guard == guard]
+                if js:
+                    yield m, ell, step, js
+                pl *= p
+
+
+@lru_cache(maxsize=4)
+def digit_tables(p: int, m_bound: int) -> DigitTables:
+    """The tables for admissible quadruples with m <= m_bound, built on
+    first use; p must be prime and m_bound at most MAX_M_BOUND."""
+    check_prime(p)
+    check_m_bound(m_bound)
+    ns = range(1, max(m_bound, 0) + 2)
+    ordp = [0] + [ord_p(n, p) for n in ns]
+    order = sorted(ns, key=lambda n: digital_key(n, p))
+    rank = [0] * (len(ns) + 1)
+    for prev, n in zip(order, order[1:]):
+        rank[n] = rank[prev] + (digital_key(prev, p) != digital_key(n, p))
+    width = (p - 1).bit_length() + 1
+    packed = [0] * (len(ns) + 1)
+    for n in ns:
+        packed[n] = packed[n // p] << width | n % p
+    return DigitTables(
+        p, ordp, [0] + [p_core(n, p) for n in ns],
+        [0] + [ord_p(n // p ** ordp[n] + 1, p) for n in ns],
+        rank, packed,
+        sum(1 << (width * i + width - 1) for i in range(len(to_digits(ns[-1], p)))))
 
 
 def admissible_quadruples(p: int, m_bound: int, ell_bound: int
                           ) -> Iterator[AdmissibleQuadruple]:
     """All admissible quadruples with m <= m_bound and ell <= ell_bound,
-    in ascending (m, ell, j) order."""
-    for m in range(1, m_bound + 1):
-        if m % p == 0:
-            continue
-        for ell in range(1, ell_bound + 1):
-            step = p ** ell - 1
-            if step >= m:
-                break
-            if p == 2:
-                for j in range(1, (m - 1) // step + 1):
-                    km1 = m - j * step - 1
-                    if km1 & j == j:
-                        yield AdmissibleQuadruple(j, km1 + 1, ell, m)
-            else:
-                for j in range(1, (m - 1) // step + 1):
-                    k = m - j * step
-                    if lucas_binom(k - 1, j, p) != 0:
-                        yield AdmissibleQuadruple(j, k, ell, m)
+    in ascending (m, ell, j) order. A bad p or m_bound raises at the call."""
+    return (AdmissibleQuadruple(j, m - j * step, ell, m) for m, ell, step, js
+            in digit_tables(p, m_bound).runs(ell_bound) for j in js)
+
+
+@lru_cache(maxsize=256)
+def witness_candidates(p: int, e: int, ell: int) -> dict[int, list[int]]:
+    """The multiples r of ell in [0, e+ell-1], ascending, by the residue
+    of (p^r - 1)/(p^ell - 1) mod p^e: the witnesses of j by j mod p^e."""
+    out: dict[int, list[int]] = {}
+    for r in range(0, e + ell, ell):
+        out.setdefault((p ** r - 1) // (p ** ell - 1) % p ** e, []).append(r)
+    return out
 
 
 def admissible_witness(quad: AdmissibleQuadruple, p: int) -> AdmissibleWitness:
@@ -361,11 +394,7 @@ def admissible_witness(quad: AdmissibleQuadruple, p: int) -> AdmissibleWitness:
     e = ord_p(m + 1, p)
     f = ord_p(k, p)
     g = ord_p(k // p ** f + 1, p)
-    pe = p ** e
-    step = p ** ell - 1
-    target = j % pe
-    found = [r for r in range(0, e + ell, ell)
-             if ((p ** r - 1) // step) % pe == target]
+    found = list(witness_candidates(p, e, ell).get(j % p ** e, ()))
     payload = {"quad": list(quad), "p": p, "e": e, "f": f, "g": g}
     if len(found) != 1:
         raise WitnessError(

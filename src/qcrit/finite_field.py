@@ -44,6 +44,19 @@ def check_prime(p) -> None:
         raise ValueError(f"p must be prime, got {p!r}")
 
 
+def json_member(data, name: str, kind, of=None):
+    """data[name] for the from_json readers: ValueError unless data is a JSON
+    object with that member of that kind (an array with items of kind `of`)."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+    value = data.get(name)
+    if (name not in data or not isinstance(value, kind)
+            or of is not None and isinstance(value, list)
+            and not all(isinstance(v, of) for v in value)):
+        raise ValueError(f"JSON member {name!r} is missing or of the wrong type")
+    return value
+
+
 def is_prime(m: int) -> bool:
     if m < 2:
         return False
@@ -307,7 +320,10 @@ class FieldSpec:
     # -- constructors -------------------------------------------------------
 
     def element(self, coords: Sequence[int]) -> FieldElement:
-        coords = tuple(int(c) for c in coords)
+        try:
+            coords = tuple(int(c) for c in coords)
+        except TypeError:
+            raise ValueError(f"coordinates must be integers, got {coords!r}") from None
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
         if any(c < 0 or c >= self.p for c in coords):
@@ -363,7 +379,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> FieldSpec:
-        return field_make(int(data["p"]), int(data["n"]), data["modulus"])
+        return field_make(json_member(data, "p", int), json_member(data, "n", int),
+                          json_member(data, "modulus", (list, type(None)), int))
 
     def element_from_json(self, data: Sequence[int]) -> FieldElement:
         return self.element(data)

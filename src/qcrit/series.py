@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .digits import PrimePower, is_critical, lucas_binom
-from .finite_field import FieldElement, FieldSpec, _pack
+from .finite_field import FieldElement, FieldSpec, _pack, json_member
 
 
 # The largest precision that the CLI options and JSON documents accept.
@@ -209,10 +209,10 @@ class TruncSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> TruncSeries:
-        prec = int(data["prec"])
+        prec = json_member(data, "prec", int)
         check_prec(prec)
-        spec = FieldSpec.from_json(data["field"])
-        coeffs = data["coeffs"]
+        spec = FieldSpec.from_json(json_member(data, "field", dict))
+        coeffs = json_member(data, "coeffs", list)
         _check_length(prec, len(coeffs))
         return cls(spec, prec, [spec.element(c) for c in coeffs])
 
@@ -707,11 +707,12 @@ class AdditiveSeries:
 
     @classmethod
     def from_json(cls, data: dict) -> AdditiveSeries:
-        prec = int(data["prec"])
+        prec = json_member(data, "prec", int)
         check_prec(prec)
-        spec = FieldSpec.from_json(data["field"])
-        pq = PrimePower.from_json(data["q"])
-        terms = {int(i): spec.element(c) for i, c in data["terms"].items()}
+        spec = FieldSpec.from_json(json_member(data, "field", dict))
+        pq = PrimePower.from_json(json_member(data, "q", dict))
+        terms = {int(i): spec.element(c)
+                 for i, c in json_member(data, "terms", dict).items()}
         return cls(spec, pq, prec, terms)
 
     def __eq__(self, other) -> bool:

@@ -20,11 +20,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import digits
-from .digits import (PrimePower, WitnessError,
-                     admissible_quadruples, admissible_witness,
-                     critical_base_set, critical_members, digital_cmp,
-                     digital_key, min_residue, coprime_part, orbit_id,
-                     orbit_min, orbit_residues, ord_p, p_core, GREATER, LESS)
+from .digits import (PrimePower, critical_base_set, critical_members,
+                     digital_cmp, digital_key, min_residue, coprime_part,
+                     orbit_id, orbit_min, orbit_residues, p_core, GREATER)
 from .finite_field import FieldSpec, field_make
 from .series import (AdditiveSeries, TruncSeries, _random_gamma, _random_unit,
                      artin_hasse, critical_projection,
@@ -242,19 +240,22 @@ def verify_admissible_order(p: int, m_bound: int | None = None,
     to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0."""
     bad = _Collector()
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
+    tables = digits.digit_tables(p, m_bound)
+    rank, core, ordp = tables.rank, tables.core, tables.ordp
     count = 0
-    for quad in admissible_quadruples(p, m_bound, ell_bound):
-        count += 1
-        j, k, ell, m = quad
-        if digital_cmp(k, m, p) != LESS:
-            bad.add({"quad": list(quad), "check": "digital_order",
-                     "key_k": digital_key(k, p), "key_m": digital_key(m, p)})
-            continue
-        if p_core(k, p) == p_core(m, p):
-            e = ord_p(k, p)
-            if e == 0 or e % ell != 0 or j * (p ** ell - 1) != p ** e - 1:
-                bad.add({"quad": list(quad), "check": "forced_j",
-                         "ord_k": e})
+    for m, ell, step, js in tables.runs(ell_bound):
+        count += len(js)
+        for j in js:
+            k = m - j * step
+            if rank[k] >= rank[m]:
+                bad.add({"quad": [j, k, ell, m], "check": "digital_order",
+                         "key_k": digits.digital_key(k, p),
+                         "key_m": digits.digital_key(m, p)})
+            elif core[k] == core[m]:
+                e = ordp[k]
+                if e == 0 or e % ell != 0 or j * step != p ** e - 1:
+                    bad.add({"quad": [j, k, ell, m], "check": "forced_j",
+                             "ord_k": e})
     return _admissible_report(bad, "admissible_order", p, m_bound, ell_bound,
                               count)
 
@@ -266,13 +267,22 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
     counterexample rather than an exception."""
     bad = _Collector()
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
+    tables = digits.digit_tables(p, m_bound)
+    ordp, gord, core = tables.ordp, tables.gord, tables.core
     count = 0
-    for quad in admissible_quadruples(p, m_bound, ell_bound):
-        count += 1
-        try:
-            admissible_witness(quad, p)
-        except WitnessError as err:
-            bad.add(err.payload)
+    for m, ell, step, js in tables.runs(ell_bound):
+        count += len(js)
+        e, core_m = ordp[m + 1], core[m]
+        pe, found = p ** e, digits.witness_candidates(p, e, ell)
+        for j in js:
+            k = m - j * step
+            if (len(found.get(j % pe, ())) != 1 or ordp[k] + gord[k] < e
+                    or core[k] > core_m):
+                try:  # the public derivation gives the payload
+                    digits.admissible_witness(
+                        digits.AdmissibleQuadruple(j, k, ell, m), p)
+                except digits.WitnessError as err:
+                    bad.add(err.payload)
     return _admissible_report(bad, "admissible_witness", p, m_bound,
                               ell_bound, count)
 

@@ -1,0 +1,105 @@
+"""The admissible sweeps on per-integer digit tables against the
+per-quadruple loops of tests/admissible_reference.py: the same quadruples
+in the same order, and under a fault injected at a single integer the same
+counterexamples in the same order, from the API and from the CLI."""
+
+import json
+
+import pytest
+
+import admissible_reference as ref
+from qcrit import digits, theorems
+from qcrit.cli import main
+from qcrit.digits import MAX_M_BOUND, admissible_quadruples
+
+BOUNDS = [(2, 600, 10), (3, 729, 6), (5, 625, 4), (7, 343, 3)]
+
+
+@pytest.mark.parametrize("p,m_bound,ell_bound", BOUNDS)
+def test_enumeration_matches_reference(p, m_bound, ell_bound):
+    got = list(admissible_quadruples(p, m_bound, ell_bound))
+    assert got == list(ref.quadruples(p, m_bound, ell_bound))
+
+
+@pytest.mark.parametrize("p,m_bound,ell_bound", BOUNDS)
+def test_sweeps_match_reference(p, m_bound, ell_bound):
+    for sweep, reference in ((theorems.verify_admissible_order, ref.order_failures),
+                             (theorems.verify_admissible_witness,
+                              ref.witness_failures)):
+        r = sweep(p, m_bound, ell_bound)
+        assert (r.checks, r.counterexamples) == reference(p, m_bound, ell_bound)
+        assert r.passed and r.checks > 0
+
+
+def _arm(payload: dict) -> str:
+    """The failed check of a counterexample of either sweep."""
+    if "check" in payload:
+        return payload["check"]
+    if "candidates" in payload:
+        return "candidates"
+    return "core" if "core_m" in payload else "orders"
+
+
+# (arm, patched function, integer, faulty value from the true one, p,
+#  m_bound, ell_bound): every counterexample the fault causes fails the arm
+FAULTS = [
+    ("digital_order", "digital_key", 7, lambda key: (10 ** 9, 0, 0), 2, 256, 6),
+    # 28 failures, so the report is truncated after 25
+    ("digital_order", "digital_key", 17, lambda key: (10 ** 9, 0, 0), 3, 243, 4),
+    # ties: k = 7 gets the key of m = 9, and k = 3 that of m = 5, so the
+    # order comparison reads EQUAL
+    ("digital_order", "digital_key", 7, lambda key: (4, 9, 9), 2, 256, 6),
+    ("digital_order", "digital_key", 3, lambda key: (1, 5, 5), 3, 243, 4),
+    ("forced_j", "ord_p", 16, lambda e: e + 1, 2, 256, 6),
+    ("forced_j", "ord_p", 81, lambda e: e + 1, 3, 243, 4),
+    ("candidates", "ord_p", 14, lambda e: e + 1, 2, 256, 6),
+    ("candidates", "ord_p", 26, lambda e: e + 1, 3, 243, 4),
+    ("orders", "ord_p", 34, lambda e: 0, 2, 256, 6),
+    ("orders", "ord_p", 9, lambda e: 0, 3, 243, 4),
+    ("core", "p_core", 10, lambda c: c + 10 ** 6, 2, 256, 6),
+    ("core", "p_core", 12, lambda c: c + 10 ** 6, 3, 243, 4),
+]
+
+
+@pytest.mark.parametrize("arm,name,n0,fault,p,m_bound,ell_bound", FAULTS,
+                         ids=[f"{f[0]}-p{f[4]}-{f[1]}-{f[2]}" for f in FAULTS])
+def test_fault_at_one_integer_matches_reference(
+        monkeypatch, fresh_digit_tables, capsys,
+        arm, name, n0, fault, p, m_bound, ell_bound):
+    true = getattr(digits, name)
+    monkeypatch.setattr(digits, name, lambda n, p: (
+        fault(true(n, p)) if n == n0 else true(n, p)))
+    if arm in ("digital_order", "forced_j"):
+        statement, sweep = "admissible-order", theorems.verify_admissible_order
+        reference = ref.order_failures
+    else:
+        statement = "admissible-witness"
+        sweep, reference = theorems.verify_admissible_witness, ref.witness_failures
+    count, failures = reference(p, m_bound, ell_bound)
+    assert failures and {_arm(f) for f in failures} == {arm}
+    expected = ref.capped(failures, theorems._MAX_COUNTEREXAMPLES)
+
+    r = sweep(p, m_bound, ell_bound)
+    assert not r.passed
+    assert r.checks == count
+    assert r.counterexamples == expected
+
+    code = main(["--format", "json", "verify", statement, "--p", str(p),
+                 "--lambda", "1", "--m-bound", str(m_bound),
+                 "--ell-bound", str(ell_bound)])
+    assert code == 1
+    report = json.loads(capsys.readouterr().out)["reports"][0]
+    assert report["pass"] is False
+    assert report["counterexamples"] == json.loads(json.dumps(expected))
+
+
+def test_bounds_are_refused_before_any_table():
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        admissible_quadruples(2, MAX_M_BOUND + 1, 3)
+    for sweep in (theorems.verify_admissible_order,
+                  theorems.verify_admissible_witness):
+        with pytest.raises(ValueError, match="exceeds the limit"):
+            sweep(3, 10 ** 8, 3)
+    with pytest.raises(ValueError, match="prime"):
+        admissible_quadruples(4, 64, 3)
+    assert digits.digit_tables.cache_info().currsize <= 4

@@ -279,6 +279,45 @@ def test_precision_above_the_limit_exits_two(capsys, tmp_path):
     assert code == 0 and out["prec"] == 2048
 
 
+def test_m_bound_above_the_limit_exits_two(capsys):
+    for argv in (
+            ["verify", "admissible-order", "--p", "2", "--lambda", "1",
+             "--m-bound", "1000000000"],
+            ["verify", "admissible-witness", "--p", "2", "--lambda", "1",
+             "--m-bound", "4097"],
+            ["verify", "all", "--p", "2", "--lambda", "1",
+             "--m-bound", "1000000000"],
+            ["admissible", "--p", "3", "--m-bound", "100000000"]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "exceeds the limit 4096" in capsys.readouterr().err, argv
+    assert main(["admissible", "--p", "4", "--m-bound", "64"]) == 2
+    assert "must be prime" in capsys.readouterr().err
+    code, out = run_json(capsys, "admissible", "--p", "2", "--m-bound", "4096",
+                         "--ell-bound", "1", "--limit", "3")
+    assert code == 0 and out["count"] == 3
+
+
+def test_witness_with_a_huge_ell_exits_two(capsys):
+    assert main(["witness", "1", "2", "1000000000", "3", "--p", "2"]) == 2
+    assert "not admissible" in capsys.readouterr().err
+
+
+def test_json_documents_of_another_shape_exit_two(capsys):
+    field = {"p": 2, "n": 1, "modulus": [0, 1]}
+    for argv in (["series", "logderiv", "--f", "[1,2]"],
+                 ["series", "logderiv", "--f", json.dumps({"field": field,
+                                                           "prec": 1})],
+                 ["series", "psi", "--f", json.dumps({"field": field, "prec": 1,
+                                                      "coeffs": 5}),
+                  "--p", "2", "--lambda", "1"],
+                 ["series", "invert", "--g", json.dumps({
+                     "field": field, "q": [2, 1], "prec": 4, "terms": {}})]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
 def test_env_var_controls_format(capsys, monkeypatch):
     monkeypatch.setenv("QCRIT_FORMAT", "json")
     code, out = run_cli(capsys, "core", "963", "--p", "3")

@@ -9,11 +9,28 @@ from qcrit.digits import (AdmissibleQuadruple, PrimePower,
                           admissible_witness, coprime_part, critical_base_set,
                           critical_members, digital_cmp, digital_key,
                           from_digits, is_admissible, is_critical, lucas_binom,
-                          min_residue, orbit_id, orbit_members, orbit_min,
-                          orbit_min_bruteforce, ord_p, p_core,
-                          p_defect, to_digits, LESS, EQUAL)
+                          min_residue, orbit_id, orbit_min, orbit_residues,
+                          ord_p, p_core, p_defect, to_digits, LESS, EQUAL)
 
 PRIMES = (2, 3, 5, 7)
+
+
+def orbit_members(c, pq, bound):
+    """Integers up to the bound, coprime to p, congruent to some p^i * c mod q-1."""
+    res = orbit_residues(c, pq)
+    p, m = pq.p, pq.q - 1
+    return [n for n in range(1, bound + 1) if n % p and n % m in res]
+
+
+def orbit_min_bruteforce(c, pq, bound=None):
+    """Oracle for orbit_min: scan the orbit up to a bound and take the
+    digital minimum directly."""
+    if bound is None:
+        bound = pq.q * pq.p ** (2 * pq.lam)
+    members = orbit_members(c, pq, bound)
+    if not members:
+        raise RuntimeError(f"orbit of {c} has no member below {bound}")
+    return min(members, key=lambda n: digital_key(n, pq.p))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +366,12 @@ def test_admissible_examples():
     assert digital_cmp(2, 3, 2) == LESS
 
 
+def test_huge_ell_is_refused_without_the_power():
+    # p^ell > m once ell reaches the bit length of m
+    assert not is_admissible(1, 2, 10 ** 9, 3, 2)
+    assert is_admissible(1, 2, 10, 1025, 2)  # 1025 = 2^10 + 1 has 11 bits
+
+
 def brute_quadruples(p, m_bound, ell_bound):
     out = []
     for m in range(1, m_bound + 1):
@@ -419,3 +442,10 @@ def test_prime_power_refuses_q_above_2_to_the_64():
 def test_prime_power_json():
     pq = PrimePower(3, 2)
     assert PrimePower.from_json(pq.to_json()) == pq
+
+
+@pytest.mark.parametrize("doc", [[3, 2], "3^2", {"p": 3}, {"p": 3, "lambda": "2"},
+                                 {"p": [3], "lambda": 2}, {"p": 3, "lambda": None}])
+def test_prime_power_json_of_another_shape_is_refused(doc):
+    with pytest.raises(ValueError, match="JSON"):
+        PrimePower.from_json(doc)

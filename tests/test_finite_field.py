@@ -260,6 +260,21 @@ def test_json_round_trip_bit_exact():
     assert spec.element_from_json(a.to_json()) == a
 
 
+@pytest.mark.parametrize("doc", [
+    [3, 2, [2, 0, 1]], {"p": 3, "n": 2}, {"p": "3", "n": 2, "modulus": None},
+    {"p": 3, "n": 2, "modulus": 5}, {"p": 3, "n": 2, "modulus": [[2], 0, 1]}])
+def test_field_json_of_another_shape_is_refused(doc):
+    with pytest.raises(ValueError, match="JSON"):
+        FieldSpec.from_json(doc)
+    assert FieldSpec.from_json({"p": 3, "n": 2, "modulus": None}) == field_make(3, 2)
+
+
+@pytest.mark.parametrize("coords", [5, [None], [[1], 0], None])
+def test_element_coordinates_that_are_not_integers_are_refused(coords):
+    with pytest.raises(ValueError, match="coordinates must be integers"):
+        field_make(3, 2).element(coords)
+
+
 def test_field_make_is_cached():
     assert field_make(2, 2) is field_make(2, 2)
     assert field_make(2, 2) is field_make(2, 2, [1, 1, 1])

@@ -614,6 +614,37 @@ def test_trunc_series_validation():
         TruncSeries(F4, 2, [F4.zero(), F9.zero(), F4.zero()])
 
 
+TRUNC_DOC = {"field": {"p": 2, "n": 1, "modulus": [0, 1]}, "prec": 1,
+             "coeffs": [[1], [0]]}
+ADDITIVE_DOC = {"field": {"p": 2, "n": 1, "modulus": [0, 1]},
+                "q": {"p": 2, "lambda": 1}, "prec": 4, "terms": {"0": [1]}}
+
+
+def _misshapen(doc):
+    """The document as a list, without each key, and with each member of a
+    wrong type."""
+    yield list(doc.values())
+    for key in doc:
+        yield {k: v for k, v in doc.items() if k != key}
+        for wrong in (5, "x", [1], {"a": 1}, None):
+            if type(wrong) is not type(doc[key]):
+                yield {**doc, key: wrong}
+
+
+@pytest.mark.parametrize("doc", list(_misshapen(TRUNC_DOC)))
+def test_trunc_json_of_another_shape_is_refused(doc):
+    assert TruncSeries.from_json(TRUNC_DOC).prec == 1
+    with pytest.raises(ValueError):
+        TruncSeries.from_json(doc)
+
+
+@pytest.mark.parametrize("doc", list(_misshapen(ADDITIVE_DOC)))
+def test_additive_json_of_another_shape_is_refused(doc):
+    assert AdditiveSeries.from_json(ADDITIVE_DOC).prec == 4
+    with pytest.raises(ValueError):
+        AdditiveSeries.from_json(doc)
+
+
 def test_json_coefficient_count_is_checked_before_conversion():
     doc = {"field": {"p": 2, "n": 1, "modulus": [0, 1]}, "prec": 0,
            "coeffs": [[0], "x"]}

@@ -1,6 +1,6 @@
 import pytest
 
-from qcrit import theorems
+from qcrit import digits, theorems
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
 from qcrit.theorems import (VerifyReport, desk_bounds, explore_generators,
@@ -91,9 +91,10 @@ def test_reports_deterministic():
     assert da == db
 
 
-def test_counterexamples_are_collected(monkeypatch):
-    # falsify the comparison on purpose: every quadruple must now fail
-    monkeypatch.setattr(theorems, "digital_cmp", lambda *a: theorems.GREATER)
+def test_counterexamples_are_collected(monkeypatch, fresh_digit_tables):
+    # falsify the digital order on purpose: every quadruple must now fail.
+    # The sweep ranks the keys of its digit tables, so the key is patched.
+    monkeypatch.setattr(digits, "digital_key", lambda n, p: (-n, 0, n))
     r = verify_admissible_order(2, 40, 3)
     assert not r.passed
     assert r.counterexamples

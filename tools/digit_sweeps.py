@@ -1,0 +1,97 @@
+"""Timings of the digit-layer sweeps, as JSON on stdout.
+
+    PYTHONPATH=src python tools/digit_sweeps.py [--repeat 3]
+
+Times `orbit_min` over c <= 1000, the critical base set and the critical
+integers up to 10000 for q = 4, 16, 9 and 25; and, at the desk bounds
+(`theorems.desk_bounds`: m <= 4096, 2187 and 3125 for p = 2, 3 and 5),
+the admissible enumeration and the admissible-order and admissible-witness
+sweeps. Each figure is the best of --repeat calls (fewer when one call
+takes over 2 s). When the checkout has digit tables, they are dropped
+before every call, so each figure includes building them, as in a fresh
+`qcrit` process. Run it with PYTHONPATH pointing at two checkouts to
+compare them.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import platform
+import sys
+import time
+
+from qcrit import digits, theorems
+from qcrit.digits import PrimePower
+
+PRIME_POWERS = [(2, 2), (2, 4), (3, 2), (5, 2)]
+
+
+def cold(fn):
+    """fn, run after the cached digit tables are dropped."""
+    tables = getattr(digits, "digit_tables", None)
+
+    def run():
+        if tables is not None:
+            tables.cache_clear()
+        return fn()
+    return run
+
+
+def best(fn, repeat: int) -> float:
+    times = []
+    while len(times) < repeat:
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+        if times[-1] > 2.0:
+            break
+    return round(min(times) * 1e3, 3)
+
+
+def orbits(repeat: int) -> list[dict]:
+    rows = []
+    for p, lam in PRIME_POWERS:
+        pq = PrimePower(p, lam)
+        row = {"p": p, "lambda": lam, "q": pq.q}
+        row["orbit_min_ms"] = best(
+            lambda: [digits.orbit_min(c, pq) for c in range(1, 1001)], repeat)
+        row["critical_base_set_ms"] = best(
+            lambda: digits.critical_base_set(pq), repeat)
+        row["critical_members_ms"] = best(
+            lambda: digits.critical_members(pq, 10000), repeat)
+        rows.append(row)
+        print(json.dumps(row), flush=True, file=sys.stderr)
+    return rows
+
+
+def admissible(repeat: int) -> list[dict]:
+    rows = []
+    for p in (2, 3, 5):
+        m_bound, ell_bound = theorems.desk_bounds(p)
+        row = {"p": p, "m_bound": m_bound, "ell_bound": ell_bound,
+               "quadruples": sum(1 for _ in digits.admissible_quadruples(
+                   p, m_bound, ell_bound))}
+        row["enumerate_ms"] = best(cold(lambda: sum(
+            1 for _ in digits.admissible_quadruples(p, m_bound, ell_bound))),
+            repeat)
+        for name, sweep in (("order", theorems.verify_admissible_order),
+                            ("witness", theorems.verify_admissible_witness)):
+            row[f"{name}_sweep_ms"] = best(
+                cold(lambda: sweep(p, m_bound, ell_bound)), repeat)
+        rows.append(row)
+        print(json.dumps(row), flush=True, file=sys.stderr)
+    return rows
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+    print(json.dumps({"python": platform.python_version(),
+                      "repeat": args.repeat, "orbits": orbits(args.repeat),
+                      "admissible": admissible(args.repeat)}, indent=1))
+
+
+if __name__ == "__main__":
+    main()
