@@ -287,7 +287,8 @@ class WitnessError(ValueError):
 
 def is_admissible(j: int, k: int, ell: int, m: int, p: int) -> bool:
     """Quadruple test: m coprime to p, m = k + j*(p^ell - 1), and
-    binomial(k-1, j) nonzero mod p."""
+    binomial(k-1, j) nonzero mod p. p must be prime."""
+    check_prime(p)
     if j < 1 or k < 1 or ell < 1 or m < 1:
         return False
     # p^ell > m once ell reaches the bit length of m: no p ** ell then
@@ -301,9 +302,11 @@ MAX_M_BOUND = 4096
 
 
 def check_m_bound(m_bound: int | None) -> None:
-    """Raise ValueError if m_bound is above MAX_M_BOUND."""
+    """Raise ValueError unless m_bound is None or in [1, MAX_M_BOUND]."""
     if m_bound is not None and m_bound > MAX_M_BOUND:
         raise ValueError(f"m_bound {m_bound} exceeds the limit {MAX_M_BOUND}")
+    if m_bound is not None and m_bound < 1:
+        raise ValueError(f"m_bound must be >= 1, got {m_bound}")
 
 
 class DigitTables(NamedTuple):
@@ -342,10 +345,10 @@ class DigitTables(NamedTuple):
 @lru_cache(maxsize=4)
 def digit_tables(p: int, m_bound: int) -> DigitTables:
     """The tables for admissible quadruples with m <= m_bound, built on
-    first use; p must be prime and m_bound at most MAX_M_BOUND."""
+    first use; p must be prime and 1 <= m_bound <= MAX_M_BOUND."""
     check_prime(p)
     check_m_bound(m_bound)
-    ns = range(1, max(m_bound, 0) + 2)
+    ns = range(1, m_bound + 2)
     ordp = [0] + [ord_p(n, p) for n in ns]
     order = sorted(ns, key=lambda n: digital_key(n, p))
     rank = [0] * (len(ns) + 1)
@@ -386,8 +389,8 @@ def admissible_witness(quad: AdmissibleQuadruple, p: int) -> AdmissibleWitness:
     e, f, g are the p-orders of m+1, k and k/p^f + 1. r is the unique
     multiple of ell in [0, e+ell-1] with j = (p^r - 1)/(p^ell - 1) mod p^e;
     its existence and uniqueness, together with f+g >= e and core(m) >=
-    core(k), are enforced and any violation raises WitnessError.
-    """
+    core(k), are enforced and any violation raises WitnessError. A
+    composite p, or a quadruple that is not admissible, raises ValueError."""
     j, k, ell, m = quad
     if not is_admissible(j, k, ell, m, p):
         raise ValueError(f"{quad} is not admissible for p={p}")

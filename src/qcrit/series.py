@@ -283,6 +283,8 @@ _SPARSE = 16
 _NEWTON_BASE = 128
 # log_deriv above this precision is X f' f^(-1); below, its recurrence.
 _LOG_DERIV_NEWTON = 256
+# solve_log_deriv runs its recurrence on blocks of at most this many degrees.
+_SECTION_BASE = 128
 
 # memoryview formats of the slot widths a product can be unpacked with
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -509,26 +511,45 @@ def solve_log_deriv(t: TruncSeries) -> TruncSeries:
             raise ValueError(
                 f"coefficient constraint a_(p*i) = a_i^p fails at i={i}; "
                 "series is not a logarithmic derivative")
-    add, mul, inv = spec._add, spec._mul, spec._inv
-    rows = [(k, mul[a[k]]) for k in range(1, n + 1) if a[k]]
-    f = [0] * (n + 1)
-    f[0] = 1
-    for m in range(1, n + 1):
-        s = 0
-        for k, row in rows:
-            if k > m:
-                break
-            fv = f[m - k]
-            if fv:
-                s = add[s][row[fv]]
-        if m % p:
-            f[m] = mul[inv[m % p]][s]
-        elif s:
-            # The degree-m equation degenerates to 0 = s; with the
-            # constraint verified above this never happens.
-            raise AssertionError(
-                f"inconsistent section at degree {m}; this is a bug")
-    return _series(spec, n, f)
+    return _series(spec, n, _solve_log_deriv(spec, a, n))
+
+
+def _solve_log_deriv(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
+    """f with f_0 = 1 and m f_m = s_m = sum_{k=1..m} a_k f_(m-k), by divide
+    and conquer (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
+    solve the left half of a block, add its terms of s to the right half
+    with one product, then solve the right half."""
+    add, mul, inv, p = spec._add, spec._mul, spec._inv, spec.p
+    rows = [(k, mul[a[k]]) for k in range(1, min(n, _SECTION_BASE) + 1) if a[k]]
+    f = [1] + [0] * n
+    s = list(a[:n + 1])  # the terms a_m f_0 of s_m
+
+    def solve(lo: int, hi: int) -> None:
+        if hi - lo > _SECTION_BASE:
+            mid = (lo + hi) // 2
+            solve(lo, mid)
+            part = _mul(spec, f[lo:mid], a[1:hi - lo], hi - lo - 2)[mid - lo - 1:]
+            s[mid:hi] = [add[x][y] if y else x for x, y in zip(s[mid:hi], part)]
+            solve(mid, hi)
+            return
+        for m in range(lo, hi):
+            sm, top = s[m], m - lo
+            for k, row in rows:
+                if k > top:
+                    break
+                fv = f[m - k]
+                if fv:
+                    sm = add[sm][row[fv]]
+            if m % p:
+                f[m] = mul[inv[m % p]][sm]
+            elif sm:
+                # The degree-m equation degenerates to 0 = s; with the
+                # constraint a_(p*i) = a_i^p this never happens.
+                raise AssertionError(
+                    f"inconsistent section at degree {m}; this is a bug")
+
+    solve(1, n + 1)
+    return f
 
 
 # ---------------------------------------------------------------------------

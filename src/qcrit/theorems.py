@@ -598,9 +598,9 @@ def explore_generators(pq: PrimePower, spec: FieldSpec, k_bound: int = 63,
 class SuiteOptions(NamedTuple):
     """The options of the suites in SUITES, named as in `qcrit verify`.
 
-    None leaves a sweep's own default in force, and so does 0 for trials,
-    m_bound and ell_bound. proj_prec and proj_ell_bound are the precision
-    and the ell bound of the projection sweep."""
+    None leaves a sweep's own default in force, and so does 0 for trials
+    and ell_bound; m_bound must be positive. proj_prec and proj_ell_bound
+    are the precision and the ell bound of the projection sweep."""
 
     prec: int | None = None
     seed: int | None = None
@@ -640,9 +640,9 @@ SUITES = {
         pq, spec, **_randomized(o)),
     "logderiv": lambda pq, spec, o: verify_logderiv(spec, **_randomized(o)),
     "admissible-order": lambda pq, spec, o: verify_admissible_order(
-        pq.p, o.m_bound or None, o.ell_bound or None),
+        pq.p, o.m_bound, o.ell_bound or None),
     "admissible-witness": lambda pq, spec, o: verify_admissible_witness(
-        pq.p, o.m_bound or None, o.ell_bound or None),
+        pq.p, o.m_bound, o.ell_bound or None),
     "orbit-min": lambda pq, spec, o: verify_orbit_min(
         pq, **_given(c_bound=o.c_bound, oracle_bound=o.oracle_bound)),
     "cyclic-digits": lambda pq, spec, o: verify_cyclic_digits(

@@ -84,3 +84,24 @@ def compose(spec, a, g, n):
         res = mul(spec, res, g, n)
         res[0] = spec._add[res[0]][a[i]]
     return res
+
+
+def solve_log_deriv(spec, a, n):
+    """Solve X f' = f t for f with f_0 = 1 one degree at a time:
+    m f_m = sum_{k=1..m} a_k f_(m-k), and at a multiple m of p the equation
+    must read 0 = 0."""
+    add, mul_, inv, p = spec._add, spec._mul, spec._inv, spec.p
+    rows = [(k, mul_[a[k]]) for k in range(1, n + 1) if a[k]]
+    f = [1] + [0] * n
+    for m in range(1, n + 1):
+        s = 0
+        for k, row in rows:
+            if k > m:
+                break
+            if f[m - k]:
+                s = add[s][row[f[m - k]]]
+        if m % p:
+            f[m] = mul_[inv[m % p]][s]
+        elif s:
+            raise AssertionError(f"inconsistent section at degree {m}")
+    return f

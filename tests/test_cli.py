@@ -293,9 +293,26 @@ def test_m_bound_above_the_limit_exits_two(capsys):
         assert "exceeds the limit 4096" in capsys.readouterr().err, argv
     assert main(["admissible", "--p", "4", "--m-bound", "64"]) == 2
     assert "must be prime" in capsys.readouterr().err
+    # a bound below 1 leaves nothing to check: refused, not a vacuous PASS
+    for argv in (
+            ["verify", "admissible-order", "--p", "2", "--lambda", "1",
+             "--m-bound", "-5"],
+            ["verify", "admissible-witness", "--p", "2", "--lambda", "1",
+             "--m-bound", "0"],
+            ["admissible", "--p", "2", "--m-bound", "0"]):
+        assert main(argv) == 2, argv
+        assert "m_bound must be >= 1" in capsys.readouterr().err, argv
     code, out = run_json(capsys, "admissible", "--p", "2", "--m-bound", "4096",
                          "--ell-bound", "1", "--limit", "3")
     assert code == 0 and out["count"] == 3
+
+
+def test_witness_with_a_composite_p_exits_two(capsys):
+    # Lucas's theorem needs a prime modulus: p = 4 is refused, not answered
+    assert main(["witness", "1", "2", "1", "5", "--p", "4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "p must be prime, got 4" in captured.err
 
 
 def test_witness_with_a_huge_ell_exits_two(capsys):

@@ -410,6 +410,20 @@ def test_witness_rejects_inadmissible():
         admissible_witness(AdmissibleQuadruple(1, 2, 1, 4), 2)
 
 
+def test_admissibility_needs_a_prime_p():
+    for p in (4, 1, 0):
+        with pytest.raises(ValueError, match="must be prime"):
+            is_admissible(1, 2, 1, 5, p)
+        with pytest.raises(ValueError, match="must be prime"):
+            admissible_witness(AdmissibleQuadruple(1, 2, 1, 5), p)
+
+
+def test_admissible_bounds_below_one_are_refused():
+    for m_bound in (0, -5):
+        with pytest.raises(ValueError, match="m_bound must be >= 1"):
+            list(admissible_quadruples(2, m_bound, 3))
+
+
 def test_witness_inequalities_hold_on_sample():
     for p in (2, 3):
         for quad in admissible_quadruples(p, 200, 6):

@@ -4,7 +4,8 @@ the independent coordinate oracle (field_oracle) on random inputs.
 
 The crossovers are the sparse-operand rule of products (_SPARSE nonzero
 coefficients), the Newton base of inverse_mult (_NEWTON_BASE), the Newton
-form of log_deriv (above _LOG_DERIV_NEWTON), the byte width of the
+form of log_deriv (above _LOG_DERIV_NEWTON), the block size of the
+divide-and-conquer solve_log_deriv (_SECTION_BASE), the byte width of the
 Kronecker slots, which grows with the precision and with p, and in
 compose the residue split, which starts at precision p, and the monomial
 inner series.
@@ -18,13 +19,14 @@ from hypothesis import given, settings, strategies as st
 
 from qcrit import series as sr
 from qcrit.finite_field import field_make
-from qcrit.series import TruncSeries, log_deriv
+from qcrit.series import TruncSeries, log_deriv, solve_log_deriv
 
 import series_reference as ref
 from field_oracle import (series_compose, series_inverse, series_log_deriv,
                           series_mul, series_power)
 
 S = sr._SPARSE
+B = sr._SECTION_BASE
 
 # (p, n): prime fields, small tables, large tables, computed entries
 SMALL = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -34,7 +36,8 @@ COMPUTED = [(2, 9), (3, 6), (257, 1), (4294967291, 1)]
 
 def precisions(p, top):
     """0, 1, p-1, p and the precisions around the crossovers, up to top."""
-    return sorted({n for n in (0, 1, p - 1, p, 127, 128, 129, 255, 256, 257, 1024)
+    return sorted({n for n in (0, 1, p - 1, p, 127, 128, 129, 255, 256, 257, 1024,
+                               B - 1, B, B + 1, 2 * B + 1)
                    if n <= top})
 
 
@@ -59,6 +62,16 @@ def random_idx(spec, length, rng, nonzero=None, valuation=0, unit=False):
     if unit:
         out[0] = rng.randrange(1, spec.order)
     return out
+
+
+def section_target(spec, length, rng):
+    """Random index list with zero constant term and a_(p*i) = a_i^p at
+    every index: a logarithmic derivative."""
+    p, frob = spec.p, spec._frob1
+    t = [0] * length
+    for i in range(1, length):
+        t[i] = rng.randrange(spec.order) if i % p else frob[t[i // p]]
+    return t
 
 
 def series(spec, idx):
@@ -88,6 +101,15 @@ def test_inverse_and_log_deriv_match_recurrences(p, n, prec):
     f = series(spec, a)
     assert idx(f.inverse_mult()) == ref.inverse(spec, a, prec)
     assert idx(log_deriv(f)) == ref.log_deriv(spec, a, prec)
+
+
+@pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
+def test_solve_log_deriv_matches_recurrence(p, n, prec):
+    spec = field_make(p, n)
+    rng = random.Random(prec * 47 + spec.order)
+    t = section_target(spec, prec + 1, rng)
+    got = idx(solve_log_deriv(series(spec, t)))
+    assert got == ref.solve_log_deriv(spec, t, prec)
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
@@ -145,9 +167,10 @@ def test_compose_matches_horner(p, n, prec, v, nonzero):
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 THRESHOLDS = {
     "default": {"_SPARSE": S, "_NEWTON_BASE": sr._NEWTON_BASE,
-                "_LOG_DERIV_NEWTON": sr._LOG_DERIV_NEWTON},
+                "_LOG_DERIV_NEWTON": sr._LOG_DERIV_NEWTON, "_SECTION_BASE": B},
     # low enough that every kernel branch runs at small precision
-    "low": {"_SPARSE": 2, "_NEWTON_BASE": 3, "_LOG_DERIV_NEWTON": 5},
+    "low": {"_SPARSE": 2, "_NEWTON_BASE": 3, "_LOG_DERIV_NEWTON": 5,
+            "_SECTION_BASE": 3},
 }
 
 
@@ -172,6 +195,10 @@ def test_kernels_match_coordinate_oracle(thresholds, case):
     mod, p = spec.modulus, spec.p
     fc = [spec.from_index(i).coords for i in f]
     gc = [spec.from_index(i).coords for i in g]
+    # g with its coefficients at multiples of p made Frobenius images
+    t = list(g)
+    for i in range(p, len(t), p):
+        t[i] = spec._frob1[t[i // p]]
     with mock.patch.multiple(sr, **THRESHOLDS[thresholds]):
         fs, gs = series(spec, f), series(spec, g)
         assert [c.coords for c in (fs * gs).coeffs] == series_mul(fc, gc, mod, p)
@@ -179,3 +206,24 @@ def test_kernels_match_coordinate_oracle(thresholds, case):
         assert [c.coords for c in log_deriv(fs).coeffs] == series_log_deriv(fc, mod, p)
         assert [c.coords for c in (gs ** e).coeffs] == series_power(gc, e, mod, p)
         assert [c.coords for c in fs.compose(gs).coeffs] == series_compose(fc, gc, mod, p)
+        ts = series(spec, t)
+        assert log_deriv(solve_log_deriv(ts)) == ts
+
+
+@pytest.mark.parametrize("thresholds", THRESHOLDS)
+def test_section_kernel_checks_every_multiple_of_p(thresholds):
+    # solve_log_deriv refuses a target that breaks a_(p*i) = a_i^p before
+    # solving; the kernel's own test of the degenerate equation 0 = s at a
+    # multiple of p must catch it as well, also past the first block.
+    spec = field_make(3, 2)
+    with mock.patch.multiple(sr, **THRESHOLDS[thresholds]):
+        n = 4 * sr._SECTION_BASE + 1
+        t = section_target(spec, n + 1, random.Random(n))
+        m = n - n % 3
+        t[m] = spec._add[t[m]][1]
+        with pytest.raises(AssertionError, match=f"degree {m};"):
+            sr._solve_log_deriv(spec, t, n)
+        with pytest.raises(AssertionError, match=f"degree {m}$"):
+            ref.solve_log_deriv(spec, t, n)
+        with pytest.raises(ValueError, match=f"i={m // 3};"):
+            solve_log_deriv(series(spec, t))

@@ -1,8 +1,11 @@
+import json
+
 import pytest
 
-from qcrit import digits, theorems
+from qcrit import cli, digits, theorems
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
+from qcrit.series import TruncSeries
 from qcrit.theorems import (VerifyReport, desk_bounds, explore_generators,
                             verify_admissible_order, verify_admissible_witness,
                             verify_coleman, verify_cyclic_digits,
@@ -43,6 +46,41 @@ def test_logderiv_small():
     r = verify_logderiv(field_make(2, 2), prec=48, trials=10, seed=1)
     assert r.passed
     assert r.checks == 60
+
+
+def test_logderiv_reports_a_broken_section(monkeypatch, capsys):
+    # a section that is wrong in one coefficient past degree 10 must show
+    # as a FAIL of the "section" check, from the API and from the CLI
+    real = theorems.solve_log_deriv
+
+    def broken(t):
+        f = real(t)
+        coeffs = list(f.coeffs)
+        coeffs[11] = coeffs[11] + t.spec.one()
+        return TruncSeries(t.spec, f.prec, coeffs)
+
+    monkeypatch.setattr(theorems, "solve_log_deriv", broken)
+    r = verify_logderiv(field_make(3, 2), prec=24, trials=3, seed=4)
+    assert not r.passed
+    assert r.counterexamples[0] == {"trial": 0, "check": "section", "seed": 4}
+    assert {ce["check"] for ce in r.counterexamples} == {"section"}
+    capsys.readouterr()
+    code = cli.main(["--format", "json", "verify", "logderiv", "--p", "3",
+                     "--lambda", "1", "--n", "2", "--prec", "24",
+                     "--trials", "3", "--seed", "4"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    assert payload["reports"][0]["counterexamples"] == r.counterexamples
+
+
+def test_suite_registry_refuses_an_m_bound_below_one():
+    # 0 is not read as the default: a sweep below 1 would pass vacuously
+    for name in ("admissible-order", "admissible-witness"):
+        for m_bound in (0, -5):
+            with pytest.raises(ValueError, match="m_bound must be >= 1"):
+                theorems.SUITES[name](PrimePower(2, 1), field_make(2, 1),
+                                      theorems.SuiteOptions(m_bound=m_bound))
 
 
 def test_admissible_sweeps_small():

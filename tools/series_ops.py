@@ -2,19 +2,22 @@
 
     PYTHONPATH=src python tools/series_ops.py [--repeat 3]
 
-Times TruncSeries `*`, `inverse_mult`, `log_deriv` and `compose` at
-precision 128, 512 and 2048 over F_4, F_9, F_243 and F_256, best of
---repeat calls each (fewer when one call takes over 2 s). The inputs are
-seeded random units; the inner series of `compose` is a random
-composition of two X + beta*X^(q^ell), the shape the equivariance and
-Coleman sweeps compose with. Run it with PYTHONPATH pointing at two
+Times TruncSeries `*`, `inverse_mult`, `log_deriv`, `solve_log_deriv`
+and `compose` at precision 128, 512 and 2048 over F_4, F_9, F_243 and
+F_256, best of --repeat calls each (fewer when one call takes over 2 s).
+The inputs are seeded random units; `solve_log_deriv` solves for the
+logarithmic derivative of one, and the inner series of `compose` is a
+random composition of two X + beta*X^(q^ell), the shape the equivariance
+and Coleman sweeps compose with. Run it with PYTHONPATH pointing at two
 checkouts to compare them.
 
 When the checkout has the index-list kernels, a "crossovers" section
 times each kernel against the loop it replaces on either side of its
 threshold: row products against Kronecker products by the number of
-nonzero coefficients, the inverse recurrence against Newton steps, and
-the log_deriv recurrence against X f' f^(-1).
+nonzero coefficients, the inverse recurrence against Newton steps, the
+log_deriv recurrence against X f' f^(-1), and, when the checkout has it,
+the solve_log_deriv recurrence (one block of every degree) against its
+divide-and-conquer split at the default block size.
 """
 
 from __future__ import annotations
@@ -57,6 +60,8 @@ def ops(repeat: int) -> list[dict]:
             row["mul_ms"] = best(lambda: f * g, repeat)
             row["inverse_mult_ms"] = best(f.inverse_mult, repeat)
             row["log_deriv_ms"] = best(lambda: sr.log_deriv(f), repeat)
+            t = sr.log_deriv(g)
+            row["solve_log_deriv_ms"] = best(lambda: sr.solve_log_deriv(t), repeat)
             row["compose_ms"] = best(lambda: f.compose(gamma), repeat)
             rows.append(row)
             print(json.dumps(row), flush=True, file=sys.stderr)
@@ -92,7 +97,27 @@ def crossovers(repeat: int) -> dict:
                     lambda: sr._log_deriv_recurrence(spec, a, prec), repeat),
                 "newton_ms": best(lambda: sr._mul(
                     spec, xf, sr._inverse(spec, a, prec), prec), repeat)})
+        if hasattr(sr, "_SECTION_BASE"):
+            out.setdefault("solve_recurrence_vs_relaxed", []).extend(
+                solve_crossovers(spec, repeat))
     return out
+
+
+def solve_crossovers(spec, repeat: int) -> list[dict]:
+    rows, base = [], sr._SECTION_BASE
+    for prec in (64, 128, 256, 512, 2048):
+        t = sr.log_deriv(sr.random_unit(spec, prec, 6)).idx
+        row = {"field": spec.order, "prec": prec, "base": base}
+        row["relaxed_ms"] = best(lambda: sr._solve_log_deriv(spec, t, prec), repeat)
+        # with the block size at prec, the whole solve is one recurrence
+        sr._SECTION_BASE = max(base, prec)
+        try:
+            row["recurrence_ms"] = best(
+                lambda: sr._solve_log_deriv(spec, t, prec), repeat)
+        finally:
+            sr._SECTION_BASE = base
+        rows.append(row)
+    return rows
 
 
 def main() -> None:
