@@ -14,6 +14,7 @@ import argparse
 import json
 import os
 import sys
+from functools import lru_cache
 from itertools import islice
 from pathlib import Path
 
@@ -280,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qcrit",
         description="Digit combinatorics and power series over finite "
                     "fields, with verification sweeps.")
+    # no default: main reads QCRIT_FORMAT on every call
     parser.add_argument("--format", choices=("text", "json"),
-                        default=os.environ.get("QCRIT_FORMAT", "text"),
                         help="output format (env QCRIT_FORMAT)")
     parser.add_argument("--output", type=str, default=None,
                         help="write output to this file instead of stdout")
@@ -293,16 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="base set only (members below q)")
     c.add_argument("--bound", type=int, default=None,
                    help="upper bound for the full set (default q)")
-    c.set_defaults(handler=_cmd_criticals)
 
-    for name, operands, handler, text in (
-            ("is-critical", "k", _cmd_is_critical,
-             "criticality test with the cyclic digit table"),
-            ("mu", "c", _cmd_mu, "digital minimum of a residue orbit"),
-            ("core", "n", _cmd_core, "digit core"),
-            ("defect", "n", _cmd_defect, "digit defect"),
-            ("cmp", "m n", _cmd_cmp, "digital well-ordering comparison"),
-            ("lucas", "m k", _cmd_lucas, "binomial coefficient mod p")):
+    for name, operands, text in (
+            ("is-critical", "k", "criticality test with the cyclic digit table"),
+            ("mu", "c", "digital minimum of a residue orbit"),
+            ("core", "n", "digit core"),
+            ("defect", "n", "digit defect"),
+            ("cmp", "m n", "digital well-ordering comparison"),
+            ("lucas", "m k", "binomial coefficient mod p")):
         c = cmds.add_parser(name, parents=[out_opts], help=text)
         for operand in operands.split():
             c.add_argument(operand, type=int)
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
             _add_pq(c)
         else:
             c.add_argument("--p", type=int, required=True)
-        c.set_defaults(handler=handler)
 
     c = cmds.add_parser("admissible", parents=[out_opts], help="enumerate admissible quadruples")
     c.add_argument("--p", type=int, required=True)
@@ -318,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ell-bound", type=int, default=8)
     c.add_argument("--limit", type=int, default=0,
                    help="stop after this many (0 = no limit)")
-    c.set_defaults(handler=_cmd_admissible)
 
     c = cmds.add_parser("witness", parents=[out_opts], help="carry witness of an admissible "
                                         "quadruple")
@@ -327,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("ell", type=int)
     c.add_argument("m", type=int)
     c.add_argument("--p", type=int, required=True)
-    c.set_defaults(handler=_cmd_witness)
 
     c = cmds.add_parser("verify", parents=[out_opts], help="run verification sweeps")
     c.add_argument("statement", choices=("all", *th.SUITES))
@@ -338,7 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--" + name.replace("_", "-"), type=int, default=None)
     c.add_argument("--timing", action="store_true",
                    help="include wall-clock timings in JSON output")
-    c.set_defaults(handler=_cmd_verify)
 
     c = cmds.add_parser("explore", parents=[out_opts], help="tabulate digital leading terms of "
                                         "generator images")
@@ -346,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field(c)
     c.add_argument("--k-bound", type=int, default=63)
     c.add_argument("--prec", type=int, default=128)
-    c.set_defaults(handler=_cmd_explore)
 
     c = cmds.add_parser("series", parents=[out_opts], help="series arithmetic on JSON documents")
     ops = c.add_subparsers(dest="series_op", required=True)
@@ -366,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--beta", type=str, default="1")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--factors", type=int, default=2)
-    ev.set_defaults(handler=_cmd_series)
     for name, argnames in (("compose", ("--f", "--g")),
                            ("invert", ("--g",)),
                            ("logderiv", ("--f",)),
@@ -381,12 +374,19 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             op.add_argument("--p", type=int, default=0)
             op.add_argument("--lambda", dest="lam", type=int, default=None)
-        op.set_defaults(handler=_cmd_series)
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser_built_by(build) -> argparse.ArgumentParser:
+    return build()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    # Parsing leaves the parser as it was, so one serves every call. It is
+    # keyed on the current build_parser, so that rebinding that name (as a
+    # tracer does) gets a parser built through the new binding.
+    parser = _parser_built_by(build_parser)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -395,12 +395,14 @@ def main(argv=None) -> int:
         for name in ("prec", "proj_prec"):
             sr.check_prec(getattr(args, name, None))
         dg.check_m_bound(getattr(args, "m_bound", None))
-        code, payload, text = args.handler(args)
+        # found by name on every call, so a rebound _cmd_* takes effect
+        handler = globals()["_cmd_" + args.command.replace("-", "_")]
+        code, payload, text = handler(args)
     except (ValueError, ZeroDivisionError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    rendered = (json.dumps(payload, sort_keys=True)
-                if args.format == "json" else text)
+    fmt = args.format or os.environ.get("QCRIT_FORMAT", "text")
+    rendered = json.dumps(payload, sort_keys=True) if fmt == "json" else text
     if args.output:
         Path(args.output).write_text(rendered + "\n")
     else:

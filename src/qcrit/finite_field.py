@@ -15,6 +15,7 @@ here is safe to share across threads.
 
 from __future__ import annotations
 
+import threading
 from functools import partial
 from operator import xor
 from typing import Iterator, Sequence
@@ -33,7 +34,20 @@ _ORDER_LIMIT = 2 ** 64
 
 _TABLES = ("_elements", "_add", "_mul", "_neg", "_inv", "_frob1")
 
+# field_make's cache, by (p, n, modulus), holds at most this many keys.
+# Specs compare by value, so one that is dropped is simply built again.
 _SPEC_CACHE: dict = {}
+_SPEC_CACHE_SIZE = 32
+_CACHE_LOCK = threading.Lock()
+
+
+def _cache_put(cache: dict, size: int, key, value) -> None:
+    """cache[key] = value, dropping the oldest keys first so that at most
+    size remain. Readers need no lock; writers take _CACHE_LOCK."""
+    with _CACHE_LOCK:
+        while len(cache) >= size and key not in cache:
+            del cache[next(iter(cache))]
+        cache[key] = value
 
 
 def check_prime(p) -> None:
@@ -409,8 +423,8 @@ def field_make(p: int, n: int, modulus: Sequence[int] | None = None) -> FieldSpe
     spec = _SPEC_CACHE.get(key)
     if spec is None:
         spec = FieldSpec(p, n, modulus)
-        _SPEC_CACHE[key] = spec
-        _SPEC_CACHE[(p, n, spec.modulus)] = spec
+        _cache_put(_SPEC_CACHE, _SPEC_CACHE_SIZE, key, spec)
+        _cache_put(_SPEC_CACHE, _SPEC_CACHE_SIZE, (p, n, spec.modulus), spec)
     return spec
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .digits import PrimePower, is_critical, lucas_binom
-from .finite_field import FieldElement, FieldSpec, _pack, json_member
+from .finite_field import FieldElement, FieldSpec, _cache_put, _pack, json_member
 
 
 # The largest precision that the CLI options and JSON documents accept.
@@ -557,6 +557,7 @@ def _solve_log_deriv(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 
 _CRITICAL_CACHE: dict = {}
+_CRITICAL_CACHE_SIZE = 64
 
 
 def _critical_set(pq: PrimePower, bound: int) -> frozenset[int]:
@@ -564,7 +565,7 @@ def _critical_set(pq: PrimePower, bound: int) -> frozenset[int]:
     got = _CRITICAL_CACHE.get(key)
     if got is None:
         got = frozenset(k for k in range(1, bound + 1) if is_critical(k, pq))
-        _CRITICAL_CACHE[key] = got
+        _cache_put(_CRITICAL_CACHE, _CRITICAL_CACHE_SIZE, key, got)
     return got
 
 
@@ -755,7 +756,7 @@ class AdditiveSeries:
 # Named series
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _artin_hasse_residues(p: int, prec: int) -> tuple[int, ...]:
     # exp(sum X^(p^i)/p^i) over the rationals, via the recursion
     # m*e_m = sum over p^i <= m of e_(m - p^i), then reduced mod p.

@@ -135,8 +135,8 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
         lhs = critical_projection(log_deriv(f.compose(gamma.as_trunc())), pq)
         rhs = gamma.inverse().apply_to(critical_projection(log_deriv(f), pq))
         if not lhs.agrees(rhs):
-            bad.add({"trial": trial, "seed": seed, "factors": factors,
-                     "gamma": _gamma_json(gamma),
+            bad.add({"trial": trial, "check": "equivariance", "seed": seed,
+                     "factors": factors, "gamma": _gamma_json(gamma),
                      "unit": [c.to_json() for c in f.coeffs],
                      **_first_mismatch(lhs, rhs)})
     return bad.report(
@@ -530,8 +530,8 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
                 psi_h.scale_arg(omega).scale(omega.inverse()))
             checks += 1
             if not lhs.agrees(rhs):
-                bad.add({"trial": trial, "seed": seed, "factors": factors,
-                         "omega": omega.to_json(),
+                bad.add({"trial": trial, "check": "action", "seed": seed,
+                         "factors": factors, "omega": omega.to_json(),
                          "gamma": _gamma_json(gamma),
                          **_first_mismatch(lhs, rhs)})
     hit = 0

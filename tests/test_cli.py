@@ -1,12 +1,15 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from qcrit import cli
 from qcrit.cli import build_parser, main
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
@@ -336,10 +339,145 @@ def test_json_documents_of_another_shape_exit_two(capsys):
 
 
 def test_env_var_controls_format(capsys, monkeypatch):
-    monkeypatch.setenv("QCRIT_FORMAT", "json")
-    code, out = run_cli(capsys, "core", "963", "--p", "3")
-    assert code == 0
-    assert json.loads(out)["core"] == 3
+    # read on every call, so a change between two calls takes effect
+    for fmt in ("json", "text", "json"):
+        monkeypatch.setenv("QCRIT_FORMAT", fmt)
+        code, out = run_cli(capsys, "core", "963", "--p", "3")
+        assert code == 0
+        if fmt == "json":
+            assert json.loads(out)["core"] == 3
+        else:
+            assert out == "3-core of 963: 3\n"
+    assert run_cli(capsys, "--format", "text", "core", "963", "--p", "3") \
+        == (0, "3-core of 963: 3\n")
+    monkeypatch.delenv("QCRIT_FORMAT")
+    assert run_cli(capsys, "core", "963", "--p", "3") == (0, "3-core of 963: 3\n")
+
+
+# One process serves many calls: good runs, usage errors, domain errors,
+# --help, --output files, and text and JSON verify. "{out}" is a file.
+MANY_CALLS = [
+    ["core", "963", "--p", "3"],
+    ["--format", "json", "is-critical", "39", "--p", "2", "--lambda", "10"],
+    ["cmp", "3", "6", "--p", "2", "--format", "json"],
+    ["definitely-not-a-command"],
+    [],
+    ["core", "963"],
+    ["core", "0", "--p", "3"],
+    ["mu", "5", "--p", "3", "--lambda", "41"],
+    ["series", "psi", "--f", "{}", "--p", "2", "--lambda", "1"],
+    ["--help"],
+    ["series", "compose", "--help"],
+    ["--format", "json", "--output", "{out}", "lucas", "10", "3", "--p", "3"],
+    ["lucas", "10", "3", "--p", "3", "--output", "{out}"],
+    ["verify", "logderiv", "--p", "2", "--lambda", "1", "--prec", "16",
+     "--trials", "2"],
+    ["--format", "json", "verify", "equivariance", "--p", "2", "--lambda", "1",
+     "--n", "2", "--prec", "16", "--trials", "2"],
+    ["series", "eval", "--kind", "artin-hasse", "--p", "3", "--prec", "12",
+     "--format", "json"],
+]
+
+
+def _outcome(capsys, argv, out_path):
+    """(exit, stdout, stderr, --output file) of one call; the text-mode
+    verify summary's wall-clock milliseconds are masked."""
+    code = main([a.replace("{out}", str(out_path)) for a in argv])
+    captured = capsys.readouterr()
+    written = out_path.read_text() if out_path.exists() else None
+    if written is not None:
+        out_path.unlink()
+    return code, re.sub(r"\(\d+ ms\)", "(ms)", captured.out), captured.err, written
+
+
+def test_calls_in_one_process_do_not_depend_on_their_order(capsys, tmp_path):
+    out = tmp_path / "out.txt"
+    forward = [_outcome(capsys, argv, out) for argv in MANY_CALLS]
+    backward = [_outcome(capsys, argv, out) for argv in reversed(MANY_CALLS)]
+    assert forward == backward[::-1]
+    assert [o[0] for o in forward] == [0, 0, 0, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0,
+                                       0, 0, 0]
+    assert all(o[3] for o in forward[11:13])
+
+
+def test_a_handler_rebound_after_the_first_call_runs(capsys, monkeypatch):
+    assert run_cli(capsys, "core", "963", "--p", "3") == (0, "3-core of 963: 3\n")
+    monkeypatch.setattr(cli, "_cmd_core", lambda args: (0, {}, f"patched {args.n}"))
+    assert run_cli(capsys, "core", "963", "--p", "3") == (0, "patched 963\n")
+
+
+def test_the_parser_is_built_once_per_binding_of_build_parser(capsys, monkeypatch):
+    built = []
+
+    def counting():
+        built.append(build_parser())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for _ in range(3):
+        assert run_cli(capsys, "core", "963", "--p", "3")[0] == 0
+    assert len(built) == 1
+    monkeypatch.undo()
+    assert run_cli(capsys, "core", "963", "--p", "3")[0] == 0
+    assert len(built) == 1
+
+
+def test_a_tracer_sees_one_build_then_one_parse_per_call(monkeypatch, capsys):
+    # the benchmark's tracer rebinds build_parser and wraps parse_args on
+    # the parser that the rebound build_parser returns
+    monkeypatch.syspath_prepend(str(Path(SRC).parent / "perfbench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for job in range(3):
+            assert tracer.run_job(job, main, ["core", "963", "--p", "3"]) == 0
+    finally:
+        tracer.restore()
+    parse = [span for span in tracer.spans if span[0] == "cli.parse"]
+    assert [span[4] for span in parse] == [0, 0, 1, 2]
+    assert len({span[3] for span in parse if span[4] == 0}) == 1  # not nested
+    spans = len(tracer.spans)
+    assert main(["core", "963", "--p", "3"]) == 0
+    assert len(tracer.spans) == spans
+
+
+def test_threads_calling_main_get_the_single_thread_bytes(tmp_path):
+    argvs = [MANY_CALLS[1], MANY_CALLS[14], ["--format", "json", "series", "eval",
+             "--kind", "random-gamma", "--p", "2", "--lambda", "2", "--n", "2",
+             "--prec", "24", "--seed", "5"], ["cmp", "3", "6", "--p", "2"]]
+
+    def run_all(name):
+        got = []
+        for i, argv in enumerate(argvs * 3):
+            target = tmp_path / f"{name}-{i}.txt"
+            code = main(["--output", str(target), *argv])
+            got.append((code, target.read_text()))
+        return got
+
+    want = run_all("single")
+    results, errors = {}, []
+
+    def worker(k):
+        try:
+            results[k] = run_all(f"thread{k}")
+        except Exception as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert results == {k: want for k in range(4)}
 
 
 def test_module_entry_point():

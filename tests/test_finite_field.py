@@ -278,3 +278,18 @@ def test_element_coordinates_that_are_not_integers_are_refused(coords):
 def test_field_make_is_cached():
     assert field_make(2, 2) is field_make(2, 2)
     assert field_make(2, 2) is field_make(2, 2, [1, 1, 1])
+
+
+def test_field_cache_is_bounded_and_rebuilds_equal_specs():
+    from qcrit import finite_field
+    size = finite_field._SPEC_CACHE_SIZE
+    primes = [p for p in range(2, 1000) if all(p % d for d in range(2, p))][:size]
+    first = [field_make(p, 1) for p in primes]  # two keys each
+    assert len(finite_field._SPEC_CACHE) <= size
+    again = [field_make(p, 1) for p in primes]
+    assert len(finite_field._SPEC_CACHE) <= size
+    assert again == first
+    assert any(a is not b for a, b in zip(again, first))  # some were rebuilt
+    for spec in again:
+        x = spec.from_index(spec.p - 1)
+        assert x * x == spec.one() and x + spec.one() == spec.zero()

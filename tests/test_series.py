@@ -676,3 +676,18 @@ def test_coefficients_are_views_of_the_indices():
     g = TruncSeries.monomial(F9, 6, 3, F9.gen())
     assert g.valuation() == 3 and g.support() == [3]
     assert TruncSeries.zero(F9, 6).valuation() is None
+
+
+def test_critical_set_and_artin_hasse_caches_are_bounded():
+    from qcrit import series as sr
+    size = sr._CRITICAL_CACHE_SIZE
+    want = {b: frozenset(k for k in range(1, b + 1) if is_critical(k, PQ4))
+            for b in range(1, size + 20)}
+    for _ in range(2):  # the second round recomputes the evicted sets
+        assert {b: sr._critical_set(PQ4, b) for b in want} == want
+        assert len(sr._CRITICAL_CACHE) <= size
+    maxsize = sr._artin_hasse_residues.cache_info().maxsize
+    first = [artin_hasse(2, prec, F2) for prec in range(1, maxsize + 10)]
+    assert sr._artin_hasse_residues.cache_info().currsize <= maxsize
+    assert [artin_hasse(2, prec, F2) for prec in range(1, maxsize + 10)] == first
+    assert sr._artin_hasse_residues.cache_info().currsize <= maxsize

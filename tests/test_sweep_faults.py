@@ -1,0 +1,102 @@
+"""Fault injection into the series sweeps: a kernel that is wrong at one
+degree past 10 must turn each sweep into a FAIL whose first counterexample
+names the check and the degree, from the API and from the CLI (exit 1,
+one JSON document)."""
+
+import json
+
+import pytest
+
+from qcrit import cli, series, theorems
+from qcrit.digits import PrimePower
+from qcrit.finite_field import field_make
+from qcrit.series import AdditiveSeries, TruncSeries
+
+# 15 is critical for q = 2 and q = 4 (1, 3, 7, 15, ...), so a fault there
+# survives the critical projection, which moves it up to degree 16
+FAULT = 15
+
+
+def _with_coefficient(t: TruncSeries, degree: int, value) -> TruncSeries:
+    coeffs = list(t.coeffs)
+    coeffs[degree] = value
+    return TruncSeries(t.spec, t.prec, coeffs)
+
+
+def _flipped(t: TruncSeries, degree: int) -> TruncSeries:
+    return _with_coefficient(t, degree, t.coefficient(degree) + t.spec.one())
+
+
+@pytest.fixture
+def payload_calls(monkeypatch):
+    """Counts the calls of the counterexample payload payload_calls."""
+    calls = {"_first_mismatch": 0, "_gamma_json": 0}
+    for name in calls:
+        def spy(*args, _real=getattr(theorems, name), _name=name):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(theorems, name, spy)
+    return calls
+
+
+def _cli_report(capsys, argv, report):
+    """Run `qcrit --format json verify ...` and check that it fails with
+    the counterexamples of report."""
+    capsys.readouterr()
+    assert cli.main(["--format", "json", "verify", *argv]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["pass"] is False
+    (got,) = payload["reports"]
+    assert got["pass"] is False
+    assert got["counterexamples"] == json.loads(json.dumps(report.counterexamples))
+
+
+def test_equivariance_reports_a_broken_compose(monkeypatch, capsys, payload_calls):
+    real = TruncSeries.compose
+    monkeypatch.setattr(TruncSeries, "compose",
+                        lambda self, inner: _flipped(real(self, inner), FAULT))
+    r = theorems.verify_equivariance(PrimePower(2, 1), field_make(2, 2),
+                                     prec=32, trials=3, seed=4)
+    assert not r.passed
+    first = r.counterexamples[0]
+    assert (first["trial"], first["check"], first["degree"]) == (0, "equivariance", 16)
+    assert first["gamma"] == {"0": [1, 0]}  # trial 0 composes with X
+    assert len(r.counterexamples) == 3
+    assert payload_calls == {"_first_mismatch": 3, "_gamma_json": 3}
+    _cli_report(capsys, ["equivariance", "--p", "2", "--lambda", "1", "--n", "2",
+                         "--prec", "32", "--trials", "3", "--seed", "4"], r)
+    assert payload_calls == {"_first_mismatch": 6, "_gamma_json": 6}
+
+
+def test_projection_reports_a_dropped_exponent(monkeypatch, capsys, payload_calls):
+    real = series.critical_projection
+    monkeypatch.setattr(theorems, "critical_projection", lambda t, pq: _with_coefficient(
+        real(t, pq), FAULT + 1, t.spec.zero()))
+    r = theorems.verify_projection_formula(PrimePower(2, 2), field_make(2, 2),
+                                           prec=32, k_bound=7, ell_bound=1)
+    assert not r.passed
+    first = r.counterexamples[0]
+    assert (first["k"], first["ell"], first["check"], first["degree"]) \
+        == (3, 1, "projection_formula", 16)
+    assert first["lhs"] == [0, 0] and first["rhs"] != [0, 0]
+    assert {ce["check"] for ce in r.counterexamples} == {"projection_formula"}
+    assert payload_calls["_first_mismatch"] == len(r.counterexamples)
+    _cli_report(capsys, ["projection", "--p", "2", "--lambda", "2", "--n", "2",
+                         "--proj-prec", "32", "--k-bound", "7",
+                         "--proj-ell-bound", "1"], r)
+
+
+def test_coleman_reports_a_broken_action(monkeypatch, capsys, payload_calls):
+    real = AdditiveSeries.apply_to
+    monkeypatch.setattr(AdditiveSeries, "apply_to",
+                        lambda self, g: _flipped(real(self, g), FAULT + 1))
+    r = theorems.verify_coleman(PrimePower(2, 2), ext_degree=1, prec=32,
+                                trials=2, seed=3)
+    assert not r.passed
+    first = r.counterexamples[0]
+    assert (first["trial"], first["check"], first["degree"]) == (0, "action", 16)
+    # every Teichmueller scaling of both trials fails; surjectivity holds
+    assert [ce["check"] for ce in r.counterexamples] == ["action"] * 6
+    assert payload_calls == {"_first_mismatch": 6, "_gamma_json": 6}
+    _cli_report(capsys, ["coleman", "--p", "2", "--lambda", "2", "--n", "2",
+                         "--prec", "32", "--trials", "2", "--seed", "3"], r)

@@ -6,10 +6,10 @@ Times `orbit_min` over c <= 1000, the critical base set and the critical
 integers up to 10000 for q = 4, 16, 9 and 25; and, at the desk bounds
 (`theorems.desk_bounds`: m <= 4096, 2187 and 3125 for p = 2, 3 and 5),
 the admissible enumeration and the admissible-order and admissible-witness
-sweeps. Each figure is the best of --repeat calls (fewer when one call
-takes over 2 s). When the checkout has digit tables, they are dropped
-before every call, so each figure includes building them, as in a fresh
-`qcrit` process. Run it with PYTHONPATH pointing at two checkouts to
+sweeps. Each figure is the time per call, the best of --repeat samples
+that loop the call for at least 20 ms (tools/timing.py). When the
+checkout has digit tables, they are dropped before every call, so each
+figure includes building them, as in a fresh `qcrit` process. Run it with PYTHONPATH pointing at two checkouts to
 compare them.
 """
 
@@ -19,10 +19,10 @@ import argparse
 import json
 import platform
 import sys
-import time
 
 from qcrit import digits, theorems
 from qcrit.digits import PrimePower
+from timing import best
 
 PRIME_POWERS = [(2, 2), (2, 4), (3, 2), (5, 2)]
 
@@ -36,17 +36,6 @@ def cold(fn):
             tables.cache_clear()
         return fn()
     return run
-
-
-def best(fn, repeat: int) -> float:
-    times = []
-    while len(times) < repeat:
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-        if times[-1] > 2.0:
-            break
-    return round(min(times) * 1e3, 3)
 
 
 def orbits(repeat: int) -> list[dict]:

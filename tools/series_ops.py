@@ -4,7 +4,8 @@
 
 Times TruncSeries `*`, `inverse_mult`, `log_deriv`, `solve_log_deriv`
 and `compose` at precision 128, 512 and 2048 over F_4, F_9, F_243 and
-F_256, best of --repeat calls each (fewer when one call takes over 2 s).
+F_256, in time per call: the best of --repeat samples that loop the
+call for at least 20 ms (tools/timing.py).
 The inputs are seeded random units; `solve_log_deriv` solves for the
 logarithmic derivative of one, and the inner series of `compose` is a
 random composition of two X + beta*X^(q^ell), the shape the equivariance
@@ -26,26 +27,15 @@ import argparse
 import json
 import platform
 import sys
-import time
 
 from qcrit import series as sr
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
+from timing import best
 
 # (p, n, lambda of the composition series)
 FIELDS = [(2, 2, 2), (3, 2, 1), (3, 5, 1), (2, 8, 2)]
 PRECS = [128, 512, 2048]
-
-
-def best(fn, repeat: int) -> float:
-    times = []
-    while len(times) < repeat:
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-        if times[-1] > 2.0:
-            break
-    return round(min(times) * 1e3, 3)
 
 
 def ops(repeat: int) -> list[dict]:
