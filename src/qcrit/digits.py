@@ -9,8 +9,10 @@ so sweeps over ranges can be partitioned freely across workers.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .finite_field import _ORDER_LIMIT, check_prime, json_member
@@ -201,6 +203,23 @@ def orbit_min(c: int, pq: PrimePower) -> int:
     raise RuntimeError("no orbit representative found; internal invariant violated")
 
 
+# The longest scans of integers by orbit. The orbit-minimum table of the
+# orbit-min and cyclic-digits sweeps scans [1, q*p^(2*lambda)] at about
+# 2 us an integer, and the critical base set scans (0, q) at about 10 us
+# (CPython 3.11, one core of a Xeon: p = 2, lambda = 7, 2^21 integers, in
+# 4.4 s; q = 2^20 in 11 s). The tests and the benchmark scan at most
+# 15,625 and 1,023.
+MAX_ORBIT_TABLE = 2 ** 22
+MAX_BASE_SCAN = 2 ** 20
+
+
+def check_orbit_scan(n: int, limit: int, what: str) -> None:
+    """Raise ValueError when a scan of n integers is above the limit."""
+    if n > limit:
+        raise ValueError(f"{what} scans {n} integers, above the limit "
+                         f"{limit}")
+
+
 def _orbit_min_table(pq: PrimePower, bound: int) -> dict[int, int]:
     """Digital minimum of every orbit, by one scan of [1, bound]."""
     p = pq.p
@@ -221,8 +240,11 @@ def _orbit_min_table(pq: PrimePower, bound: int) -> dict[int, int]:
 
 def critical_base_set(pq: PrimePower) -> list[int]:
     """Integers c in (0, q) coprime to p minimizing (c+1) / p^ord(c+1) over
-    the members of their orbit below q. Computed by direct scan."""
+    the members of their orbit below q. Computed by direct scan, for q - 1
+    up to MAX_BASE_SCAN."""
     p, q = pq.p, pq.q
+    check_orbit_scan(q - 1, MAX_BASE_SCAN,
+                     f"the critical base set for q = {q}")
     best: dict[int, int] = {}
     for n in range(1, q):
         if n % p:
@@ -310,36 +332,15 @@ def check_m_bound(m_bound: int | None) -> None:
 
 
 class DigitTables(NamedTuple):
-    """Per-integer tables of 1 <= n <= m_bound + 1; entry 0 is a placeholder."""
+    """Per-integer tables of 1 <= n <= m_bound + 1, indexed by n; entry 0
+    is a placeholder. The admissible sweeps read them at the k and m of
+    every block of admissible_blocks."""
 
     p: int
     ordp: list[int]     # ord_p(n)
     core: list[int]     # p_core(n)
     gord: list[int]     # ord_p(n / p^ord_p(n) + 1)
     rank: list[int]     # dense rank of digital_key(n): the digital order
-    packed: list[int]   # base-p digits in fields, the lowest digit lowest
-    guard: int          # the top bit of every field, above the digit
-
-    def runs(self, ell_bound: int) -> Iterator[tuple[int, int, int, list[int]]]:
-        """(m, ell, step = p^ell - 1, js), ascending, js the j of the admissible
-        quadruples. By Lucas, binomial(k-1, j) != 0 mod p exactly when no
-        digit of j exceeds that of k-1: subtracting j's fields from k-1's
-        with the guard bits set keeps them all. Then j <= k-1 = m-1 - j*step."""
-        p, digits, guard = self.p, self.packed, self.guard
-        guarded = [d | guard for d in digits]
-        for m in range(1, len(digits) - 1):
-            if m % p == 0:
-                continue
-            top, pl = m - 1, p
-            for ell in range(1, ell_bound + 1):
-                if pl > top:
-                    break
-                step = pl - 1
-                js = [j for j in range(1, top // pl + 1)
-                      if (guarded[top - j * step] - digits[j]) & guard == guard]
-                if js:
-                    yield m, ell, step, js
-                pl *= p
 
 
 @lru_cache(maxsize=4)
@@ -354,23 +355,124 @@ def digit_tables(p: int, m_bound: int) -> DigitTables:
     rank = [0] * (len(ns) + 1)
     for prev, n in zip(order, order[1:]):
         rank[n] = rank[prev] + (digital_key(prev, p) != digital_key(n, p))
-    width = (p - 1).bit_length() + 1
-    packed = [0] * (len(ns) + 1)
-    for n in ns:
-        packed[n] = packed[n // p] << width | n % p
     return DigitTables(
         p, ordp, [0] + [p_core(n, p) for n in ns],
-        [0] + [ord_p(n // p ** ordp[n] + 1, p) for n in ns],
-        rank, packed,
-        sum(1 << (width * i + width - 1) for i in range(len(to_digits(ns[-1], p)))))
+        [0] + [ord_p(n // p ** ordp[n] + 1, p) for n in ns], rank)
+
+
+def admissible_blocks(p: int, m_bound: int, ell_bound: int
+                      ) -> Iterator[tuple[int, int, int, list[int]]]:
+    """(ell, j, step = p^ell - 1, ks) for every (ell, j) that has an
+    admissible quadruple with m <= m_bound and ell <= ell_bound, ell then j
+    ascending; ks lists the k of the quadruples (j, k, ell, k + j*step),
+    ascending. A bad p or m_bound raises at the call.
+
+    By Lucas, binomial(k-1, j) != 0 mod p exactly when every base-p digit
+    of y = k-1 is at least that of j. So y = j + z, where each digit of z
+    is at most p-1 minus that of j, and ks is the mixed-radix product of
+    those digit ranges, built from the lowest digit up. As m = k + j*step
+    is congruent to y_0 + 1 - j_0 mod p, p divides m only when j_0 = 0 and
+    z_0 = p-1: that last digit is left out."""
+    return chain.from_iterable(_block_streams(p, m_bound, ell_bound))
+
+
+def _block_streams(p: int, m_bound: int, ell_bound: int) -> list[Iterator]:
+    """One lazy stream of the blocks of admissible_blocks per ell that has
+    any; p and m_bound are checked here, at the call."""
+    check_prime(p)
+    check_m_bound(m_bound)
+    streams, pl = [], p
+    for ell in range(1, ell_bound + 1):
+        if pl >= m_bound:  # the least m of a block is j*p^ell + 1
+            break
+        streams.append(_ell_blocks(p, m_bound, ell, pl))
+        pl *= p
+    return streams
+
+
+def _ell_blocks(p: int, m_bound: int, ell: int, pl: int):
+    for j in range(1, (m_bound - 1) // pl + 1):
+        yield ell, j, pl - 1, _dominating(j, m_bound - 1 - j * pl, p)
+
+
+def _dominating(j: int, zmax: int, p: int) -> list[int]:
+    """The k = j + 1 + z, ascending, over the z <= zmax each of whose
+    base-p digits is at most p-1 minus that of j, the lowest at most p-2
+    when j_0 = 0. The digits below the unit of _low_digits come from its
+    table, so a block whose zmax is below that unit is one slice of it."""
+    unit, low = _low_digits(p)
+    rest, r = divmod(j, unit)
+    zs = low[r]
+    ks = list(map((j + 1).__add__, zs[:bisect_right(zs, zmax)]))
+    return _extend(ks, rest, unit, j + 1 + zmax, p)
+
+
+def _extend(ks: list[int], rest: int, unit: int, limit: int,
+            p: int) -> list[int]:
+    """ks, the ascending sums that every choice of the digits of z below
+    unit gives, extended in ascending order by every choice of the digits
+    from that of unit up: each at most p-1 minus that of j (rest is
+    j // unit), the lowest at most p-2 when j_0 = 0. Sums above limit are
+    cut."""
+    zmax = limit - ks[0]
+    while unit <= zmax:
+        rest, d = divmod(rest, p)
+        top = p - 1 - d if d or unit > 1 else p - 2
+        if top:
+            lower = ks[:]
+            for z in range(unit, min(top * unit, zmax) + 1, unit):
+                ks += map(z.__add__, lower)
+        unit *= p
+    del ks[bisect_right(ks, limit):]  # the top digit's sums can pass it
+    return ks
+
+
+@lru_cache(maxsize=8)
+def _low_digits(p: int) -> tuple[int, list[tuple[int, ...]]]:
+    """(u, low): u the largest power of p at most 64, and low[r] the z < u
+    of _dominating for a j that is r mod u. It saves the digit loop below
+    u on every block. A larger u saves more on short listings but costs
+    more to build in a fresh process: at 256 the table of p = 2 or 3 takes
+    about 2 ms, more than the jobs of a queries pass gain from it."""
+    unit = 1
+    while unit * p <= 64:
+        unit *= p
+    return unit, [tuple(_extend([0], r, 1, unit - 1, p)) for r in range(unit)]
 
 
 def admissible_quadruples(p: int, m_bound: int, ell_bound: int
                           ) -> Iterator[AdmissibleQuadruple]:
     """All admissible quadruples with m <= m_bound and ell <= ell_bound,
-    in ascending (m, ell, j) order. A bad p or m_bound raises at the call."""
-    return (AdmissibleQuadruple(j, m - j * step, ell, m) for m, ell, step, js
-            in digit_tables(p, m_bound).runs(ell_bound) for j in js)
+    in ascending (m, ell, j) order, from the blocks of admissible_blocks.
+    A block is built when the listing reaches its least m, so a listing
+    cut short builds few of them. A bad p or m_bound raises at the call."""
+    return _in_m_order(p, _block_streams(p, m_bound, ell_bound), m_bound)
+
+
+def _in_m_order(p: int, streams: list[Iterator], m_bound: int
+                ) -> Iterator[AdmissibleQuadruple]:
+    # The block (ell, j) holds m from j*p^ell + 1 up. It is taken from its
+    # stream, which is in j order, when the listing reaches that m, and it
+    # puts j in the bucket of ell at each of its m. So the buckets of an m
+    # are complete once it is reached, and read ell by ell they give
+    # (ell, j) order. The buckets of an ell are made with its first block,
+    # and each is dropped once read.
+    buckets: list[list[list[int]]] = []
+    steps = [p ** ell - 1 for ell in range(1, len(streams) + 1)]
+    for m in range(2, m_bound + 1):
+        for i, (stream, step) in enumerate(zip(streams, steps)):
+            if (m - 1) % (step + 1):
+                break
+            _, j, _, ks = next(stream)
+            if j == 1:
+                buckets.append([[] for _ in range(m_bound + 1)])
+            by_m = buckets[i]
+            for mk in map((j * step).__add__, ks):
+                by_m[mk].append(j)
+        for ell, (by_m, step) in enumerate(zip(buckets, steps), 1):
+            for j in by_m[m]:
+                yield AdmissibleQuadruple(j, m - j * step, ell, m)
+            by_m[m] = None
 
 
 @lru_cache(maxsize=256)

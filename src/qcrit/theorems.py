@@ -17,6 +17,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import add, eq, ge, le, lt
 from typing import NamedTuple
 
 from . import digits
@@ -67,23 +69,35 @@ class VerifyReport:
 
 class _Collector:
     """Accumulates counterexamples with a cap so a badly broken build does
-    not flood the report, and times the sweep from its own creation."""
+    not flood the report, and times the sweep from its own creation.
 
-    def __init__(self):
+    Without a key it keeps the first ones added; with one, the smallest
+    under the key, in key order, so that the report does not depend on the
+    order in which a sweep finds them."""
+
+    def __init__(self, key=None):
         self.t0 = time.perf_counter()
         self.items: list = []
         self.total = 0
+        self.key = key
 
     def add(self, payload: dict) -> None:
         self.total += 1
-        if len(self.items) < _MAX_COUNTEREXAMPLES:
-            self.items.append(payload)
+        self.items.append(payload)
+        if len(self.items) == 2 * _MAX_COUNTEREXAMPLES:
+            self.items = self._kept()
+
+    def _kept(self) -> list:
+        kept = self.items if self.key is None else sorted(
+            self.items, key=self.key)
+        return kept[:_MAX_COUNTEREXAMPLES]
 
     def report(self, statement: str, params: dict, scope: str,
                checks: int) -> VerifyReport:
+        items = self._kept()
         if self.total > _MAX_COUNTEREXAMPLES:
-            self.items.append({"truncated": True, "total_failures": self.total})
-        return VerifyReport(statement, params, scope, checks, self.items,
+            items.append({"truncated": True, "total_failures": self.total})
+        return VerifyReport(statement, params, scope, checks, items,
                             (time.perf_counter() - self.t0) * 1e3)
 
 
@@ -225,6 +239,13 @@ def _admissible_bounds(p: int, m_bound: int | None,
             default_ell if ell_bound is None else ell_bound)
 
 
+def _quad_order(payload: dict) -> tuple[int, int, int]:
+    """(m, ell, j) of the quadruple of a counterexample: the order in which
+    the admissible sweeps report them."""
+    j, _, ell, m = payload["quad"]
+    return m, ell, j
+
+
 def _admissible_report(bad: _Collector, statement: str, p: int, m_bound: int,
                        ell_bound: int, count: int) -> VerifyReport:
     return bad.report(
@@ -237,23 +258,38 @@ def verify_admissible_order(p: int, m_bound: int | None = None,
                             ell_bound: int | None = None) -> VerifyReport:
     """Every admissible quadruple (j, k, ell, m) has k strictly below m in
     the digital well-ordering; and when the digit cores agree, j is forced
-    to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0."""
-    bad = _Collector()
+    to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0.
+
+    Each block of admissible_blocks is checked whole, by maps over its k
+    and m; only a block that fails runs the checks quadruple by quadruple,
+    which make the payloads."""
+    bad = _Collector(key=_quad_order)
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     tables = digits.digit_tables(p, m_bound)
     rank, core, ordp = tables.rank, tables.core, tables.ordp
+    rank_at, core_at, ordp_at = (rank.__getitem__, core.__getitem__,
+                                 ordp.__getitem__)
     count = 0
-    for m, ell, step, js in tables.runs(ell_bound):
-        count += len(js)
-        for j in js:
-            k = m - j * step
+    for ell, j, step, ks in digits.admissible_blocks(p, m_bound, ell_bound):
+        count += len(ks)
+        shift = j * step
+        # the forced-j arm passes at k exactly when p^ord(k) = shift + 1
+        e = ordp[shift + 1]
+        forced = e if p ** e == shift + 1 else -1
+        ms = list(map(shift.__add__, ks))
+        if all(map(lt, map(rank_at, ks), map(rank_at, ms))) and all(
+                map(forced.__eq__, compress(map(ordp_at, ks), map(
+                    eq, map(core_at, ks), map(core_at, ms))))):
+            continue
+        for k in ks:
+            m = k + shift
             if rank[k] >= rank[m]:
                 bad.add({"quad": [j, k, ell, m], "check": "digital_order",
                          "key_k": digits.digital_key(k, p),
                          "key_m": digits.digital_key(m, p)})
             elif core[k] == core[m]:
                 e = ordp[k]
-                if e == 0 or e % ell != 0 or j * step != p ** e - 1:
+                if e == 0 or e % ell != 0 or shift != p ** e - 1:
                     bad.add({"quad": [j, k, ell, m], "check": "forced_j",
                              "ord_k": e})
     return _admissible_report(bad, "admissible_order", p, m_bound, ell_bound,
@@ -264,20 +300,38 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
                               ell_bound: int | None = None) -> VerifyReport:
     """Every admissible quadruple admits the unique congruence witness r
     and satisfies both derived inequalities; any violation surfaces as a
-    counterexample rather than an exception."""
-    bad = _Collector()
+    counterexample rather than an exception.
+
+    Blocks are checked as in verify_admissible_order, and a failing
+    quadruple gets its payload from the public admissible_witness."""
+    bad = _Collector(key=_quad_order)
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     tables = digits.digit_tables(p, m_bound)
     ordp, gord, core = tables.ordp, tables.gord, tables.core
+    core_at = core.__getitem__
+    orders_at = list(map(add, ordp, gord)).__getitem__  # f + g at k
+    found = {}  # by ell, then by each e in ordp: p^e and the witnesses
     count = 0
-    for m, ell, step, js in tables.runs(ell_bound):
-        count += len(js)
-        e, core_m = ordp[m + 1], core[m]
-        pe, found = p ** e, digits.witness_candidates(p, e, ell)
-        for j in js:
-            k = m - j * step
-            if (len(found.get(j % pe, ())) != 1 or ordp[k] + gord[k] < e
-                    or core[k] > core_m):
+    for ell, j, step, ks in digits.admissible_blocks(p, m_bound, ell_bound):
+        count += len(ks)
+        shift = j * step
+        if ell not in found:
+            found[ell] = {e: (p ** e, digits.witness_candidates(p, e, ell))
+                          for e in set(ordp)}
+        by_e = found[ell]
+        es = list(map(ordp.__getitem__, map((shift + 1).__add__, ks)))
+        if (all(map(ge, map(orders_at, ks), es))
+                and all(map(le, map(core_at, ks),
+                            map(core_at, map(shift.__add__, ks))))
+                and all(len(by_e[e][1].get(j % by_e[e][0], ())) == 1
+                        for e in set(es))):
+            continue
+        for k in ks:
+            m = k + shift
+            e = ordp[m + 1]
+            pe, cands = by_e[e]
+            if (len(cands.get(j % pe, ())) != 1 or ordp[k] + gord[k] < e
+                    or core[k] > core[m]):
                 try:  # the public derivation gives the payload
                     digits.admissible_witness(
                         digits.AdmissibleQuadruple(j, k, ell, m), p)
@@ -285,6 +339,14 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
                     bad.add(err.payload)
     return _admissible_report(bad, "admissible_witness", p, m_bound,
                               ell_bound, count)
+
+
+def _check_orbit_table(pq: PrimePower) -> None:
+    """Refuse a q whose orbit-minimum table, over [1, q*p^(2*lambda)], is
+    above digits.MAX_ORBIT_TABLE."""
+    digits.check_orbit_scan(pq.q * pq.p ** (2 * pq.lam),
+                            digits.MAX_ORBIT_TABLE,
+                            f"the orbit-minimum table for q = {pq.q}")
 
 
 def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
@@ -295,6 +357,7 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
     direct-definition scans."""
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
+    _check_orbit_table(pq)
     checks = 0
     mus: dict[int, int] = {}
     for c in range(1, max(c_bound, q - 1) + 1):
@@ -366,6 +429,7 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
     """
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
+    _check_orbit_table(pq)
     table = digits._orbit_min_table(pq, q * p ** (2 * lam))
     checks = 0
     for c in range(1, bound + 1):
@@ -661,4 +725,5 @@ def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     """Run every suite of SUITES in order; `qcrit verify all` is this run.
     options are further fields of SuiteOptions."""
     o = SuiteOptions(prec=prec, seed=seed, trials=trials, **options)
+    _check_orbit_table(pq)  # before any suite runs
     return [run(pq, spec, o) for run in SUITES.values()]

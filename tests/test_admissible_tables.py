@@ -1,11 +1,14 @@
-"""The admissible sweeps on per-integer digit tables against the
-per-quadruple loops of tests/admissible_reference.py: the same quadruples
-in the same order, and under a fault injected at a single integer the same
-counterexamples in the same order, from the API and from the CLI."""
+"""The admissible blocks and the sweeps on per-integer digit tables
+against the per-quadruple loops of tests/admissible_reference.py: the same
+quadruples in the same order, and under a fault injected at a single
+integer the same counterexamples in the same order, from the API and from
+the CLI."""
 
+import itertools
 import json
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import admissible_reference as ref
 from qcrit import digits, theorems
@@ -19,6 +22,34 @@ BOUNDS = [(2, 600, 10), (3, 729, 6), (5, 625, 4), (7, 343, 3)]
 def test_enumeration_matches_reference(p, m_bound, ell_bound):
     got = list(admissible_quadruples(p, m_bound, ell_bound))
     assert got == list(ref.quadruples(p, m_bound, ell_bound))
+
+
+@given(p=st.sampled_from([2, 3, 5, 7, 11]), m_bound=st.integers(1, 400),
+       ell_bound=st.integers(0, 9))
+@example(p=11, m_bound=10, ell_bound=3)  # m_bound < p: no quadruple
+@example(p=7, m_bound=6, ell_bound=1)
+@example(p=2, m_bound=400, ell_bound=9)  # ell_bound past log_p m_bound
+@example(p=5, m_bound=400, ell_bound=9)
+@example(p=3, m_bound=28, ell_bound=4)  # one past a power of p
+@example(p=67, m_bound=400, ell_bound=2)  # p^2 above m_bound: one ell
+@example(p=257, m_bound=400, ell_bound=2)  # p above the low-digit table
+def test_blocks_list_the_reference_quadruples_in_order(p, m_bound, ell_bound):
+    assert list(admissible_quadruples(p, m_bound, ell_bound)) \
+        == list(ref.quadruples(p, m_bound, ell_bound))
+
+
+def test_a_listing_cut_short_builds_few_blocks(monkeypatch):
+    # the blocks are built as the listing reaches their least m, so the
+    # first quadruples of `qcrit admissible --limit` do not wait for all
+    # 4,095 blocks of p = 2, m <= 4096: m = 3 and 5 need the blocks
+    # (ell, j) = (1, 1), (1, 2) and (2, 1)
+    built, dominating = [], digits._dominating
+    monkeypatch.setattr(digits, "_dominating",
+                        lambda j, zmax, p: built.append(j) or dominating(
+                            j, zmax, p))
+    got = list(itertools.islice(admissible_quadruples(2, MAX_M_BOUND, 12), 4))
+    assert got == list(itertools.islice(ref.quadruples(2, MAX_M_BOUND, 12), 4))
+    assert built == [1, 2, 1]
 
 
 @pytest.mark.parametrize("p,m_bound,ell_bound", BOUNDS)
@@ -46,12 +77,18 @@ FAULTS = [
     ("digital_order", "digital_key", 7, lambda key: (10 ** 9, 0, 0), 2, 256, 6),
     # 28 failures, so the report is truncated after 25
     ("digital_order", "digital_key", 17, lambda key: (10 ** 9, 0, 0), 3, 243, 4),
+    # 61 failures over ell = 1..6: the blocks find them (ell, j) first, and
+    # the report keeps the 25 smallest by (m, ell, j)
+    ("digital_order", "digital_key", 32, lambda key: (10 ** 9, 0, 0), 2, 256, 6),
     # ties: k = 7 gets the key of m = 9, and k = 3 that of m = 5, so the
     # order comparison reads EQUAL
     ("digital_order", "digital_key", 7, lambda key: (4, 9, 9), 2, 256, 6),
     ("digital_order", "digital_key", 3, lambda key: (1, 5, 5), 3, 243, 4),
     ("forced_j", "ord_p", 16, lambda e: e + 1, 2, 256, 6),
     ("forced_j", "ord_p", 81, lambda e: e + 1, 3, 243, 4),
+    # cores made equal at a k where p^ord(k) is not j*(p^ell - 1) + 1
+    ("forced_j", "p_core", 3, lambda c: 2, 2, 256, 6),
+    ("forced_j", "p_core", 4, lambda c: 10, 3, 243, 4),
     ("candidates", "ord_p", 14, lambda e: e + 1, 2, 256, 6),
     ("candidates", "ord_p", 26, lambda e: e + 1, 3, 243, 4),
     ("orders", "ord_p", 34, lambda e: 0, 2, 256, 6),

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,31 @@ def test_m_bound_above_the_limit_exits_two(capsys):
     code, out = run_json(capsys, "admissible", "--p", "2", "--m-bound", "4096",
                          "--ell-bound", "1", "--limit", "3")
     assert code == 0 and out["count"] == 3
+
+
+def test_orbit_scans_above_the_limit_exit_two_at_once(capsys):
+    # q*p^(2 lambda) = 2^36 and 3^15 for the orbit table, q - 1 = 2^40 - 1
+    # and 2^21 - 1 for the base set: refused before the scan, which would
+    # take hours or about half a minute
+    for argv, limit in (
+            (["verify", "orbit-min", "--p", "2", "--lambda", "12"], 2 ** 22),
+            (["verify", "cyclic-digits", "--p", "3", "--lambda", "5"],
+             2 ** 22),
+            (["verify", "all", "--p", "2", "--lambda", "12", "--trials", "1"],
+             2 ** 22),
+            (["criticals", "--p", "2", "--lambda", "40", "--base"], 2 ** 20),
+            (["criticals", "--p", "2", "--lambda", "21"], 2 ** 20)):
+        capsys.readouterr()
+        t0 = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - t0 < 1.0, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"above the limit {limit}" in captured.err, argv
+    # below the limits the scans still run: 7^6 = 117,649 integers
+    code, out = run_json(capsys, "verify", "orbit-min", "--p", "7",
+                         "--lambda", "2")
+    assert code == 0 and out["reports"][0]["pass"] is True
 
 
 def test_witness_with_a_composite_p_exits_two(capsys):

@@ -1,13 +1,14 @@
-"""Fault injection into the series sweeps: a kernel that is wrong at one
-degree past 10 must turn each sweep into a FAIL whose first counterexample
-names the check and the degree, from the API and from the CLI (exit 1,
-one JSON document)."""
+"""Fault injection: a series kernel that is wrong at one degree past 10,
+or a digit function that is wrong at one integer, must turn each sweep
+into a FAIL whose first counterexample names the check and the degree or
+the integer, from the API and from the CLI (exit 1, one JSON document).
+The admissible sweeps have theirs in tests/test_admissible_tables.py."""
 
 import json
 
 import pytest
 
-from qcrit import cli, series, theorems
+from qcrit import cli, digits, series, theorems
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
 from qcrit.series import AdditiveSeries, TruncSeries
@@ -100,3 +101,40 @@ def test_coleman_reports_a_broken_action(monkeypatch, capsys, payload_calls):
     assert payload_calls == {"_first_mismatch": 6, "_gamma_json": 6}
     _cli_report(capsys, ["coleman", "--p", "2", "--lambda", "2", "--n", "2",
                          "--prec", "32", "--trials", "2", "--seed", "3"], r)
+
+
+def _wrong_at(monkeypatch, name, n0, fault):
+    """Rebind theorems.<name>(n, base) to fault(true value, base) at n = n0,
+    and to the true function everywhere else."""
+    true = getattr(digits, name)
+    monkeypatch.setattr(theorems, name, lambda n, base: (
+        fault(true(n, base), base) if n == n0 else true(n, base)))
+
+
+def test_orbit_min_reports_a_minimum_at_or_above_q(monkeypatch, capsys):
+    # at c = 50 the fault answers the next member of the same family,
+    # q*(mu+1) - 1: still in the orbit and coprime to p, but not below q
+    _wrong_at(monkeypatch, "orbit_min", 50,
+              lambda mu, pq: pq.q * (mu + 1) - 1)
+    r = theorems.verify_orbit_min(PrimePower(2, 2), c_bound=100,
+                                  oracle_bound=800)
+    assert not r.passed
+    assert r.counterexamples == [{"check": "minimum_below_q", "c": 50,
+                                  "mu": 7}]
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, ["orbit-min", "--p", "2", "--lambda", "2",
+                         "--c-bound", "100", "--oracle-bound", "800"], r)
+
+
+def test_cyclic_digits_reports_a_wrong_core(monkeypatch, capsys):
+    # for q = 8 every multiple of 7 reduces to 7, so it meets the fault;
+    # the first of them is 7 itself
+    _wrong_at(monkeypatch, "p_core", 7, lambda core, p: core + 10)
+    r = theorems.verify_cyclic_digits(PrimePower(2, 3), bound=200)
+    assert not r.passed
+    first = r.counterexamples[0]
+    assert (first["check"], first["c"], first["mid"]) == ("successor_min", 7, 11)
+    assert {ce["c"] % 7 for ce in r.counterexamples if "c" in ce} == {0}
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, ["cyclic-digits", "--p", "2", "--lambda", "3",
+                         "--bound", "200"], r)

@@ -3,14 +3,17 @@
     PYTHONPATH=src python tools/digit_sweeps.py [--repeat 3]
 
 Times `orbit_min` over c <= 1000, the critical base set and the critical
-integers up to 10000 for q = 4, 16, 9 and 25; and, at the desk bounds
-(`theorems.desk_bounds`: m <= 4096, 2187 and 3125 for p = 2, 3 and 5),
-the admissible enumeration and the admissible-order and admissible-witness
-sweeps. Each figure is the time per call, the best of --repeat samples
-that loop the call for at least 20 ms (tools/timing.py). When the
+integers up to 10000 for q = 4, 16, 9 and 25; and the admissible
+enumeration, its first quadruple alone (what `qcrit admissible --limit 1`
+waits for), and the admissible-order and admissible-witness sweeps at the
+desk bounds (`theorems.desk_bounds`: m <= 4096, 2187 and 3125 for p = 2,
+3 and 5) and at the sizes of the short `verify` and `admissible` jobs of
+the benchmark's queries workload: (p, m_bound, ell_bound) = (3, 243, 4)
+and (2, 99, 4). Each figure is the time per call, the best of --repeat
+samples that loop the call for at least 20 ms (tools/timing.py). When the
 checkout has digit tables, they are dropped before every call, so each
-figure includes building them, as in a fresh `qcrit` process. Run it with PYTHONPATH pointing at two checkouts to
-compare them.
+figure includes building them, as in a fresh `qcrit` process. Run it
+with PYTHONPATH pointing at two checkouts to compare them.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ from qcrit.digits import PrimePower
 from timing import best
 
 PRIME_POWERS = [(2, 2), (2, 4), (3, 2), (5, 2)]
+ADMISSIBLE = [(p, *theorems.desk_bounds(p)) for p in (2, 3, 5)] + [
+    (3, 243, 4), (2, 99, 4)]
 
 
 def cold(fn):
@@ -56,14 +61,15 @@ def orbits(repeat: int) -> list[dict]:
 
 def admissible(repeat: int) -> list[dict]:
     rows = []
-    for p in (2, 3, 5):
-        m_bound, ell_bound = theorems.desk_bounds(p)
+    for p, m_bound, ell_bound in ADMISSIBLE:
         row = {"p": p, "m_bound": m_bound, "ell_bound": ell_bound,
                "quadruples": sum(1 for _ in digits.admissible_quadruples(
                    p, m_bound, ell_bound))}
         row["enumerate_ms"] = best(cold(lambda: sum(
             1 for _ in digits.admissible_quadruples(p, m_bound, ell_bound))),
             repeat)
+        row["first_ms"] = best(cold(lambda: next(iter(
+            digits.admissible_quadruples(p, m_bound, ell_bound)))), repeat)
         for name, sweep in (("order", theorems.verify_admissible_order),
                             ("witness", theorems.verify_admissible_witness)):
             row[f"{name}_sweep_ms"] = best(
