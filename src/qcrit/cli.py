@@ -204,48 +204,52 @@ def _cmd_explore(args):
     return 0, payload, "\n".join(lines)
 
 
+# series eval --kind: name -> (whether it needs --lambda, builder)
+_SERIES_KINDS = {
+    "artin-hasse": (False, lambda args, spec, pq: sr.artin_hasse(
+        args.p, args.prec, spec)),
+    "orbit": (False, lambda args, spec, pq: sr.orbit_series(
+        args.k, _parse_element(spec, args.alpha), args.prec)),
+    "twisted-orbit": (True, lambda args, spec, pq: sr.twisted_orbit_series(
+        args.k, _parse_element(spec, args.alpha), args.ell,
+        _parse_element(spec, args.beta), pq, args.prec)),
+    "projection-formula": (True, lambda args, spec, pq: (
+        sr.critical_projection_formula(
+            args.k, _parse_element(spec, args.alpha), args.ell,
+            _parse_element(spec, args.beta), pq, args.prec))),
+    "random-unit": (False, lambda args, spec, pq: sr.random_unit(
+        spec, args.prec, args.seed)),
+    "random-gamma": (True, lambda args, spec, pq: sr.random_gamma(
+        pq, spec, args.prec, args.seed, args.factors)),
+}
+
+
+def _trunc(document: str) -> sr.TruncSeries:
+    return sr.TruncSeries.from_json(_load_json(document))
+
+
+# the other series operations: name -> (JSON operands, operation)
+_SERIES_OPS = {
+    "compose": (("--f", "--g"),
+                lambda args, pq: _trunc(args.f).compose(_trunc(args.g))),
+    "invert": (("--g",), lambda args, pq: sr.AdditiveSeries.from_json(
+        _load_json(args.g)).inverse()),
+    "logderiv": (("--f",), lambda args, pq: sr.log_deriv(_trunc(args.f))),
+    "psi": (("--f",),
+            lambda args, pq: sr.critical_projection(_trunc(args.f), pq)),
+}
+
+
 def _cmd_series(args):
     pq = PrimePower(args.p, args.lam) if args.lam else None
     if args.series_op == "eval":
         spec = _field(args)
-        kind = args.kind
-        if pq is None and kind in ("twisted-orbit", "projection-formula",
-                                   "random-gamma"):
-            raise ValueError(f"series kind {kind!r} requires --lambda")
-        if kind == "artin-hasse":
-            out = sr.artin_hasse(args.p, args.prec, spec)
-        elif kind == "orbit":
-            out = sr.orbit_series(args.k, _parse_element(spec, args.alpha),
-                                  args.prec)
-        elif kind == "twisted-orbit":
-            out = sr.twisted_orbit_series(
-                args.k, _parse_element(spec, args.alpha), args.ell,
-                _parse_element(spec, args.beta), pq, args.prec)
-        elif kind == "projection-formula":
-            out = sr.critical_projection_formula(
-                args.k, _parse_element(spec, args.alpha), args.ell,
-                _parse_element(spec, args.beta), pq, args.prec)
-        elif kind == "random-unit":
-            out = sr.random_unit(spec, args.prec, args.seed)
-        elif kind == "random-gamma":
-            out = sr.random_gamma(pq, spec, args.prec, args.seed, args.factors)
-        else:
-            raise ValueError(f"unknown series kind {kind!r}")
-    elif args.series_op == "compose":
-        f = sr.TruncSeries.from_json(_load_json(args.f))
-        g = sr.TruncSeries.from_json(_load_json(args.g))
-        out = f.compose(g)
-    elif args.series_op == "invert":
-        g = sr.AdditiveSeries.from_json(_load_json(args.g))
-        out = g.inverse()
-    elif args.series_op == "logderiv":
-        f = sr.TruncSeries.from_json(_load_json(args.f))
-        out = sr.log_deriv(f)
-    elif args.series_op == "psi":
-        f = sr.TruncSeries.from_json(_load_json(args.f))
-        out = sr.critical_projection(f, pq)
+        needs_lambda, build = _SERIES_KINDS[args.kind]
+        if pq is None and needs_lambda:
+            raise ValueError(f"series kind {args.kind!r} requires --lambda")
+        out = build(args, spec, pq)
     else:
-        raise ValueError(f"unknown series operation {args.series_op!r}")
+        out = _SERIES_OPS[args.series_op][1](args, pq)
     return 0, out.to_json(), str(out)
 
 
@@ -345,10 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = cmds.add_parser("series", parents=[out_opts], help="series arithmetic on JSON documents")
     ops = c.add_subparsers(dest="series_op", required=True)
     ev = ops.add_parser("eval", parents=[out_opts], help="build a named series")
-    ev.add_argument("--kind", required=True,
-                    choices=("artin-hasse", "orbit", "twisted-orbit",
-                             "projection-formula", "random-unit",
-                             "random-gamma"))
+    ev.add_argument("--kind", required=True, choices=tuple(_SERIES_KINDS))
     ev.add_argument("--p", type=int, required=True)
     ev.add_argument("--lambda", dest="lam", type=int, default=None)
     _add_field(ev)
@@ -360,10 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--beta", type=str, default="1")
     ev.add_argument("--seed", type=int, default=0)
     ev.add_argument("--factors", type=int, default=2)
-    for name, argnames in (("compose", ("--f", "--g")),
-                           ("invert", ("--g",)),
-                           ("logderiv", ("--f",)),
-                           ("psi", ("--f",))):
+    for name, (argnames, _) in _SERIES_OPS.items():
         op = ops.add_parser(name, parents=[out_opts])
         for a in argnames:
             op.add_argument(a, type=str, required=True,

@@ -207,8 +207,12 @@ def orbit_min(c: int, pq: PrimePower) -> int:
 # orbit-min and cyclic-digits sweeps scans [1, q*p^(2*lambda)] at about
 # 2 us an integer, and the critical base set scans (0, q) at about 10 us
 # (CPython 3.11, one core of a Xeon: p = 2, lambda = 7, 2^21 integers, in
-# 4.4 s; q = 2^20 in 11 s). The tests and the benchmark scan at most
-# 15,625 and 1,023.
+# 4.4 s; q = 2^20 in 11 s). MAX_BASE_SCAN also caps the user bounds of
+# those sweeps: orbit-min takes about 5 us for each c <= c_bound and each
+# integer of its windows up to oracle_bound, and cyclic-digits 5 to 6 us
+# for each of the lambda rotations of every c <= bound. The tests and the
+# benchmark scan at most 15,625 and 1,023, and their bounds are at most
+# 10,000.
 MAX_ORBIT_TABLE = 2 ** 22
 MAX_BASE_SCAN = 2 ** 20
 

@@ -278,13 +278,11 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 # An operand with at most this many nonzero coefficients is multiplied row
 # by row; denser products go through one big-int product.
 _SPARSE = 16
-# inverse_mult solves through this degree one coefficient at a time, then
-# doubles the precision by Newton steps.
-_NEWTON_BASE = 128
-# log_deriv above this precision is X f' f^(-1); below, its recurrence.
+# The online recurrence (_online) solves blocks of at most this many
+# degrees one coefficient at a time; inverse_mult takes Newton steps above it.
+_BLOCK = 128
+# log_deriv above this precision is X f' f^(-1); below, the recurrence.
 _LOG_DERIV_NEWTON = 256
-# solve_log_deriv runs its recurrence on blocks of at most this many degrees.
-_SECTION_BASE = 128
 
 # memoryview formats of the slot widths a product can be unpacked with
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -415,16 +413,20 @@ def _compose(spec: FieldSpec, a: list[int], g: list[int], n: int) -> list[int]:
     return res
 
 
-def _inverse(spec: FieldSpec, a: list[int], n: int) -> list[int]:
-    """1/f through degree n for a unit f: the recurrence through degree
-    _NEWTON_BASE, then Newton steps g <- g + g(1 - f g), each of which
-    doubles the number of exact coefficients."""
+def _inverse(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
+    """1/f through degree n for a unit f: the recurrence
+    g_m = -(1/a_0) sum_{k=1..m} a_k g_(m-k) through degree _BLOCK, then
+    Newton steps g <- g + g(1 - f g), each of which doubles the number of
+    exact coefficients."""
     tops = []
-    while n > _NEWTON_BASE:
+    while n > _BLOCK:
         tops.append(n)
         n //= 2
-    g = _inverse_recurrence(spec, a, n)
-    neg = spec._neg
+    mul, neg = spec._mul, spec._neg
+    inv0 = spec._inv[a[0]]
+    g = [inv0] + [0] * n
+    _online(spec, a, list(map(mul[inv0].__getitem__, a[:n + 1])), g,
+            [mul[neg[inv0]]] * (n + 1), 1, n + 1)
     for top in reversed(tops):
         # f g = 1 + X^k e through degree top, with k = len(g) > top / 2
         e = _mul(spec, a, g, top)[len(g):]
@@ -432,23 +434,42 @@ def _inverse(spec: FieldSpec, a: list[int], n: int) -> list[int]:
     return g
 
 
-def _inverse_recurrence(spec: FieldSpec, a: list[int], n: int) -> list[int]:
-    add, mul, neg = spec._add, spec._mul, spec._neg
-    inv0 = spec._inv[a[0]]
-    rows = [(k, mul[a[k]]) for k in range(1, n + 1) if a[k]]
-    out = [0] * (n + 1)
-    out[0] = inv0
-    row0 = mul[inv0]
-    for m in range(1, n + 1):
-        s = 0
-        for k, row in rows:
-            if k > m:
-                break
-            bj = out[m - k]
-            if bj:
-                s = add[s][row[bj]]
-        out[m] = row0[neg[s]]
-    return out
+def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
+            scales: list, lo: int, hi: int) -> None:
+    """Solve the online recurrence f_m = c_m S_m with
+    S_m = s_m + sum_{k=1..m-1} w_k f_(m-k) for lo <= m < hi, in place.
+    f below lo is known and s_m already holds its terms of S_m; c_m
+    multiplies by the table row scales[m]. On return s_m holds S_m.
+
+    Blocks of more than _BLOCK degrees are split by divide and conquer
+    (van der Hoeven, "Relax, but don't be too lazy", JSC 2002): solve the
+    left half, add its terms to the right half's sums with one product,
+    then solve the right half."""
+    add = spec._add
+    if hi - lo > _BLOCK:
+        mid = (lo + hi) // 2
+        _online(spec, w, s, f, scales, lo, mid)
+        part = _mul(spec, f[lo:mid], w[1:hi - lo], hi - lo - 2)[mid - lo - 1:]
+        s[mid:hi] = [add[x][y] if y else x for x, y in zip(s[mid:hi], part)]
+        _online(spec, w, s, f, scales, mid, hi)
+        return
+    mul = spec._mul
+    rows = [(k, mul[w[k]]) for k in range(1, hi - lo) if w[k]]
+    # w_k f_(m-k) joins the sums at degree lo + k, so the degrees before the
+    # next such start take the same terms, with no test of k per term
+    live, start = [], lo
+    for term in rows + [(hi - lo, None)]:
+        stop = lo + term[0]
+        for m in range(start, stop):
+            sm = s[m]
+            for k, row in live:
+                fv = f[m - k]
+                if fv:
+                    sm = add[sm][row[fv]]
+            s[m] = sm
+            f[m] = scales[m][sm]
+        live.append(term)
+        start = stop
 
 
 # ---------------------------------------------------------------------------
@@ -464,33 +485,18 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
     spec, n, a = f.spec, f.prec, f.idx
     if not a[0]:
         raise ValueError("logarithmic derivative requires a unit series")
-    if n <= _LOG_DERIV_NEWTON:
-        return _series(spec, n, _log_deriv_recurrence(spec, a, n))
-    # the coefficient of X f' at degree m is m * a_m, m read mod p
     mul, p = spec._mul, spec.p
+    if n <= _LOG_DERIV_NEWTON:
+        # X f' = f t at degree m reads m a_m = sum_{k=0..m-1} a_k t_(m-k),
+        # so t_m = -(1/a_0) (-m a_m + sum_{k=1..m} a_k t_(m-k)), with t_0 = 0
+        # and the integer m the prime-field element of index m mod p.
+        t = [0] * (n + 1)
+        s = [mul[-m % p][c] for m, c in enumerate(a)]
+        scale = mul[spec._neg[spec._inv[a[0]]]]
+        _online(spec, a, s, t, [scale] * (n + 1), 1, n + 1)
+        return _series(spec, n, t)
     xf = [mul[m % p][c] for m, c in enumerate(a)]
     return _series(spec, n, _mul(spec, xf, _inverse(spec, a, n), n))
-
-
-def _log_deriv_recurrence(spec: FieldSpec, a: list[int], n: int) -> list[int]:
-    # Solve X f' = f * t coefficient by coefficient: the degree-m equation
-    # reads m*a_m = sum_{j<m} a_j t_(m-j). The integer m is the prime-field
-    # element of index m mod p.
-    add, mul, neg = spec._add, spec._mul, spec._neg
-    p = spec.p
-    rows = [(k, mul[neg[a[k]]]) for k in range(1, n + 1) if a[k]]
-    t = [0] * (n + 1)
-    row0 = mul[spec._inv[a[0]]]
-    for m in range(1, n + 1):
-        s = mul[m % p][a[m]]
-        for k, row in rows:
-            if k >= m:
-                break
-            tv = t[m - k]
-            if tv:
-                s = add[s][row[tv]]
-        t[m] = row0[s]
-    return t
 
 
 def solve_log_deriv(t: TruncSeries) -> TruncSeries:
@@ -515,40 +521,19 @@ def solve_log_deriv(t: TruncSeries) -> TruncSeries:
 
 
 def _solve_log_deriv(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
-    """f with f_0 = 1 and m f_m = s_m = sum_{k=1..m} a_k f_(m-k), by divide
-    and conquer (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
-    solve the left half of a block, add its terms of s to the right half
-    with one product, then solve the right half."""
-    add, mul, inv, p = spec._add, spec._mul, spec._inv, spec.p
-    rows = [(k, mul[a[k]]) for k in range(1, min(n, _SECTION_BASE) + 1) if a[k]]
+    """f with f_0 = 1 and m f_m = s_m = sum_{k=1..m} a_k f_(m-k)."""
+    mul, inv, p = spec._mul, spec._inv, spec.p
     f = [1] + [0] * n
     s = list(a[:n + 1])  # the terms a_m f_0 of s_m
-
-    def solve(lo: int, hi: int) -> None:
-        if hi - lo > _SECTION_BASE:
-            mid = (lo + hi) // 2
-            solve(lo, mid)
-            part = _mul(spec, f[lo:mid], a[1:hi - lo], hi - lo - 2)[mid - lo - 1:]
-            s[mid:hi] = [add[x][y] if y else x for x, y in zip(s[mid:hi], part)]
-            solve(mid, hi)
-            return
-        for m in range(lo, hi):
-            sm, top = s[m], m - lo
-            for k, row in rows:
-                if k > top:
-                    break
-                fv = f[m - k]
-                if fv:
-                    sm = add[sm][row[fv]]
-            if m % p:
-                f[m] = mul[inv[m % p]][sm]
-            elif sm:
-                # The degree-m equation degenerates to 0 = s; with the
-                # constraint a_(p*i) = a_i^p this never happens.
-                raise AssertionError(
-                    f"inconsistent section at degree {m}; this is a bug")
-
-    solve(1, n + 1)
+    # 1/m depends on m mod p; at a multiple of p, f_m is 0 (the zero row)
+    residues = [mul[0]] + [mul[inv[r]] for r in range(1, min(p, n + 1))]
+    _online(spec, a, s, f, (residues * (n // p + 1))[:n + 1], 1, n + 1)
+    for m in range(p, n + 1, p):
+        if s[m]:
+            # The degree-m equation degenerates to 0 = s; with the
+            # constraint a_(p*i) = a_i^p this never happens.
+            raise AssertionError(
+                f"inconsistent section at degree {m}; this is a bug")
     return f
 
 

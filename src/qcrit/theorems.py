@@ -341,12 +341,20 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
                               ell_bound, count)
 
 
-def _check_orbit_table(pq: PrimePower) -> None:
-    """Refuse a q whose orbit-minimum table, over [1, q*p^(2*lambda)], is
-    above digits.MAX_ORBIT_TABLE."""
+def _check_orbit_scans(pq: PrimePower, c_bound: int = 0,
+                       oracle_bound: int = 0, bound: int = 0) -> None:
+    """Refuse, before any scan, a q whose orbit-minimum table, over
+    [1, q*p^(2*lambda)], is above digits.MAX_ORBIT_TABLE, and user bounds
+    that scan more than digits.MAX_BASE_SCAN integers. The cyclic-digits
+    sweep takes lambda rotations of each c <= bound, so its bound counts
+    lambda times."""
     digits.check_orbit_scan(pq.q * pq.p ** (2 * pq.lam),
                             digits.MAX_ORBIT_TABLE,
                             f"the orbit-minimum table for q = {pq.q}")
+    for n, what in ((c_bound, "the orbit minima up to c_bound"),
+                    (oracle_bound, "the set windows up to oracle_bound"),
+                    (bound * pq.lam, "the rotations of c up to bound")):
+        digits.check_orbit_scan(n, digits.MAX_BASE_SCAN, what)
 
 
 def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
@@ -357,7 +365,7 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
     direct-definition scans."""
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
-    _check_orbit_table(pq)
+    _check_orbit_scans(pq, c_bound=c_bound, oracle_bound=oracle_bound)
     checks = 0
     mus: dict[int, int] = {}
     for c in range(1, max(c_bound, q - 1) + 1):
@@ -429,7 +437,7 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
     """
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
-    _check_orbit_table(pq)
+    _check_orbit_scans(pq, bound=bound)
     table = digits._orbit_min_table(pq, q * p ** (2 * lam))
     checks = 0
     for c in range(1, bound + 1):
@@ -725,5 +733,6 @@ def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     """Run every suite of SUITES in order; `qcrit verify all` is this run.
     options are further fields of SuiteOptions."""
     o = SuiteOptions(prec=prec, seed=seed, trials=trials, **options)
-    _check_orbit_table(pq)  # before any suite runs
+    _check_orbit_scans(pq, **_given(  # before any suite runs
+        c_bound=o.c_bound, oracle_bound=o.oracle_bound, bound=o.bound))
     return [run(pq, spec, o) for run in SUITES.values()]

@@ -1,4 +1,5 @@
 import argparse
+import io
 import json
 import os
 import re
@@ -11,8 +12,9 @@ from pathlib import Path
 import pytest
 
 from qcrit import cli
+from qcrit import series as sr
 from qcrit.cli import build_parser, main
-from qcrit.digits import PrimePower
+from qcrit.digits import PrimePower, admissible_quadruples, critical_members
 from qcrit.finite_field import field_make
 from qcrit.theorems import SUITES, verify_all
 
@@ -212,6 +214,70 @@ def test_series_invert_round_trip(capsys):
     assert again == gamma
 
 
+F4 = field_make(2, 2)
+ALPHA = F4.element([1, 1])
+BETA = F4.from_index(2)
+TWIST = ("--p", "2", "--lambda", "2", "--n", "2", "--prec", "40", "--k", "3",
+         "--ell", "1", "--alpha", "1,1", "--beta", "2")
+
+
+def _admissible_text(p, m_bound, ell_bound):
+    quads = list(admissible_quadruples(p, m_bound, ell_bound))
+    lines = [f"{len(quads)} admissible quadruples (j, k, ell, m):"]
+    lines += [f"  {tuple(qd)}" for qd in quads[:50]]
+    return "\n".join(lines + [f"  ... {len(quads) - 50} more"]) + "\n"
+
+
+# (argv, library answer); "@unit" is replaced by the path of a file that
+# holds UNIT, and "-" reads UNIT from stdin
+UNIT = sr.random_unit(F4, 200, 3)
+CLI_BRANCHES = {
+    "series-logderiv": (
+        ["series", "logderiv", "--f", "@unit"], sr.log_deriv(UNIT).to_json()),
+    "series-logderiv-stdin": (
+        ["series", "logderiv", "--f", "-"], sr.log_deriv(UNIT).to_json()),
+    "eval-twisted-orbit": (
+        ["series", "eval", "--kind", "twisted-orbit", *TWIST],
+        sr.twisted_orbit_series(3, ALPHA, 1, BETA, PrimePower(2, 2), 40).to_json()),
+    "eval-projection-formula": (
+        ["series", "eval", "--kind", "projection-formula", *TWIST],
+        sr.critical_projection_formula(
+            3, ALPHA, 1, BETA, PrimePower(2, 2), 40).to_json()),
+    "eval-random-unit": (
+        ["series", "eval", "--kind", "random-unit", "--p", "3", "--n", "2",
+         "--prec", "20", "--seed", "5"],
+        sr.random_unit(field_make(3, 2), 20, 5).to_json()),
+    "eval-random-unit-modulus": (
+        ["series", "eval", "--kind", "random-unit", "--p", "2", "--n", "3",
+         "--modulus", "1,0,1,1", "--prec", "20", "--seed", "5"],
+        sr.random_unit(field_make(2, 3, [1, 0, 1, 1]), 20, 5).to_json()),
+    "criticals-closure": (
+        ["criticals", "--p", "2", "--lambda", "3"],
+        {"p": 2, "lambda": 3, "q": 8, "kind": "closure", "bound": 8,
+         "set": critical_members(PrimePower(2, 3), 8)}),
+    "admissible-text": (
+        ["--format", "text", "admissible", "--p", "2", "--m-bound", "64"],
+        _admissible_text(2, 64, 8)),
+}
+
+
+@pytest.mark.parametrize("case", CLI_BRANCHES)
+def test_cli_branches_answer_as_the_library(case, capsys, tmp_path, monkeypatch):
+    argv, expected = CLI_BRANCHES[case]
+    doc = tmp_path / "unit.json"
+    doc.write_text(json.dumps(UNIT.to_json()))
+    argv = [str(doc) if a == "@unit" else a for a in argv]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(UNIT.to_json())))
+    if isinstance(expected, str):
+        code, out = run_cli(capsys, *argv)
+        assert out == expected
+        assert out.count("\n") == 52  # the header, 50 rows and the tail
+    else:
+        code, out = run_json(capsys, *argv)
+        assert out == json.loads(json.dumps(expected))
+    assert code == 0
+
+
 def test_output_file(capsys, tmp_path):
     target = tmp_path / "out.json"
     code = main(["--format", "json", "--output", str(target),
@@ -246,6 +312,14 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     # q = p^lambda is bounded by 2^64 before it is computed
     assert main(["is-critical", "5", "--p", "2", "--lambda", "100000000"]) == 2
     assert main(["mu", "5", "--p", "3", "--lambda", "41"]) == 2
+    # the series kinds that read q need --lambda; the others do not
+    for kind in ("twisted-orbit", "projection-formula", "random-gamma"):
+        capsys.readouterr()
+        assert main(["series", "eval", "--kind", kind, "--p", "2"]) == 2
+        assert capsys.readouterr().err == \
+            f"error: series kind {kind!r} requires --lambda\n"
+    for kind in ("artin-hasse", "orbit", "random-unit"):
+        assert main(["series", "eval", "--kind", kind, "--p", "2"]) == 0
 
 
 def test_coefficient_count_is_checked_before_conversion(capsys, tmp_path):
@@ -313,8 +387,9 @@ def test_m_bound_above_the_limit_exits_two(capsys):
 
 def test_orbit_scans_above_the_limit_exit_two_at_once(capsys):
     # q*p^(2 lambda) = 2^36 and 3^15 for the orbit table, q - 1 = 2^40 - 1
-    # and 2^21 - 1 for the base set: refused before the scan, which would
-    # take hours or about half a minute
+    # and 2^21 - 1 for the base set, and the user bounds of the orbit
+    # sweeps: refused before the scan, which would take hours or about half
+    # a minute
     for argv, limit in (
             (["verify", "orbit-min", "--p", "2", "--lambda", "12"], 2 ** 22),
             (["verify", "cyclic-digits", "--p", "3", "--lambda", "5"],
@@ -322,7 +397,20 @@ def test_orbit_scans_above_the_limit_exit_two_at_once(capsys):
             (["verify", "all", "--p", "2", "--lambda", "12", "--trials", "1"],
              2 ** 22),
             (["criticals", "--p", "2", "--lambda", "40", "--base"], 2 ** 20),
-            (["criticals", "--p", "2", "--lambda", "21"], 2 ** 20)):
+            (["criticals", "--p", "2", "--lambda", "21"], 2 ** 20),
+            # user bounds: 10^9 integers, or 2 * 10^9 and 1.2 * 10^6
+            # rotations at lambda 2
+            (["verify", "cyclic-digits", "--p", "2", "--lambda", "2",
+              "--bound", "1000000000"], 2 ** 20),
+            (["verify", "cyclic-digits", "--p", "2", "--lambda", "2",
+              "--bound", "600000"], 2 ** 20),
+            (["verify", "orbit-min", "--p", "2", "--lambda", "2",
+              "--oracle-bound", "1000000000"], 2 ** 20),
+            (["verify", "orbit-min", "--p", "2", "--lambda", "2",
+              "--c-bound", "1000000000"], 2 ** 20),
+            # verify all refuses before its first suite runs
+            (["verify", "all", "--p", "2", "--lambda", "2", "--n", "2",
+              "--bound", "1000000000"], 2 ** 20)):
         capsys.readouterr()
         t0 = time.perf_counter()
         assert main(argv) == 2, argv

@@ -3,12 +3,12 @@ replaced (series_reference), on both sides of every crossover, and against
 the independent coordinate oracle (field_oracle) on random inputs.
 
 The crossovers are the sparse-operand rule of products (_SPARSE nonzero
-coefficients), the Newton base of inverse_mult (_NEWTON_BASE), the Newton
-form of log_deriv (above _LOG_DERIV_NEWTON), the block size of the
-divide-and-conquer solve_log_deriv (_SECTION_BASE), the byte width of the
-Kronecker slots, which grows with the precision and with p, and in
-compose the residue split, which starts at precision p, and the monomial
-inner series.
+coefficients), the block size of the online recurrence (_BLOCK), past
+which inverse_mult takes Newton steps and log_deriv and solve_log_deriv
+split their blocks by divide and conquer, the Newton form of log_deriv
+(above _LOG_DERIV_NEWTON), the byte width of the Kronecker slots, which
+grows with the precision and with p, and in compose the residue split,
+which starts at precision p, and the monomial inner series.
 """
 
 import random
@@ -26,7 +26,7 @@ from field_oracle import (series_compose, series_inverse, series_log_deriv,
                           series_mul, series_power)
 
 S = sr._SPARSE
-B = sr._SECTION_BASE
+B = sr._BLOCK
 
 # (p, n): prime fields, small tables, large tables, computed entries
 SMALL = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)]
@@ -166,11 +166,10 @@ def test_compose_matches_horner(p, n, prec, v, nonzero):
 
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 THRESHOLDS = {
-    "default": {"_SPARSE": S, "_NEWTON_BASE": sr._NEWTON_BASE,
-                "_LOG_DERIV_NEWTON": sr._LOG_DERIV_NEWTON, "_SECTION_BASE": B},
+    "default": {"_SPARSE": S, "_BLOCK": B,
+                "_LOG_DERIV_NEWTON": sr._LOG_DERIV_NEWTON},
     # low enough that every kernel branch runs at small precision
-    "low": {"_SPARSE": 2, "_NEWTON_BASE": 3, "_LOG_DERIV_NEWTON": 5,
-            "_SECTION_BASE": 3},
+    "low": {"_SPARSE": 2, "_BLOCK": 3, "_LOG_DERIV_NEWTON": 5},
 }
 
 
@@ -213,11 +212,12 @@ def test_kernels_match_coordinate_oracle(thresholds, case):
 @pytest.mark.parametrize("thresholds", THRESHOLDS)
 def test_section_kernel_checks_every_multiple_of_p(thresholds):
     # solve_log_deriv refuses a target that breaks a_(p*i) = a_i^p before
-    # solving; the kernel's own test of the degenerate equation 0 = s at a
-    # multiple of p must catch it as well, also past the first block.
+    # solving; _solve_log_deriv's own test of the degenerate equation 0 = s
+    # at every multiple of p must catch it as well, also past the first
+    # block.
     spec = field_make(3, 2)
     with mock.patch.multiple(sr, **THRESHOLDS[thresholds]):
-        n = 4 * sr._SECTION_BASE + 1
+        n = 4 * sr._BLOCK + 1
         t = section_target(spec, n + 1, random.Random(n))
         m = n - n % 3
         t[m] = spec._add[t[m]][1]

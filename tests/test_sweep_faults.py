@@ -138,3 +138,58 @@ def test_cyclic_digits_reports_a_wrong_core(monkeypatch, capsys):
     assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
     _cli_report(capsys, ["cyclic-digits", "--p", "2", "--lambda", "3",
                          "--bound", "200"], r)
+
+
+# A logderiv trial calls log_deriv six times, in this order: on the kernel
+# unit, on f (df, which kernel_out, image_constraint, homomorphism and
+# argument_scaling read), on f*g, on g, on the section and on f(alpha X).
+# Each fault breaks the calls of one position in every trial.
+LOGDERIV_FAULTS = {
+    "kernel_in": (0, lambda t, p: _flipped(t, FAULT)),
+    "kernel_out": (1, lambda t, p: TruncSeries.zero(t.spec, t.prec)),
+    # a_(p*i) = a_i^p broken at i = FAULT; df stays nonzero
+    "image_constraint": (1, lambda t, p: _flipped(t, p * FAULT)),
+    "homomorphism": (2, lambda t, p: _flipped(t, FAULT)),
+    "argument_scaling": (5, lambda t, p: _flipped(t, FAULT)),
+}
+
+
+@pytest.mark.parametrize("check", LOGDERIV_FAULTS)
+def test_logderiv_reports_each_broken_check(check, monkeypatch, capsys):
+    position, fault = LOGDERIV_FAULTS[check]
+    real, calls = theorems.log_deriv, []
+
+    def broken(f):
+        calls.append(f)
+        t = real(f)
+        return fault(t, f.spec.p) if (len(calls) - 1) % 6 == position else t
+
+    monkeypatch.setattr(theorems, "log_deriv", broken)
+    r = theorems.verify_logderiv(field_make(2, 2), prec=32, trials=2, seed=4)
+    assert len(calls) == 12
+    assert not r.passed
+    first = r.counterexamples[0]
+    assert (first["trial"], first["check"]) == (0, check)
+    assert {ce["trial"] for ce in r.counterexamples} == {0, 1}
+    if check == "image_constraint":
+        assert first["index"] == FAULT
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, ["logderiv", "--p", "2", "--lambda", "1", "--n", "2",
+                         "--prec", "32", "--trials", "2", "--seed", "4"], r)
+
+
+def test_coleman_reports_a_broken_section(monkeypatch, capsys, payload_calls):
+    # a section wrong at degree 15 makes log_deriv wrong there too, and 15
+    # is critical for q = 4, so the projection shows it at degree 16
+    real = series.solve_log_deriv
+    monkeypatch.setattr(theorems, "solve_log_deriv",
+                        lambda t: _flipped(real(t), FAULT))
+    r = theorems.verify_coleman(PrimePower(2, 2), ext_degree=1, prec=32,
+                                trials=2, seed=3)
+    assert not r.passed
+    first = r.counterexamples[0]
+    assert (first["check"], first["degree"]) == ("surjectivity", 16)
+    assert {ce["check"] for ce in r.counterexamples} == {"surjectivity"}
+    assert payload_calls["_first_mismatch"] == len(r.counterexamples)
+    _cli_report(capsys, ["coleman", "--p", "2", "--lambda", "2", "--n", "2",
+                         "--prec", "32", "--trials", "2", "--seed", "3"], r)

@@ -12,13 +12,15 @@ random composition of two X + beta*X^(q^ell), the shape the equivariance
 and Coleman sweeps compose with. Run it with PYTHONPATH pointing at two
 checkouts to compare them.
 
-When the checkout has the index-list kernels, a "crossovers" section
-times each kernel against the loop it replaces on either side of its
-threshold: row products against Kronecker products by the number of
-nonzero coefficients, the inverse recurrence against Newton steps, the
-log_deriv recurrence against X f' f^(-1), and, when the checkout has it,
-the solve_log_deriv recurrence (one block of every degree) against its
-divide-and-conquer split at the default block size.
+When the checkout has the online recurrence kernel (series._online), a
+"crossovers" section times each kernel against the alternative on either
+side of its threshold: row products against Kronecker products by the
+number of nonzero coefficients; the online recurrence as one block of
+every degree against its divide-and-conquer split into blocks of _BLOCK,
+through solve_log_deriv, its thinnest caller; and log_deriv by the
+recurrence against X f' f^(-1) below and above _LOG_DERIV_NEWTON, on dense
+units and on units with one nonzero coefficient in six, the density of
+the projection sweep's inputs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import random
 import sys
+from unittest import mock
 
 from qcrit import series as sr
 from qcrit.digits import PrimePower
@@ -59,8 +63,8 @@ def ops(repeat: int) -> list[dict]:
 
 
 def crossovers(repeat: int) -> dict:
-    out = {"mul_rows_vs_kronecker": [], "inverse_recurrence_vs_newton": [],
-           "log_deriv_recurrence_vs_newton": []}
+    out = {"mul_rows_vs_kronecker": [], "kernel_block_vs_split": [],
+           "log_deriv_kernel_vs_newton": []}
     for p, n, _ in FIELDS:
         spec = field_make(p, n)
         for prec in (128, 2048):
@@ -74,40 +78,30 @@ def crossovers(repeat: int) -> dict:
                     "rows_ms": best(lambda: sr._mul_rows(spec, sparse, dense, prec), repeat),
                     "kronecker_ms": best(
                         lambda: sr._mul_kronecker(spec, sparse, dense, prec), repeat)})
-        for prec in (64, 128, 256, 512):
-            a = [c.idx for c in sr.random_unit(spec, prec, 5).coeffs]
-            xf = [spec._mul[m % p][c] for m, c in enumerate(a)]
-            out["inverse_recurrence_vs_newton"].append({
-                "field": spec.order, "prec": prec,
-                "recurrence_ms": best(lambda: sr._inverse_recurrence(spec, a, prec), repeat),
-                "newton_ms": best(lambda: sr._inverse(spec, a, prec), repeat)})
-            out["log_deriv_recurrence_vs_newton"].append({
-                "field": spec.order, "prec": prec,
-                "recurrence_ms": best(
-                    lambda: sr._log_deriv_recurrence(spec, a, prec), repeat),
-                "newton_ms": best(lambda: sr._mul(
-                    spec, xf, sr._inverse(spec, a, prec), prec), repeat)})
-        if hasattr(sr, "_SECTION_BASE"):
-            out.setdefault("solve_recurrence_vs_relaxed", []).extend(
-                solve_crossovers(spec, repeat))
+        for prec in (64, 128, 256, 512, 2048):
+            t = sr.log_deriv(sr.random_unit(spec, prec, 6)).idx
+            row = {"field": spec.order, "prec": prec, "block": sr._BLOCK}
+            row["split_ms"] = best(lambda: sr._solve_log_deriv(spec, t, prec), repeat)
+            with mock.patch.object(sr, "_BLOCK", max(sr._BLOCK, prec)):
+                row["one_block_ms"] = best(
+                    lambda: sr._solve_log_deriv(spec, t, prec), repeat)
+            out["kernel_block_vs_split"].append(row)
+        for prec in (128, 256, 512):
+            rng = random.Random(prec)
+            dense = sr.random_unit(spec, prec, 5)
+            sparse = sr._series(spec, prec, [
+                c if i == 0 or rng.randrange(6) == 0 else 0
+                for i, c in enumerate(dense.idx)])
+            for nonzero, f in (("all", dense), ("1/6", sparse)):
+                threshold = sr._LOG_DERIV_NEWTON
+                row = {"field": spec.order, "prec": prec, "nonzero": nonzero,
+                       "threshold": threshold}
+                with mock.patch.object(sr, "_LOG_DERIV_NEWTON", max(threshold, prec)):
+                    row["kernel_ms"] = best(lambda: sr.log_deriv(f), repeat)
+                with mock.patch.object(sr, "_LOG_DERIV_NEWTON", 0):
+                    row["newton_ms"] = best(lambda: sr.log_deriv(f), repeat)
+                out["log_deriv_kernel_vs_newton"].append(row)
     return out
-
-
-def solve_crossovers(spec, repeat: int) -> list[dict]:
-    rows, base = [], sr._SECTION_BASE
-    for prec in (64, 128, 256, 512, 2048):
-        t = sr.log_deriv(sr.random_unit(spec, prec, 6)).idx
-        row = {"field": spec.order, "prec": prec, "base": base}
-        row["relaxed_ms"] = best(lambda: sr._solve_log_deriv(spec, t, prec), repeat)
-        # with the block size at prec, the whole solve is one recurrence
-        sr._SECTION_BASE = max(base, prec)
-        try:
-            row["recurrence_ms"] = best(
-                lambda: sr._solve_log_deriv(spec, t, prec), repeat)
-        finally:
-            sr._SECTION_BASE = base
-        rows.append(row)
-    return rows
 
 
 def main() -> None:
@@ -116,7 +110,7 @@ def main() -> None:
     args = parser.parse_args()
     result = {"python": platform.python_version(), "repeat": args.repeat,
               "ops": ops(args.repeat)}
-    if hasattr(sr, "_mul_kronecker"):
+    if hasattr(sr, "_online"):
         result["crossovers"] = crossovers(args.repeat)
     print(json.dumps(result, indent=1))
 
