@@ -406,7 +406,3 @@ def main(argv=None) -> int:
     else:
         print(rendered)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,9 +20,10 @@ import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import comb
 from typing import Sequence
 
-from .digits import PrimePower, is_critical, lucas_binom
+from .digits import PrimePower, is_critical
 from .finite_field import FieldElement, FieldSpec, _cache_put, _pack, json_member
 
 
@@ -279,7 +280,8 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 # by row; denser products go through one big-int product.
 _SPARSE = 16
 # The online recurrence (_online) solves blocks of at most this many
-# degrees one coefficient at a time; inverse_mult takes Newton steps above it.
+# degrees one coefficient at a time; inverse_mult takes Newton steps above
+# it. 32 and 64 were not faster on the inputs of desk's series sweeps.
 _BLOCK = 128
 # log_deriv above this precision is X f' f^(-1); below, the recurrence.
 _LOG_DERIV_NEWTON = 256
@@ -799,31 +801,43 @@ def twisted_orbit_series(k: int, alpha: FieldElement, ell: int,
         sum_{i>=0} sum_{j>=1} binom(p^i*k - 1, j) alpha^(p^i) beta^j
                               X^(p^i*k + j*(q^ell - 1))
 
-    with the binomials read mod p via Lucas."""
+    with the binomials read mod p via Lucas (_lucas_row). It calls none of
+    the kernels that the projection sweep checks it against."""
     spec = alpha.spec
     p, q = pq.p, pq.q
     if k < 1 or k % p == 0:
         raise ValueError(f"exponent {k} must be positive and coprime to {p}")
     if ell < 1:
         raise ValueError("twist index must be >= 1")
-    out = list(orbit_series(k, alpha, prec).coeffs)
+    add, mul, frob1 = spec._add, spec._mul, spec._frob1
+    a, row = _index(spec, alpha), mul[_index(spec, beta)]
     step = q ** ell - 1
-    i = 0
-    while k * p ** i <= prec:
-        base = k * p ** i
-        top = base - 1
-        afrob = alpha.frobenius(i)
-        bpow = beta
-        j = 1
-        while base + j * step <= prec:
-            b = lucas_binom(top, j, p)
-            if b:
-                idx = base + j * step
-                out[idx] = out[idx] + spec.scalar(b) * afrob * bpow
-            bpow = bpow * beta
-            j += 1
-        i += 1
-    return TruncSeries(spec, prec, out)
+    bpow = [1]  # beta^j for every j that reaches degree prec
+    while len(bpow) <= (prec - k) // step:
+        bpow.append(row[bpow[-1]])
+    out = [0] * (prec + 1)
+    _check_length(prec, len(out))
+    base = k
+    while base <= prec:  # base = k*p^i and a = alpha^(p^i)
+        out[base] = add[out[base]][a]
+        for j, b in _lucas_row(base - 1, (prec - base) // step, p)[1:]:
+            m = base + j * step
+            out[m] = add[out[m]][mul[b][mul[a][bpow[j]]]]
+        a, base = frob1[a], base * p
+    return _series(spec, prec, out)
+
+
+def _lucas_row(top: int, jmax: int, p: int) -> list[tuple[int, int]]:
+    """(j, binom(top, j) mod p) for the j <= jmax, j = 0 first, whose
+    binomial is not 0 mod p: by Lucas, the j whose base-p digits are at most
+    top's (for p = 2, j & ~top == 0), with the product of their binomials."""
+    row, place = [(0, 1)], 1
+    while top and place <= jmax:
+        top, d = divmod(top, p)
+        row = [(j + c * place, b * comb(d, c) % p)
+               for c in range(d + 1) for j, b in row if j + c * place <= jmax]
+        place *= p
+    return row
 
 
 def critical_projection_formula(k: int, alpha: FieldElement, ell: int,
@@ -834,24 +848,31 @@ def critical_projection_formula(k: int, alpha: FieldElement, ell: int,
         alpha X^(k+1) + sum over positive multiples f of ell of
         (-1)^(f/ell) alpha^(q^f) beta^((q^f-1)/(q^ell-1)) X^(q^f (k+1))
 
-    when k is critical, and 0 otherwise."""
+    when k is critical, and 0 otherwise. From f - ell to f, alpha^(q^f) and
+    beta^(q^f) take lambda*ell Frobenius steps, and beta's power gains the
+    factor beta^(q^(f-ell))."""
     spec = alpha.spec
     p, lam, q = pq.p, pq.lam, pq.q
     if k < 1 or k % p == 0:
         raise ValueError(f"exponent {k} must be positive and coprime to {p}")
-    out = [spec.zero()] * (prec + 1)
+    if ell < 1:
+        raise ValueError("twist index must be >= 1")
+    a, b = _index(spec, alpha), _index(spec, beta)
+    out = [0] * (prec + 1)
+    _check_length(prec, len(out))
     if not is_critical(k, pq):
-        return TruncSeries(spec, prec, out)
+        return _series(spec, prec, out)
     if k + 1 <= prec:
-        out[k + 1] = alpha
-    minus_one = spec.scalar(p - 1)
-    f = ell
-    while q ** f * (k + 1) <= prec:
-        sign = spec.one() if (f // ell) % 2 == 0 else minus_one
-        coeff = sign * alpha.frobenius(lam * f) * beta ** ((q ** f - 1) // (q ** ell - 1))
-        out[q ** f * (k + 1)] = coeff
-        f += ell
-    return TruncSeries(spec, prec, out)
+        out[k + 1] = a
+    mul, neg, frob1 = spec._mul, spec._neg, spec._frob1
+    e, odd, m = b, True, q ** ell * (k + 1)
+    while m <= prec:
+        for _ in range(lam * ell % spec.n):
+            a, b = frob1[a], frob1[b]
+        c = mul[a][e]
+        out[m] = neg[c] if odd else c
+        e, odd, m = mul[e][b], not odd, m * q ** ell
+    return _series(spec, prec, out)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .digits import (PrimePower, critical_base_set, critical_members,
                      orbit_id, orbit_min, orbit_residues, p_core, GREATER)
 from .finite_field import FieldSpec, field_make
 from .series import (AdditiveSeries, TruncSeries, _random_gamma, _random_unit,
-                     artin_hasse, critical_projection,
+                     _series, artin_hasse, critical_projection,
                      critical_projection_formula, log_deriv, orbit_series,
                      solve_log_deriv, twisted_orbit_series)
 
@@ -172,32 +172,30 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
     - substitution of alpha*X commutes with D.
     """
     bad = _Collector()
-    p = spec.p
+    p, q, frob1 = spec.p, spec.order, spec._frob1
     rng = random.Random(seed)
     zero = TruncSeries.zero(spec, prec)
+    off_p = [i for i in range(1, prec + 1) if i % p]
     checks = 0
     for trial in range(trials):
         # kernel, inward: random unit supported on multiples of p
-        coeffs = [spec.zero()] * (prec + 1)
-        coeffs[0] = spec.random_nonzero(rng)
-        for i in range(p, prec + 1, p):
-            coeffs[i] = spec.random_element(rng)
-        f_ker = TruncSeries(spec, prec, coeffs)
-        if not log_deriv(f_ker).agrees(zero):
+        ker = [0] * (prec + 1)
+        ker[0] = rng.randrange(1, q)
+        ker[p::p] = [rng.randrange(q) for _ in range(prec // p)]
+        if not log_deriv(_series(spec, prec, ker)).agrees(zero):
             bad.add({"trial": trial, "check": "kernel_in", "seed": seed})
         # kernel, outward: force a coefficient off the multiples of p
-        f = _random_unit(spec, prec, rng)
-        i0 = rng.choice([i for i in range(1, prec + 1) if i % p])
-        cs = list(f.coeffs)
-        cs[i0] = spec.random_nonzero(rng)
-        f = TruncSeries(spec, prec, cs)
+        cs = list(_random_unit(spec, prec, rng).idx)
+        i0 = rng.choice(off_p)
+        cs[i0] = rng.randrange(1, q)
+        f = _series(spec, prec, cs)
         df = log_deriv(f)
         if df.agrees(zero):
             bad.add({"trial": trial, "check": "kernel_out", "seed": seed,
                      "index": i0})
         # image constraint on the same random unit
         for i in range(1, prec // p + 1):
-            if df.coefficient(p * i) != df.coefficient(i) ** p:
+            if df.idx[p * i] != frob1[df.idx[i]]:
                 bad.add({"trial": trial, "check": "image_constraint",
                          "seed": seed, "index": i})
                 break
@@ -206,13 +204,10 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
         if not log_deriv(f * g).agrees(df + log_deriv(g)):
             bad.add({"trial": trial, "check": "homomorphism", "seed": seed})
         # surjectivity via the section
-        t = [spec.zero()] * (prec + 1)
+        t = [0] * (prec + 1)
         for i in range(1, prec + 1):
-            if i % p:
-                t[i] = spec.random_element(rng)
-            else:
-                t[i] = t[i // p] ** p
-        target = TruncSeries(spec, prec, t)
+            t[i] = rng.randrange(q) if i % p else frob1[t[i // p]]
+        target = _series(spec, prec, t)
         if not log_deriv(solve_log_deriv(target)).agrees(target):
             bad.add({"trial": trial, "check": "section", "seed": seed})
         # substitution of alpha*X commutes with D
@@ -501,58 +496,46 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
     if coeff_pool is None:
         coeff_pool = _coeff_pool(spec)
     ah = artin_hasse(p, prec, spec)
-    x_plus = {}
     checks = 0
-    kres = {}
     for k in range(1, k_bound + 1):
         if k % p == 0:
             continue
-        kres[k] = orbit_residues(k, pq)
+        kres = orbit_residues(k, pq)
         for ell in range(1, ell_bound + 1):
             qell = pq.q ** ell
+            powers = {}  # (X + beta X^(q^ell))^k by beta
             for alpha in coeff_pool:
                 for beta in coeff_pool:
                     point = {"k": k, "ell": ell, "alpha": alpha.to_json(),
                              "beta": beta.to_json()}
                     closed = twisted_orbit_series(k, alpha, ell, beta, pq, prec)
                     # definitional route: k^-1 D[E(alpha (X + beta X^(q^ell))^k)]
-                    genkey = (ell, beta.idx)
-                    base = x_plus.get(genkey)
-                    if base is None:
-                        cs = [spec.zero()] * (prec + 1)
-                        cs[1] = spec.one()
+                    power = powers.get(beta.idx)
+                    if power is None:
+                        base = [0] * (prec + 1)
+                        base[1] = 1
                         if qell <= prec:
-                            cs[qell] = beta
-                        base = TruncSeries(spec, prec, cs)
-                        x_plus[genkey] = base
-                    inner = (base ** k).scale(alpha)
-                    definitional = log_deriv(ah.compose(inner)).scale(
+                            base[qell] = beta.idx
+                        power = powers[beta.idx] = _series(spec, prec, base) ** k
+                    definitional = log_deriv(ah.compose(power.scale(alpha))).scale(
                         spec.scalar(k).inverse())
-                    checks += 1
+                    checks += 3
                     if closed != definitional:
                         bad.add({**point, "check": "dual_route",
                                  **_first_mismatch(closed, definitional)})
-                    checks += 1
                     projected = critical_projection(closed, pq)
                     formula = critical_projection_formula(
                         k, alpha, ell, beta, pq, prec + 1)
                     if projected != formula:
                         bad.add({**point, "check": "projection_formula",
                                  **_first_mismatch(projected, formula)})
-                    checks += 1
-                    shape_ok = True
-                    for m in closed.support():
-                        if m % p == 0:
-                            continue
-                        if m == k:
-                            if closed.coefficient(m) != alpha:
-                                shape_ok = False
-                        elif (m % (pq.q - 1) not in kres[k]
-                              or digital_cmp(m, k, p) != GREATER):
-                            shape_ok = False
-                        if not shape_ok:
-                            bad.add({**point, "check": "term_shape", "m": m})
-                            break
+                    # the first term off the multiples of p out of shape
+                    m = next((m for m in closed.support() if m % p and (
+                        closed.idx[m] != alpha.idx if m == k
+                        else m % (pq.q - 1) not in kres
+                        or digital_cmp(m, k, p) != GREATER)), None)
+                    if m is not None:
+                        bad.add({**point, "check": "term_shape", "m": m})
     return bad.report(
         "projection_formula",
         {"p": p, "lambda": pq.lam, "q": pq.q, "n": spec.n, "prec": prec,

@@ -1,11 +1,17 @@
 """The quadratic series loops that qcrit used before its sub-quadratic
 kernels, kept as the reference for differential tests.
 
-Each function takes lists of packed element indices and returns the n + 1
+Each kernel takes lists of packed element indices and returns the n + 1
 coefficients through degree n. They work through the field's operation
 tables, as the library does; field_oracle checks the tables themselves
-against arithmetic written out from the definitions.
+against arithmetic written out from the definitions. The two closed forms
+at the end take and return what the library's do, and compute with
+FieldElement operators and lucas_binom, as qcrit did before it computed
+them on the tables.
 """
+
+from qcrit.digits import is_critical, lucas_binom
+from qcrit.series import TruncSeries, orbit_series
 
 
 def mul(spec, a, b, n):
@@ -105,3 +111,48 @@ def solve_log_deriv(spec, a, n):
         elif s:
             raise AssertionError(f"inconsistent section at degree {m}")
     return f
+
+
+def twisted_orbit_series(k, alpha, ell, beta, pq, prec):
+    """The closed form as qcrit first computed it: FieldElement arithmetic
+    and one lucas_binom per term."""
+    spec = alpha.spec
+    p, q = pq.p, pq.q
+    out = list(orbit_series(k, alpha, prec).coeffs)
+    step = q ** ell - 1
+    i = 0
+    while k * p ** i <= prec:
+        base = k * p ** i
+        top = base - 1
+        afrob = alpha.frobenius(i)
+        bpow = beta
+        j = 1
+        while base + j * step <= prec:
+            b = lucas_binom(top, j, p)
+            if b:
+                idx = base + j * step
+                out[idx] = out[idx] + spec.scalar(b) * afrob * bpow
+            bpow = bpow * beta
+            j += 1
+        i += 1
+    return TruncSeries(spec, prec, out)
+
+
+def critical_projection_formula(k, alpha, ell, beta, pq, prec):
+    """The predicted critical projection, term by term with FieldElement
+    powers."""
+    spec = alpha.spec
+    p, lam, q = pq.p, pq.lam, pq.q
+    out = [spec.zero()] * (prec + 1)
+    if not is_critical(k, pq):
+        return TruncSeries(spec, prec, out)
+    if k + 1 <= prec:
+        out[k + 1] = alpha
+    minus_one = spec.scalar(p - 1)
+    f = ell
+    while q ** f * (k + 1) <= prec:
+        sign = spec.one() if (f // ell) % 2 == 0 else minus_one
+        coeff = sign * alpha.frobenius(lam * f) * beta ** ((q ** f - 1) // (q ** ell - 1))
+        out[q ** f * (k + 1)] = coeff
+        f += ell
+    return TruncSeries(spec, prec, out)

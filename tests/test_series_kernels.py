@@ -9,6 +9,10 @@ split their blocks by divide and conquer, the Newton form of log_deriv
 (above _LOG_DERIV_NEWTON), the byte width of the Kronecker slots, which
 grows with the precision and with p, and in compose the residue split,
 which starts at precision p, and the monomial inner series.
+
+The closed forms of the projection sweep, twisted_orbit_series and
+critical_projection_formula, are compared with the FieldElement versions
+in series_reference, and are seen to call none of the kernels.
 """
 
 import random
@@ -18,6 +22,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcrit import series as sr
+from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
 from qcrit.series import TruncSeries, log_deriv, solve_log_deriv
 
@@ -227,3 +232,65 @@ def test_section_kernel_checks_every_multiple_of_p(thresholds):
             ref.solve_log_deriv(spec, t, n)
         with pytest.raises(ValueError, match=f"i={m // 3};"):
             solve_log_deriv(series(spec, t))
+
+
+# The closed forms of the projection sweep: F_25 has binomials mod 5 other
+# than 0 and 1, and F_256 is the generic path of the larger fields
+CLOSED_FORM_FIELDS = [(2, 2), (2, 3), (3, 2), (5, 2), (2, 8)]
+
+
+@st.composite
+def closed_form_cases(draw):
+    p, n = draw(st.sampled_from(CLOSED_FORM_FIELDS))
+    spec = field_make(p, n)
+    pq = PrimePower(p, draw(st.integers(1, 3)))
+    k = draw(st.integers(1, 100).filter(lambda k: k % p))
+    alpha, beta = (spec.from_index(draw(st.integers(0, spec.order - 1)))
+                   for _ in range(2))
+    return k, alpha, draw(st.integers(1, 4)), beta, pq, draw(st.integers(0, 256))
+
+
+@settings(max_examples=100, deadline=None)
+@given(closed_form_cases())
+def test_closed_forms_match_the_field_element_reference(case):
+    assert sr.twisted_orbit_series(*case) == ref.twisted_orbit_series(*case)
+    assert (sr.critical_projection_formula(*case)
+            == ref.critical_projection_formula(*case))
+
+
+def test_closed_forms_call_no_series_kernel():
+    # the projection sweep checks twisted_orbit_series against composing
+    # and taking log_deriv; the check is worth something only while the
+    # closed forms share none of those kernels
+    def forbidden(*args):
+        raise AssertionError("a closed form called a series kernel")
+
+    spec, pq = field_make(2, 2), PrimePower(2, 2)
+    alpha, beta = spec.gen(), spec.one()
+    with mock.patch.multiple(sr, _mul=forbidden, _compose=forbidden,
+                             _online=forbidden):
+        for k in (1, 3, 7):
+            for ell in (1, 2):
+                closed = sr.twisted_orbit_series(k, alpha, ell, beta, pq, 256)
+                formula = sr.critical_projection_formula(k, alpha, ell, beta,
+                                                         pq, 257)
+                assert closed == ref.twisted_orbit_series(
+                    k, alpha, ell, beta, pq, 256)
+                assert formula == ref.critical_projection_formula(
+                    k, alpha, ell, beta, pq, 257)
+                assert formula.support()  # k = 1, 3, 7 are critical for q = 4
+    # the patch reaches the kernels' callers
+    with mock.patch.multiple(sr, _mul=forbidden):
+        with pytest.raises(AssertionError, match="series kernel"):
+            closed * closed
+
+
+@pytest.mark.parametrize("closed_form", [sr.twisted_orbit_series,
+                                         sr.critical_projection_formula])
+def test_closed_forms_refuse_a_negative_precision_or_twist(closed_form):
+    spec, pq = field_make(2, 2), PrimePower(2, 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        closed_form(1, spec.one(), 1, spec.one(), pq, -1)
+    # k = 1 is critical, so a twist index of 0 would never leave degree 2
+    with pytest.raises(ValueError, match="twist index"):
+        closed_form(1, spec.one(), 0, spec.one(), pq, 64)

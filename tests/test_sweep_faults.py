@@ -87,6 +87,75 @@ def test_projection_reports_a_dropped_exponent(monkeypatch, capsys, payload_call
                          "--proj-ell-bound", "1"], r)
 
 
+# The projection grid of the tests below: k = 1 and ell = 1 over F_4 with
+# q = 4, all 9 (alpha, beta) pairs at precision 32; the last widens it to
+# k <= 5
+PROJECTION_GRID = {"prec": 32, "k_bound": 1, "ell_bound": 1}
+PROJECTION_ARGV = ["projection", "--p", "2", "--lambda", "2", "--n", "2",
+                   "--proj-prec", "32", "--proj-ell-bound", "1", "--k-bound", "1"]
+
+
+def test_projection_reports_a_broken_closed_form(monkeypatch, capsys):
+    # the closed form wrong at degree 14 disagrees with the definitional
+    # route there, at every grid point; 14 is even, so neither the
+    # projection onto critical exponents nor the term shape reads it
+    degree = FAULT - 1
+    real = series.twisted_orbit_series
+    monkeypatch.setattr(theorems, "twisted_orbit_series",
+                        lambda *args: _flipped(real(*args), degree))
+    r = theorems.verify_projection_formula(PrimePower(2, 2), field_make(2, 2),
+                                           **PROJECTION_GRID)
+    assert not r.passed
+    assert len(r.counterexamples) == 9
+    assert {(ce["k"], ce["ell"], ce["check"], ce["degree"])
+            for ce in r.counterexamples} == {(1, 1, "dual_route", degree)}
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, PROJECTION_ARGV, r)
+
+
+def test_projection_reports_a_term_outside_the_orbit(monkeypatch, capsys):
+    # X^9 is odd and outside the orbit of k = 1 (9 = 0 mod q - 1, while the
+    # orbit of 1 is 1 and 2 mod 3), it is not critical for q = 4, and no
+    # closed series of the grid has a term there
+    outside = 9
+    real = series.twisted_orbit_series
+    monkeypatch.setattr(theorems, "twisted_orbit_series", lambda *args: (
+        _with_coefficient(real(*args), outside, args[1].spec.one())))
+    r = theorems.verify_projection_formula(PrimePower(2, 2), field_make(2, 2),
+                                           **PROJECTION_GRID)
+    assert not r.passed
+    shapes = [ce for ce in r.counterexamples if ce["check"] == "term_shape"]
+    assert len(shapes) == 9 and {ce["m"] for ce in shapes} == {outside}
+    # the definitional route has no such term; the projection is unchanged
+    assert {ce["check"] for ce in r.counterexamples} == {"dual_route", "term_shape"}
+    assert r.counterexamples[:2] == [
+        {"k": 1, "ell": 1, "alpha": [1, 0], "beta": [1, 0], "check": "dual_route",
+         "degree": outside, "lhs": [1, 0], "rhs": [0, 0]},
+        {"k": 1, "ell": 1, "alpha": [1, 0], "beta": [1, 0], "check": "term_shape",
+         "m": outside}]
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, PROJECTION_ARGV, r)
+
+
+def test_projection_reports_a_term_below_k_in_its_orbit(monkeypatch, capsys):
+    # X^7 is in the orbit of k = 5 (both are 1 mod q - 1) but not above 5
+    # in the digital order; the fault is put in k = 5's closed series only
+    below = 7
+    real = series.twisted_orbit_series
+    monkeypatch.setattr(theorems, "twisted_orbit_series", lambda *args: (
+        _with_coefficient(real(*args), below, args[1].spec.one())
+        if args[0] == 5 else real(*args)))
+    r = theorems.verify_projection_formula(
+        PrimePower(2, 2), field_make(2, 2), **{**PROJECTION_GRID, "k_bound": 5})
+    assert not r.passed
+    found = [ce for ce in r.counterexamples if "check" in ce]
+    assert {ce["k"] for ce in found} == {5}
+    shapes = [ce for ce in found if ce["check"] == "term_shape"]
+    assert shapes and {ce["m"] for ce in shapes} == {below}
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, [*PROJECTION_ARGV[:-1], "5"], r)
+
+
 def test_coleman_reports_a_broken_action(monkeypatch, capsys, payload_calls):
     real = AdditiveSeries.apply_to
     monkeypatch.setattr(AdditiveSeries, "apply_to",

@@ -1,8 +1,9 @@
 import json
+import random
 
 import pytest
 
-from qcrit import cli, digits, theorems
+from qcrit import cli, digits, series, theorems
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
 from qcrit.series import TruncSeries
@@ -74,6 +75,42 @@ def test_logderiv_reports_a_broken_section(monkeypatch, capsys):
     assert payload["reports"][0]["counterexamples"] == r.counterexamples
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (3, 2)])
+def test_logderiv_draws_its_trials_as_before(monkeypatch, p, n):
+    # each trial's inputs, drawn again from random.Random(seed) with the
+    # FieldElement calls the sweep once made: building them on index lists
+    # must leave every trial, and so every replay of one, as it was
+    spec, prec, trials, seed = field_make(p, n), 20, 3, 5
+    seen = []
+    real_ld, real_solve = theorems.log_deriv, theorems.solve_log_deriv
+    monkeypatch.setattr(theorems, "log_deriv",
+                        lambda f: seen.append(f.idx) or real_ld(f))
+    monkeypatch.setattr(theorems, "solve_log_deriv",
+                        lambda t: seen.append(("section", t.idx)) or real_solve(t))
+    assert verify_logderiv(spec, prec=prec, trials=trials, seed=seed).passed
+    rng, want = random.Random(seed), []
+    for _ in range(trials):
+        cs = [spec.zero()] * (prec + 1)
+        cs[0] = spec.random_nonzero(rng)
+        for i in range(p, prec + 1, p):
+            cs[i] = spec.random_element(rng)
+        kernel_unit = TruncSeries(spec, prec, cs)
+        cs = list(series._random_unit(spec, prec, rng).coeffs)
+        i0 = rng.choice([i for i in range(1, prec + 1) if i % p])
+        cs[i0] = spec.random_nonzero(rng)
+        f = TruncSeries(spec, prec, cs)
+        g = series._random_unit(spec, prec, rng)
+        t = [spec.zero()] * (prec + 1)
+        for i in range(1, prec + 1):
+            t[i] = spec.random_element(rng) if i % p else t[i // p] ** p
+        target = TruncSeries(spec, prec, t)
+        alpha = spec.random_nonzero(rng)
+        want += [kernel_unit.idx, f.idx, (f * g).idx, g.idx,
+                 ("section", target.idx), series.solve_log_deriv(target).idx,
+                 f.scale_arg(alpha).idx]
+    assert seen == want
+
+
 def test_suite_registry_refuses_an_m_bound_below_one():
     # 0 is not read as the default: a sweep below 1 would pass vacuously
     for name in ("admissible-order", "admissible-witness"):
@@ -110,6 +147,19 @@ def test_projection_formula_small():
     r = verify_projection_formula(PrimePower(2, 2), field_make(2, 2),
                                   prec=64, k_bound=7, ell_bound=2)
     assert r.passed, r.counterexamples[:2]
+
+
+def test_projection_formula_pool_above_nine_elements():
+    # F_16 is above the 9 elements whose every nonzero element goes in the
+    # pool: the pool is g, g^2 and g^3 for the basis root g
+    spec = field_make(2, 4)
+    g = spec.gen()
+    assert theorems._coeff_pool(spec) == [g, g * g, g * g * g]
+    r = verify_projection_formula(PrimePower(2, 2), spec, prec=40, k_bound=5,
+                                  ell_bound=2)
+    assert r.passed, r.counterexamples[:2]
+    assert r.params["pool_size"] == 3
+    assert r.checks == 3 * 2 * 3 * 3 * 3  # k in {1, 3, 5}, 2 ells, 9 pairs
 
 
 def test_coleman_small():

@@ -9,8 +9,10 @@ call for at least 20 ms (tools/timing.py).
 The inputs are seeded random units; `solve_log_deriv` solves for the
 logarithmic derivative of one, and the inner series of `compose` is a
 random composition of two X + beta*X^(q^ell), the shape the equivariance
-and Coleman sweeps compose with. Run it with PYTHONPATH pointing at two
-checkouts to compare them.
+and Coleman sweeps compose with. The "closed_forms" rows time
+`twisted_orbit_series` and `critical_projection_formula`, the closed forms
+of the projection sweep, at the same precisions over F_4 and F_9. Run it
+with PYTHONPATH pointing at two checkouts to compare them.
 
 When the checkout has the online recurrence kernel (series._online), a
 "crossovers" section times each kernel against the alternative on either
@@ -57,6 +59,24 @@ def ops(repeat: int) -> list[dict]:
             t = sr.log_deriv(g)
             row["solve_log_deriv_ms"] = best(lambda: sr.solve_log_deriv(t), repeat)
             row["compose_ms"] = best(lambda: f.compose(gamma), repeat)
+            rows.append(row)
+            print(json.dumps(row), flush=True, file=sys.stderr)
+    return rows
+
+
+def closed_forms(repeat: int) -> list[dict]:
+    """The projection sweep's closed forms on F_4 (q = 4) and F_9 (q = 3):
+    k = 1, which is critical for every q, alpha = beta = t and ell = 1."""
+    rows = []
+    for p, n, lam in FIELDS[:2]:
+        spec, pq = field_make(p, n), PrimePower(p, lam)
+        t = spec.gen()
+        for prec in PRECS:
+            row = {"field": spec.order, "prec": prec}
+            row["twisted_orbit_series_ms"] = best(
+                lambda: sr.twisted_orbit_series(1, t, 1, t, pq, prec), repeat)
+            row["critical_projection_formula_ms"] = best(
+                lambda: sr.critical_projection_formula(1, t, 1, t, pq, prec), repeat)
             rows.append(row)
             print(json.dumps(row), flush=True, file=sys.stderr)
     return rows
@@ -109,7 +129,7 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     result = {"python": platform.python_version(), "repeat": args.repeat,
-              "ops": ops(args.repeat)}
+              "ops": ops(args.repeat), "closed_forms": closed_forms(args.repeat)}
     if hasattr(sr, "_online"):
         result["crossovers"] = crossovers(args.repeat)
     print(json.dumps(result, indent=1))
