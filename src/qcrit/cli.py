@@ -257,10 +257,9 @@ def _cmd_series(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_pq(sub, lam_required: bool = True):
+def _add_pq(sub):
     sub.add_argument("--p", type=int, required=True, help="prime")
-    sub.add_argument("--lambda", dest="lam", type=int,
-                     required=lam_required, default=None,
+    sub.add_argument("--lambda", dest="lam", type=int, required=True,
                      help="exponent: q = p^lambda")
 
 
@@ -305,7 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("core", "n", "digit core"),
             ("defect", "n", "digit defect"),
             ("cmp", "m n", "digital well-ordering comparison"),
-            ("lucas", "m k", "binomial coefficient mod p")):
+            ("lucas", "m k", "binomial coefficient mod p"),
+            ("witness", "j k ell m",
+             "carry witness of an admissible quadruple")):
         c = cmds.add_parser(name, parents=[out_opts], help=text)
         for operand in operands.split():
             c.add_argument(operand, type=int)
@@ -320,14 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ell-bound", type=int, default=8)
     c.add_argument("--limit", type=int, default=0,
                    help="stop after this many (0 = no limit)")
-
-    c = cmds.add_parser("witness", parents=[out_opts], help="carry witness of an admissible "
-                                        "quadruple")
-    c.add_argument("j", type=int)
-    c.add_argument("k", type=int)
-    c.add_argument("ell", type=int)
-    c.add_argument("m", type=int)
-    c.add_argument("--p", type=int, required=True)
 
     c = cmds.add_parser("verify", parents=[out_opts], help="run verification sweeps")
     c.add_argument("statement", choices=("all", *th.SUITES))

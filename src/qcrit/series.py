@@ -785,6 +785,7 @@ def orbit_series(k: int, alpha: FieldElement, prec: int) -> TruncSeries:
     if k < 1 or k % p == 0:
         raise ValueError(f"exponent {k} must be positive and coprime to {p}")
     out = [0] * (prec + 1)
+    _check_length(prec, len(out))
     c, frob1 = alpha.idx, spec._frob1
     while k <= prec:
         out[k] = c

@@ -128,6 +128,42 @@ def desk_bounds(p: int) -> tuple[int, int]:
 # Series-level statements
 # ---------------------------------------------------------------------------
 
+def _run_trials(bad: _Collector, trials: int, seed: int, trial) -> None:
+    """Run trial(rng, t) for t = 0 .. trials-1 on one random.Random(seed)
+    stream. A trial takes all of its draws from rng first, then checks
+    them, and yields (check, payload) for each check that fails; each
+    counterexample gets the trial, the check and the seed."""
+    rng = random.Random(seed)
+    for t in range(trials):
+        for check, payload in trial(rng, t):
+            bad.add({"trial": t, "check": check, "seed": seed, **payload})
+
+
+def _action_trial(pq: PrimePower, spec: FieldSpec, prec: int, check: str,
+                  omegas: list, pool: list | None = None):
+    """The trial of verify_coleman's action identity at each omega of
+    omegas. It draws a unit h, then gamma: X at trial 0, else 1 to 4
+    series X + beta*X^(q^ell) with beta from pool (None: all of spec^*).
+    A counterexample replays from its unit, gamma and omega alone."""
+    def trial(rng, t):
+        factors = 0 if t == 0 else 1 + (t - 1) % 4
+        h = _random_unit(spec, prec, rng)
+        gamma = _random_gamma(pq, spec, prec, rng, factors, pool=pool)
+        inner, gamma_inv = gamma.as_trunc(), gamma.inverse()
+        psi_h = critical_projection(log_deriv(h), pq)
+        for omega in omegas:
+            lhs = critical_projection(
+                log_deriv(h.scale_arg(omega).compose(inner)), pq)
+            rhs = gamma_inv.apply_to(
+                psi_h.scale_arg(omega).scale(omega.inverse()))
+            if not lhs.agrees(rhs):
+                yield check, {"factors": factors, "omega": omega.to_json(),
+                              "gamma": _gamma_json(gamma),
+                              "unit": [c.to_json() for c in h.coeffs],
+                              **_first_mismatch(lhs, rhs)}
+    return trial
+
+
 def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
                         trials: int = 50, seed: int = 0) -> VerifyReport:
     """Flagship identity: projecting the logarithmic derivative onto
@@ -136,23 +172,14 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
 
     Random units are composed with random members of the q-power
     composition group: the identity, single series X + beta*X^(q^ell), and
-    products of up to four of them.
+    products of up to four of them. This is the action check of
+    verify_coleman at omega = 1.
     """
     bad = _Collector()
     if spec.p != pq.p:
         raise ValueError("field characteristic does not match the prime power")
-    rng = random.Random(seed)
-    for trial in range(trials):
-        factors = 0 if trial == 0 else 1 + (trial - 1) % 4
-        f = _random_unit(spec, prec, rng)
-        gamma = _random_gamma(pq, spec, prec, rng, factors)
-        lhs = critical_projection(log_deriv(f.compose(gamma.as_trunc())), pq)
-        rhs = gamma.inverse().apply_to(critical_projection(log_deriv(f), pq))
-        if not lhs.agrees(rhs):
-            bad.add({"trial": trial, "check": "equivariance", "seed": seed,
-                     "factors": factors, "gamma": _gamma_json(gamma),
-                     "unit": [c.to_json() for c in f.coeffs],
-                     **_first_mismatch(lhs, rhs)})
+    _run_trials(bad, trials, seed, _action_trial(
+        pq, spec, prec, "equivariance", [spec.one()]))
     return bad.report(
         "projection_equivariance",
         {"p": pq.p, "lambda": pq.lam, "q": pq.q, "n": spec.n, "prec": prec,
@@ -171,55 +198,52 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
     - surjectivity onto that constraint, via the explicit section;
     - substitution of alpha*X commutes with D.
     """
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
     bad = _Collector()
     p, q, frob1 = spec.p, spec.order, spec._frob1
-    rng = random.Random(seed)
     zero = TruncSeries.zero(spec, prec)
     off_p = [i for i in range(1, prec + 1) if i % p]
-    checks = 0
-    for trial in range(trials):
-        # kernel, inward: random unit supported on multiples of p
+
+    def trial(rng, t):  # all draws first, then the six checks in order
+        # a unit supported on multiples of p
         ker = [0] * (prec + 1)
         ker[0] = rng.randrange(1, q)
         ker[p::p] = [rng.randrange(q) for _ in range(prec // p)]
-        if not log_deriv(_series(spec, prec, ker)).agrees(zero):
-            bad.add({"trial": trial, "check": "kernel_in", "seed": seed})
-        # kernel, outward: force a coefficient off the multiples of p
+        # a unit forced to have a coefficient off the multiples of p
         cs = list(_random_unit(spec, prec, rng).idx)
         i0 = rng.choice(off_p)
         cs[i0] = rng.randrange(1, q)
+        g = _random_unit(spec, prec, rng)
+        # a target that meets the image constraint
+        aim = [0] * (prec + 1)
+        for i in range(1, prec + 1):
+            aim[i] = rng.randrange(q) if i % p else frob1[aim[i // p]]
+        alpha = spec.random_nonzero(rng)
+
+        if not log_deriv(_series(spec, prec, ker)).agrees(zero):
+            yield "kernel_in", {}
         f = _series(spec, prec, cs)
         df = log_deriv(f)
         if df.agrees(zero):
-            bad.add({"trial": trial, "check": "kernel_out", "seed": seed,
-                     "index": i0})
-        # image constraint on the same random unit
-        for i in range(1, prec // p + 1):
-            if df.idx[p * i] != frob1[df.idx[i]]:
-                bad.add({"trial": trial, "check": "image_constraint",
-                         "seed": seed, "index": i})
-                break
-        # homomorphism
-        g = _random_unit(spec, prec, rng)
+            yield "kernel_out", {"index": i0}
+        i = next((i for i in range(1, prec // p + 1)
+                  if df.idx[p * i] != frob1[df.idx[i]]), None)
+        if i is not None:
+            yield "image_constraint", {"index": i}
         if not log_deriv(f * g).agrees(df + log_deriv(g)):
-            bad.add({"trial": trial, "check": "homomorphism", "seed": seed})
-        # surjectivity via the section
-        t = [0] * (prec + 1)
-        for i in range(1, prec + 1):
-            t[i] = rng.randrange(q) if i % p else frob1[t[i // p]]
-        target = _series(spec, prec, t)
+            yield "homomorphism", {}
+        target = _series(spec, prec, aim)
         if not log_deriv(solve_log_deriv(target)).agrees(target):
-            bad.add({"trial": trial, "check": "section", "seed": seed})
-        # substitution of alpha*X commutes with D
-        alpha = spec.random_nonzero(rng)
+            yield "section", {}
         if not log_deriv(f.scale_arg(alpha)).agrees(df.scale_arg(alpha)):
-            bad.add({"trial": trial, "check": "argument_scaling", "seed": seed,
-                     "alpha": alpha.to_json()})
-        checks += 6
+            yield "argument_scaling", {"alpha": alpha.to_json()}
+
+    _run_trials(bad, trials, seed, trial)
     return bad.report(
         "logderiv_structure",
         {"p": p, "n": spec.n, "prec": prec, "trials": trials, "seed": seed},
-        f"{trials} trials x 6 checks at precision {prec}", checks)
+        f"{trials} trials x 6 checks at precision {prec}", 6 * max(trials, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +517,8 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
     p = pq.p
     if spec.p != p:
         raise ValueError("field characteristic does not match the prime power")
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
     if coeff_pool is None:
         coeff_pool = _coeff_pool(spec)
     ah = artin_hasse(p, prec, spec)
@@ -570,34 +596,13 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
     if len(sub) != q:
         raise AssertionError("subfield enumeration did not find q elements")
     sub_nonzero = [a for a in sub if a]
-    rng = random.Random(seed)
-    checks = 0
-    for trial in range(trials):
-        factors = 0 if trial == 0 else 1 + (trial - 1) % 4
-        h = _random_unit(spec, prec, rng)
-        gamma = _random_gamma(pq, spec, prec, rng, factors, pool=sub_nonzero)
-        gamma_inv = gamma.inverse()
-        psi_h = critical_projection(log_deriv(h), pq)
-        for omega in sub_nonzero:
-            lhs = critical_projection(
-                log_deriv(h.scale_arg(omega).compose(gamma.as_trunc())), pq)
-            rhs = gamma_inv.apply_to(
-                psi_h.scale_arg(omega).scale(omega.inverse()))
-            checks += 1
-            if not lhs.agrees(rhs):
-                bad.add({"trial": trial, "check": "action", "seed": seed,
-                         "factors": factors, "omega": omega.to_json(),
-                         "gamma": _gamma_json(gamma),
-                         **_first_mismatch(lhs, rhs)})
-    hit = 0
-    for c in critical_base_set(pq):
-        if c + 1 > prec:
-            continue
-        hit += 1
+    _run_trials(bad, trials, seed, _action_trial(
+        pq, spec, prec, "action", sub_nonzero, sub_nonzero))
+    witnessed = [c for c in critical_base_set(pq) if c + 1 <= prec]
+    for c in witnessed:
         h = solve_log_deriv(orbit_series(c, spec.one(), prec))
         image = critical_projection(log_deriv(h), pq)
         target = TruncSeries.monomial(spec, prec + 1, c + 1, spec.one())
-        checks += 1
         if not image.agrees(target):
             bad.add({"check": "surjectivity", "c": c,
                      **_first_mismatch(image, target)})
@@ -606,7 +611,8 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
         {"p": p, "lambda": lam, "q": q, "ext_degree": ext_degree,
          "prec": prec, "trials": trials, "seed": seed},
         f"{trials} trials x {len(sub_nonzero)} Teichmueller scalings; "
-        f"{hit} surjectivity witnesses", checks)
+        f"{len(witnessed)} surjectivity witnesses",
+        max(trials, 0) * len(sub_nonzero) + len(witnessed))
 
 
 # ---------------------------------------------------------------------------
@@ -631,10 +637,9 @@ def explore_generators(pq: PrimePower, spec: FieldSpec, k_bound: int = 63,
         for alpha in pool:
             inner = TruncSeries.monomial(spec, prec, k, alpha)
             t = log_deriv(ah.compose(inner))
-            exps = [m for m in t.support() if m % p]
-            if not exps:
-                continue
-            lead = min(exps, key=lambda m: digital_key(m, p))
+            # k is one of them, with coefficient k*alpha
+            lead = min((m for m in t.support() if m % p),
+                       key=lambda m: digital_key(m, p))
             rows.append({
                 "k": k,
                 "alpha": alpha.to_json(),

@@ -357,6 +357,22 @@ def test_precision_above_the_limit_exits_two(capsys, tmp_path):
     assert code == 0 and out["prec"] == 2048
 
 
+def test_precision_below_one_exits_two(capsys):
+    # the sweeps need a term of degree 1; an orbit series, degree 0
+    for argv, message in (
+            (["verify", "projection", "--p", "2", "--lambda", "2", "--n", "2",
+              "--proj-prec", "0"], "precision must be at least 1"),
+            (["verify", "logderiv", "--p", "2", "--lambda", "2", "--n", "2",
+              "--prec", "0"], "precision must be at least 1"),
+            (["--format", "json", "series", "eval", "--kind", "orbit", "--p", "2",
+              "--lambda", "2", "--n", "2", "--prec", "-1", "--k", "3",
+              "--alpha", "1,0"], "precision must be nonnegative")):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
+
+
 def test_m_bound_above_the_limit_exits_two(capsys):
     for argv in (
             ["verify", "admissible-order", "--p", "2", "--lambda", "1",

@@ -172,6 +172,53 @@ def test_coleman_reports_a_broken_action(monkeypatch, capsys, payload_calls):
                          "--prec", "32", "--trials", "2", "--seed", "3"], r)
 
 
+def _replayed_mismatch(pq, spec, ce) -> dict:
+    """The first mismatch of the action identity on the unit, gamma and
+    omega of counterexample ce alone, computed through qcrit.series."""
+    prec = len(ce["unit"]) - 1
+    h = TruncSeries(spec, prec, [spec.element(c) for c in ce["unit"]])
+    gamma = AdditiveSeries(spec, pq, prec, {
+        int(i): spec.element(c) for i, c in ce["gamma"].items()})
+    omega = spec.element(ce["omega"])
+    lhs = series.critical_projection(series.log_deriv(
+        h.scale_arg(omega).compose(gamma.as_trunc())), pq)
+    rhs = gamma.inverse().apply_to(series.critical_projection(
+        series.log_deriv(h), pq).scale_arg(omega).scale(omega.inverse()))
+    return theorems._first_mismatch(lhs, rhs)
+
+
+ACTION_KEYS = {"trial", "check", "seed", "factors", "omega", "gamma", "unit",
+               "degree", "lhs", "rhs"}
+
+
+def test_each_action_counterexample_replays_on_its_own(monkeypatch):
+    # a compose that is wrong at degree 15 whenever gamma is not X, so
+    # trial 0 passes and the mismatch depends on the drawn gamma
+    real = TruncSeries.compose
+    monkeypatch.setattr(TruncSeries, "compose", lambda self, inner: (
+        _flipped(real(self, inner), FAULT) if inner.support() != [1]
+        else real(self, inner)))
+    pq2, pq4 = PrimePower(2, 1), PrimePower(2, 2)
+    equivariance = theorems.verify_equivariance(
+        pq2, field_make(2, 2), prec=32, trials=4, seed=4)
+    coleman = theorems.verify_coleman(pq4, ext_degree=2, prec=32, trials=3,
+                                      seed=3)
+    runs = [(pq2, field_make(2, 2), equivariance, "equivariance"),
+            (pq4, field_make(2, 4), coleman, "action")]
+    for pq, spec, r, check in runs:
+        found = [ce for ce in r.counterexamples if ce["check"] == check]
+        assert {ce["trial"] for ce in found} == set(range(1, r.params["trials"]))
+        for ce in found:
+            assert set(ce) == ACTION_KEYS
+            replay = _replayed_mismatch(pq, spec, ce)
+            assert replay == {k: ce[k] for k in ("degree", "lhs", "rhs")}
+    monkeypatch.undo()
+    for pq, spec, r, check in runs:
+        for ce in r.counterexamples:
+            if ce["check"] == check:
+                assert _replayed_mismatch(pq, spec, ce) == {}
+
+
 def _wrong_at(monkeypatch, name, n0, fault):
     """Rebind theorems.<name>(n, base) to fault(true value, base) at n = n0,
     and to the true function everywhere else."""
@@ -193,6 +240,67 @@ def test_orbit_min_reports_a_minimum_at_or_above_q(monkeypatch, capsys):
     assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
     _cli_report(capsys, ["orbit-min", "--p", "2", "--lambda", "2",
                          "--c-bound", "100", "--oracle-bound", "800"], r)
+
+
+def _without(monkeypatch, name, member):
+    """Rebind theorems.<name>, a function that lists integers, to drop
+    member from the true list."""
+    true = getattr(digits, name)
+    monkeypatch.setattr(theorems, name, lambda *args: [
+        n for n in true(*args) if n != member])
+
+
+# The orbit sweeps' runs of the tests below, from the API and from the CLI
+ORBIT_RUNS = {
+    "orbit-min": (lambda: theorems.verify_orbit_min(
+        PrimePower(2, 2), c_bound=100, oracle_bound=800),
+        ["--lambda", "2", "--c-bound", "100", "--oracle-bound", "800"]),
+    "cyclic-digits": (lambda: theorems.verify_cyclic_digits(
+        PrimePower(2, 3), bound=200), ["--lambda", "3", "--bound", "200"]),
+}
+
+# check -> (sweep, fault, first counterexample), for q = 4 (orbit-min) and
+# q = 8 (cyclic-digits)
+ORBIT_FAULTS = {
+    # 2 is even, so it is no orbit minimum; c = 50 is above q, so no other
+    # check reads it
+    "minimum_in_orbit": ("orbit-min", lambda mp: _wrong_at(
+        mp, "orbit_min", 50, lambda mu, pq: 2),
+        {"c": 50, "mu": 2}),
+    # 7 = q*(1+1) - 1 is core-minimal in the orbit of 1, and not the orbit
+    # minimum; a wrong core drops it from the scan by definition
+    "core_minimal_window": ("orbit-min", lambda mp: _wrong_at(
+        mp, "p_core", 7, lambda core, p: core + 10),
+        {"bound": 800, "difference_sample": [7]}),
+    "base_set": ("orbit-min", lambda mp: _without(mp, "critical_base_set", 3),
+                 {"scan": [1], "minima": [1, 3]}),
+    "critical_closure": ("orbit-min", lambda mp: _without(
+        mp, "critical_members", 1), {"difference_sample": [1]}),
+    # the rotation 2*3 of c = 3 reduced to 1, below p; 1 is also the reduced
+    # successor of c = 5, so successor_inequality fails there too
+    "rotation_bound": ("cyclic-digits", lambda mp: _wrong_at(
+        mp, "min_residue", 6, lambda r, pq: 1),
+        {"c": 3, "i": 1, "rotation": 1}),
+    # every residue counted in the orbit of 5, so p^i*(mu+1) - 1 never leaves
+    "shifted_min_escapes": ("cyclic-digits", lambda mp: _wrong_at(
+        mp, "orbit_residues", 5, lambda res, pq: frozenset(range(pq.q - 1))),
+        {"c": 5, "i": 1, "mu": 3}),
+}
+
+
+@pytest.mark.parametrize("check", ORBIT_FAULTS)
+def test_orbit_sweeps_report_each_broken_check(check, monkeypatch, capsys):
+    statement, inject, first = ORBIT_FAULTS[check]
+    sweep, argv = ORBIT_RUNS[statement]
+    inject(monkeypatch)
+    r = sweep()
+    assert not r.passed
+    assert r.counterexamples[0] == {"check": check, **first}
+    others = {ce["check"] for ce in r.counterexamples} - {check}
+    assert others == ({"successor_inequality"} if check == "rotation_bound"
+                      else set())
+    assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False
+    _cli_report(capsys, [statement, "--p", "2", *argv], r)
 
 
 def test_cyclic_digits_reports_a_wrong_core(monkeypatch, capsys):

@@ -41,6 +41,9 @@ def test_equivariance_small_grid():
 def test_equivariance_rejects_wrong_characteristic():
     with pytest.raises(ValueError):
         verify_equivariance(PrimePower(2, 1), field_make(3, 1), 16, 2, 0)
+    for sweep in (verify_projection_formula, explore_generators):
+        with pytest.raises(ValueError, match="characteristic"):
+            sweep(PrimePower(2, 1), field_make(3, 1))
 
 
 def test_logderiv_small():
@@ -170,6 +173,10 @@ def test_coleman_small():
     r = verify_coleman(PrimePower(2, 2), ext_degree=1, prec=48, trials=6,
                        seed=2)
     assert r.passed
+    # the suite registry takes a given degree over n / lambda
+    r = theorems.SUITES["coleman"](PrimePower(2, 2), field_make(2, 4),
+                                   theorems.SuiteOptions(ext_degree=1, trials=1))
+    assert r.passed and r.params["ext_degree"] == 1
 
 
 def test_reports_deterministic():
@@ -225,14 +232,19 @@ def test_equivariance_route_matches_formula_route():
 
 
 def test_explore_generators_shape():
-    pq = PrimePower(2, 1)
-    rows = explore_generators(pq, field_make(2, 1), k_bound=63, prec=128)
-    assert len(rows) == 32
-    for row in rows:
-        assert row["lead_exponent"] == row["k"]
-        # flags agree with the membership test
-        from qcrit.digits import is_critical
-        assert row["critical"] == is_critical(row["k"], pq)
+    # D[E(alpha X^k)] = k * sum_i alpha^(p^i) X^(k p^i), whose only exponent
+    # coprime to p is k: on every field each (k, alpha) gives a row led by k
+    for p, lam, n in ((2, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 1), (3, 1, 2),
+                      (5, 1, 1)):
+        pq, spec = PrimePower(p, lam), field_make(p, n)
+        rows = explore_generators(pq, spec, k_bound=63, prec=128)
+        ks = [k for k in range(1, 64) if k % p]
+        assert len(rows) == len(ks) * len(theorems._coeff_pool(spec))
+        assert sorted({row["k"] for row in rows}) == ks
+        for row in rows:
+            assert row["lead_exponent"] == row["k"]
+            # flags agree with the membership test
+            assert row["critical"] == digits.is_critical(row["k"], pq)
 
 
 def test_explore_generators_alpha_pool():
