@@ -364,6 +364,16 @@ def test_precision_below_one_exits_two(capsys):
               "--proj-prec", "0"], "precision must be at least 1"),
             (["verify", "logderiv", "--p", "2", "--lambda", "2", "--n", "2",
               "--prec", "0"], "precision must be at least 1"),
+            (["verify", "equivariance", "--p", "2", "--lambda", "2", "--n", "2",
+              "--prec", "0"], "precision must be at least 1"),
+            # q above the precision: every gamma would be X, a vacuous pass
+            (["verify", "equivariance", "--p", "2", "--lambda", "4", "--n", "4",
+              "--prec", "8", "--trials", "5"],
+             "q = 16 exceeds the precision 8"),
+            (["verify", "all", "--p", "2", "--lambda", "4", "--n", "4",
+              "--prec", "8", *(f"--{k.replace('_', '-')}={v}"
+                               for k, v in SMALL.items() if k != "prec")],
+             "q = 16 exceeds the precision 8"),
             (["--format", "json", "series", "eval", "--kind", "orbit", "--p", "2",
               "--lambda", "2", "--n", "2", "--prec", "-1", "--k", "3",
               "--alpha", "1,0"], "precision must be nonnegative")):
@@ -371,6 +381,15 @@ def test_precision_below_one_exits_two(capsys):
         assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == "" and message in captured.err, argv
+
+
+def test_coleman_extension_degree_below_one_exits_two(capsys):
+    for degree in ("-1", "0"):
+        assert main(["verify", "coleman", "--p", "2", "--lambda", "2",
+                     "--ext-degree", degree, "--prec", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"ext_degree must be >= 1, got {degree}" in captured.err
 
 
 def test_m_bound_above_the_limit_exits_two(capsys):

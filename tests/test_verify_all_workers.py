@@ -1,0 +1,238 @@
+"""`verify all` on forked workers: the suites of SUITES may run in this
+process and in workers forked by theorems.verify_all. Whether they run in
+one process or in several, stdout, exit codes and errors are the same, and
+no process is left behind. Every test that forks checks, on teardown, that
+this process has no child left."""
+
+import os
+import signal
+import sys
+import threading
+import time
+
+import pytest
+
+from qcrit import theorems
+from qcrit.cli import main
+from qcrit.digits import PrimePower
+from qcrit.finite_field import field_make
+
+from test_cli import SMALL
+from test_verify_bytes import RUNS
+from test_verify_bytes import test_verify_stdout_is_byte_identical as check_bytes
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+ALL_RUNS = [run for run in RUNS if run[1][0] == "all"]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Spy on os.fork: the pids it returned in this process. On teardown,
+    no child of this process is left, running or unreaped."""
+    pids = []
+    fork = os.fork
+
+    def spy():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+    monkeypatch.setattr(os, "fork", spy)
+    yield pids
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _workers(monkeypatch, n: int) -> None:
+    monkeypatch.setattr(theorems, "_suite_workers", lambda: n)
+
+
+def _wrap_suites(monkeypatch, wrap) -> None:
+    """Replace each runner of SUITES by wrap(name, runner)."""
+    for name, run in list(theorems.SUITES.items()):
+        monkeypatch.setitem(theorems.SUITES, name, wrap(name, run))
+
+
+def _worker_runs_all_but_one(monkeypatch, forks) -> None:
+    """Hold each suite the parent takes until its one worker has exited,
+    without reaping it: the worker then takes every suite but the parent's
+    first."""
+    parent = os.getpid()
+
+    def wrap(name, run):
+        def held(pq, spec, o):
+            if os.getpid() == parent:
+                os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+            return run(pq, spec, o)
+        return held
+    _wrap_suites(monkeypatch, wrap)
+
+
+def _small_all() -> list[dict]:
+    reports = theorems.verify_all(PrimePower(2, 2), field_make(2, 2), **SMALL)
+    return [r.to_json_dict(include_timing=False) for r in reports]
+
+
+@pytest.fixture
+def serial_reports(monkeypatch):
+    with monkeypatch.context() as m:
+        _workers(m, 0)
+        return _small_all()
+
+
+@needs_fork
+@pytest.mark.parametrize("workers", [0, 1])
+@pytest.mark.parametrize("fmt,args,code,digest", ALL_RUNS,
+                         ids=[f"{fmt}-{args[2]}{args[4]}"
+                              for fmt, args, *_ in ALL_RUNS])
+def test_all_prints_the_same_bytes_forked_or_alone(
+        capsys, monkeypatch, forks, workers, fmt, args, code, digest):
+    _workers(monkeypatch, workers)
+    check_bytes(capsys, fmt, args, code, digest)
+    assert len(forks) == workers
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+def test_a_suite_raising_in_the_worker_gives_the_serial_error(
+        capsys, monkeypatch, forks):
+    # two suites refuse; the serial loop stops at the first of them
+    def wrap(name, run):
+        if name not in ("admissible-witness", "cyclic-digits"):
+            return run
+
+        def refuse(pq, spec, o):
+            raise ValueError(f"{name} refused")
+        return refuse
+    _wrap_suites(monkeypatch, wrap)
+    argv = ["verify", "all", "--p", "2", "--lambda", "2", "--n", "2",
+            *(f"--{k.replace('_', '-')}={v}" for k, v in SMALL.items())]
+    got = {}
+    for workers in (0, 1):
+        with monkeypatch.context() as m:
+            _workers(m, workers)
+            if workers:
+                _worker_runs_all_but_one(m, forks)
+            code = main(argv)
+            got[workers] = code, capsys.readouterr()
+    assert len(forks) == 1
+    assert got[0] == got[1]
+    assert got[1][0] == 2
+    assert got[1][1].out == ""
+    assert got[1][1].err == "error: admissible-witness refused\n"
+
+
+@needs_fork
+def test_the_lowest_failing_suite_wins_in_either_process(monkeypatch, forks):
+    # every suite refuses: suite 0's error is raised, whichever process ran it
+    def wrap(name, run):
+        def refuse(pq, spec, o):
+            raise ValueError(f"{name} refused")
+        return refuse
+    _wrap_suites(monkeypatch, wrap)
+    _workers(monkeypatch, 1)
+    with pytest.raises(ValueError, match="^equivariance refused$"):
+        _small_all()
+    assert len(forks) == 1
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+def test_a_worker_killed_mid_run_makes_verify_all_raise(monkeypatch, forks):
+    parent = os.getpid()
+
+    def wrap(name, run):
+        def killed_in_the_worker(pq, spec, o):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return run(pq, spec, o)
+        return killed_in_the_worker
+    _wrap_suites(monkeypatch, wrap)
+    _workers(monkeypatch, 1)
+    _worker_runs_all_but_one(monkeypatch, forks)
+    with pytest.raises(RuntimeError, match="ended before it reported"):
+        _small_all()
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(
+        monkeypatch, forks):
+    parent = os.getpid()
+
+    def wrap(name, run):
+        def interrupted(pq, spec, o):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the worker is still busy when the parent stops
+        return interrupted
+    _wrap_suites(monkeypatch, wrap)
+    _workers(monkeypatch, 1)
+    t0 = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        _small_all()
+    assert time.perf_counter() - t0 < 30
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_a_failed_fork_leaves_the_suites_to_this_process(
+        monkeypatch, forks, serial_reports):
+    def no_fork():
+        raise BlockingIOError("fork refused")
+    monkeypatch.setattr(os, "fork", no_fork)
+    _workers(monkeypatch, 1)
+    assert _small_all() == serial_reports
+
+
+@needs_fork
+def test_one_worker_per_suite_gives_the_serial_reports(
+        monkeypatch, forks, serial_reports):
+    # more workers than cores: every suite but one may run in a worker
+    _workers(monkeypatch, len(theorems.SUITES) - 1)
+    assert _small_all() == serial_reports
+    assert len(forks) == len(theorems.SUITES) - 1
+
+
+@needs_fork
+def test_no_fork_with_a_second_thread_or_a_tracer(forks, serial_reports):
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _small_all() == serial_reports
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+
+    def hook(*args):
+        return None
+    for install, installed in ((sys.settrace, sys.gettrace),
+                               (sys.setprofile, sys.getprofile)):
+        before = installed()  # a line tracer running the tests, say
+        install(hook)
+        try:
+            assert _small_all() == serial_reports
+        finally:
+            install(before)
+    assert forks == []
+
+
+@pytest.mark.parametrize("cpus,workers", [(1, 0), (2, 1), (64, 7)])
+def test_suite_workers_use_each_usable_cpu_up_to_one_per_suite(
+        monkeypatch, cpus, workers):
+    for hook in ("gettrace", "getprofile"):  # even under a line tracer
+        monkeypatch.setattr(sys, hook, lambda: None)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("no fork here"),
+                        raising=False)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    assert theorems._suite_workers() == workers
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert theorems._suite_workers() == workers
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert theorems._suite_workers() == 0
+    monkeypatch.delattr(os, "fork")
+    assert theorems._suite_workers() == 0
