@@ -4,9 +4,10 @@ report. Failures are data, not exceptions; a report carries minimal
 counterexamples with everything needed to reproduce them.
 
 All sweeps are deterministic given their parameters and seed. A randomized
-sweep draws every trial from one random.Random(seed) stream, so trial t
-depends on all trials before it: a sweep cannot be split by trial index
-without changing its draws.
+sweep draws every trial from one random.Random(seed) stream. A trial takes
+all of its draws before it checks them, so a process reaches trial t by
+drawing the trials before it without checking them: this is how forked
+workers share a sweep's trials (_run_trials).
 
 SUITES is the one list of sweeps: `qcrit verify` takes its statement names
 from it and verify_all runs it in order.
@@ -125,18 +126,154 @@ def desk_bounds(p: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
+# Tasks shared with forked workers
+# ---------------------------------------------------------------------------
+
+_pooling = False  # set while a pool that forked drains: no pool nests in it
+
+
+def _workers(tasks: int) -> int:
+    """The worker processes a pool of tasks forks beside this one: one per
+    usable CPU but this one's, and at most one per task but the first.
+    None where os.fork is missing, where another thread is alive (a fork
+    would copy its locks held), or under sys.settrace or sys.setprofile,
+    whose tracer or profiler would not see the workers' tasks."""
+    import os
+    import sys
+    import threading
+    if (not hasattr(os, "fork") or threading.active_count() > 1
+            or sys.gettrace() or sys.getprofile()):
+        return 0
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return min(cpus, tasks) - 1
+
+
+def _pool(run, order, fork: bool = True) -> list:
+    """run(i) for each task index i of order, a permutation of range(n)
+    with n at most 256, in this process and in _workers(n) forked workers.
+    There are none when fork is false, and none in a pool opened while a
+    pool with workers drains, in its process or in a worker, so that pools
+    do not nest. _pooling is set only where _workers found one thread.
+
+    Every process takes indices from one queue, a pipe of index bytes
+    written in the given order. Each worker sends back its results and
+    exceptions pickled, and ends with os._exit. The results come back in
+    index order; as in a serial loop, the exception of the lowest failing
+    index is raised. A worker that ends before it reports makes this raise
+    RuntimeError, and every worker is reaped on every path."""
+    import os
+    import pickle
+    import signal
+    global _pooling
+    order = bytes(order)
+    queue, queue_w = os.pipe()
+    os.write(queue_w, order)
+    os.close(queue_w)
+
+    def drain() -> dict:
+        done = {}
+        while index := os.read(queue, 1):
+            try:
+                done[index[0]] = run(index[0])
+            except Exception as exc:  # raised in index order below
+                done[index[0]] = exc
+        return done
+
+    results, workers, reported, nested = {}, [], False, _pooling
+    try:
+        for _ in range(_workers(len(order)) if fork and not nested else 0):
+            _pooling = True
+            result_r, result_w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(result_r)
+                os.close(result_w)
+                break
+            if pid == 0:
+                code = 1
+                try:
+                    with open(result_w, "wb") as out:
+                        out.write(pickle.dumps(drain()))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(result_w)
+            workers.append((pid, open(result_r, "rb")))
+        results.update(drain())
+        for pid, pipe in workers:
+            try:
+                results.update(pickle.loads(pipe.read()))
+            except (EOFError, pickle.UnpicklingError):
+                raise RuntimeError(f"worker process {pid} ended before it "
+                                   "reported") from None
+        reported = True
+    finally:
+        if not nested:
+            _pooling = False
+        os.close(queue)
+        for pid, pipe in workers:
+            pipe.close()
+            if not reported:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    results = [results[i] for i in range(len(order))]
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+    return results
+
+
+# ---------------------------------------------------------------------------
 # Series-level statements
 # ---------------------------------------------------------------------------
 
-def _run_trials(bad: _Collector, trials: int, seed: int, trial) -> None:
+# The work, trials * prec^2, from which a randomized sweep shares its trials
+# with forked workers. A fork costs about 2 ms. At 4 trials of prec 128 on
+# F_4 forking lost on equivariance and Coleman and won on logderiv; from 5
+# trials it won on every sweep measured (BENCH_14.json `break_even`).
+_FORK_WORK = 5 * 128 ** 2
+
+
+def _run_trials(bad: _Collector, trials: int, seed: int, prec: int,
+                trial) -> None:
     """Run trial(rng, t) for t = 0 .. trials-1 on one random.Random(seed)
-    stream. A trial takes all of its draws from rng first, then checks
-    them, and yields (check, payload) for each check that fails; each
-    counterexample gets the trial, the check and the seed."""
-    rng = random.Random(seed)
-    for t in range(trials):
-        for check, payload in trial(rng, t):
-            bad.add({"trial": t, "check": check, "seed": seed, **payload})
+    stream. A call takes all of the trial's draws from rng and returns an
+    iterator over (check, payload) for each check that fails; each
+    counterexample gets the trial, the check and the seed.
+
+    The trials run on _pool in at most 255 contiguous chunks, shared with
+    forked workers once trials * prec^2 reaches _FORK_WORK. Each process
+    has its own stream and pulls chunks in ascending order; it reaches the
+    chunk it pulled by drawing the trials it skips, without checking them.
+    A chunk gives back its first _MAX_COUNTEREXAMPLES counterexamples and
+    its failure count, added here in chunk order as the serial loop would
+    add them."""
+    rng, drawn = random.Random(seed), 0
+    n = max(trials, 0)
+    chunks = min(n, 255)
+
+    def run(i: int) -> tuple[list, int]:
+        nonlocal drawn
+        start, stop = n * i // chunks, n * (i + 1) // chunks
+        for t in range(drawn, start):
+            trial(rng, t)
+        kept, failures = [], 0
+        for t in range(start, stop):
+            for check, payload in trial(rng, t):
+                failures += 1
+                if failures <= _MAX_COUNTEREXAMPLES:
+                    kept.append({"trial": t, "check": check, "seed": seed,
+                                 **payload})
+        drawn = stop
+        return kept, failures
+
+    for kept, failures in _pool(run, range(chunks),
+                                n * prec * prec >= _FORK_WORK):
+        for payload in kept:
+            bad.add(payload)
+        bad.total += failures - len(kept)
 
 
 def _action_trial(pq: PrimePower, spec: FieldSpec, prec: int, check: str,
@@ -145,10 +282,12 @@ def _action_trial(pq: PrimePower, spec: FieldSpec, prec: int, check: str,
     omegas. It draws a unit h, then gamma: X at trial 0, else 1 to 4
     series X + beta*X^(q^ell) with beta from pool (None: all of spec^*).
     A counterexample replays from its unit, gamma and omega alone."""
-    def trial(rng, t):
+    def trial(rng, t):  # the draws now, the checks as they are iterated
         factors = 0 if t == 0 else 1 + (t - 1) % 4
-        h = _random_unit(spec, prec, rng)
-        gamma = _random_gamma(pq, spec, prec, rng, factors, pool=pool)
+        return checks(factors, _random_unit(spec, prec, rng),
+                      _random_gamma(pq, spec, prec, rng, factors, pool=pool))
+
+    def checks(factors, h, gamma):
         inner, gamma_inv = gamma.as_trunc(), gamma.inverse()
         psi_h = critical_projection(log_deriv(h), pq)
         for omega in omegas:
@@ -164,6 +303,20 @@ def _action_trial(pq: PrimePower, spec: FieldSpec, prec: int, check: str,
     return trial
 
 
+def _check_action_sweep(pq: PrimePower, spec: FieldSpec,
+                        prec: int = 128) -> None:
+    """Refuse, before any trial, an equivariance sweep that cannot run: a
+    field of another characteristic than pq, a precision below 1, or q
+    above the precision. prec defaults as in verify_equivariance."""
+    if spec.p != pq.p:
+        raise ValueError("field characteristic does not match the prime power")
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
+    if pq.q > prec:  # no X + beta*X^(q^ell) fits below the precision
+        raise ValueError(f"q = {pq.q} exceeds the precision {prec}: "
+                         "every gamma would be X")
+
+
 def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
                         trials: int = 50, seed: int = 0) -> VerifyReport:
     """Flagship identity: projecting the logarithmic derivative onto
@@ -175,15 +328,9 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     products of up to four of them. This is the action check of
     verify_coleman at omega = 1.
     """
+    _check_action_sweep(pq, spec, prec)
     bad = _Collector()
-    if spec.p != pq.p:
-        raise ValueError("field characteristic does not match the prime power")
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
-    if pq.q > prec:  # no X + beta*X^(q^ell) fits below the precision
-        raise ValueError(f"q = {pq.q} exceeds the precision {prec}: "
-                         "every gamma would be X")
-    _run_trials(bad, trials, seed, _action_trial(
+    _run_trials(bad, trials, seed, prec, _action_trial(
         pq, spec, prec, "equivariance", [spec.one()]))
     return bad.report(
         "projection_equivariance",
@@ -210,7 +357,7 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
     zero = TruncSeries.zero(spec, prec)
     off_p = [i for i in range(1, prec + 1) if i % p]
 
-    def trial(rng, t):  # all draws first, then the six checks in order
+    def trial(rng, t):  # all draws now, in this order
         # a unit supported on multiples of p
         ker = [0] * (prec + 1)
         ker[0] = rng.randrange(1, q)
@@ -225,7 +372,9 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
         for i in range(1, prec + 1):
             aim[i] = rng.randrange(q) if i % p else frob1[aim[i // p]]
         alpha = spec.random_nonzero(rng)
+        return checks(ker, cs, i0, g, aim, alpha)
 
+    def checks(ker, cs, i0, g, aim, alpha):  # the six checks, in order
         if not log_deriv(_series(spec, prec, ker)).agrees(zero):
             yield "kernel_in", {}
         f = _series(spec, prec, cs)
@@ -244,7 +393,7 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
         if not log_deriv(f.scale_arg(alpha)).agrees(df.scale_arg(alpha)):
             yield "argument_scaling", {"alpha": alpha.to_json()}
 
-    _run_trials(bad, trials, seed, trial)
+    _run_trials(bad, trials, seed, prec, trial)
     return bad.report(
         "logderiv_structure",
         {"p": p, "n": spec.n, "prec": prec, "trials": trials, "seed": seed},
@@ -603,7 +752,7 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
     if len(sub) != q:
         raise AssertionError("subfield enumeration did not find q elements")
     sub_nonzero = [a for a in sub if a]
-    _run_trials(bad, trials, seed, _action_trial(
+    _run_trials(bad, trials, seed, prec, _action_trial(
         pq, spec, prec, "action", sub_nonzero, sub_nonzero))
     witnessed = [c for c in critical_base_set(pq) if c + 1 <= prec]
     for c in witnessed:
@@ -722,41 +871,21 @@ SUITES = {
 }
 
 
-def _suite_workers() -> int:
-    """The worker processes verify_all forks beside this one: one per
-    usable CPU but this one's, and at most one per other suite. None where
-    os.fork is missing, where another thread is alive (a fork would copy
-    its locks held), or under sys.settrace or sys.setprofile, whose tracer
-    or profiler would not see the workers' suites."""
-    import os
-    import sys
-    import threading
-    if (not hasattr(os, "fork") or threading.active_count() > 1
-            or sys.gettrace() or sys.getprofile()):
-        return 0
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    return min(cpus, len(SUITES)) - 1
-
-
 def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
                seed: int = 0, trials: int | None = None,
                **options) -> list[VerifyReport]:
     """Run every suite of SUITES; `qcrit verify all` is this run. options
     are further fields of SuiteOptions.
 
-    This process and _suite_workers() forked workers take suite indices
-    from one queue, a pipe of index bytes. Each worker sends back its
-    reports and exceptions pickled, and ends with os._exit. The reports
-    come back in SUITES order; as in a serial loop, the exception of the
-    lowest failing suite is raised. A worker that ends before it reports
-    makes this raise RuntimeError."""
-    import os
-    import pickle
-    import signal
+    The suites run on _pool, in this process and in forked workers; a
+    randomized suite then runs all of its trials in the process that took
+    it. The reports come in SUITES order, and the exception of the lowest
+    failing suite is raised."""
     o = SuiteOptions(prec=prec, seed=seed, trials=trials, **options)
-    _check_orbit_scans(pq, **_given(  # before any suite runs
+    # before any suite runs
+    _check_orbit_scans(pq, **_given(
         c_bound=o.c_bound, oracle_bound=o.oracle_bound, bound=o.bound))
+    _check_action_sweep(pq, spec, **_given(prec=prec))
     runs = list(SUITES.values())
     # Last suite first: SUITES order leaves projection, the longest suite,
     # to the end. On two cores desk's verify all (F_4, prec 128, seeds 1
@@ -765,56 +894,4 @@ def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     # serial rule that no suite after a failing one starts: every later
     # suite was taken before it, and the earlier ones run to find the
     # lowest failure.
-    queue, queue_w = os.pipe()
-    os.write(queue_w, bytes(reversed(range(len(runs)))))
-    os.close(queue_w)
-
-    def drain() -> dict:
-        done = {}
-        while index := os.read(queue, 1):
-            try:
-                done[index[0]] = runs[index[0]](pq, spec, o)
-            except Exception as exc:  # raised in SUITES order below
-                done[index[0]] = exc
-        return done
-
-    results, workers, reported = {}, [], False
-    try:
-        for _ in range(_suite_workers()):
-            result_r, result_w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(result_r)
-                os.close(result_w)
-                break
-            if pid == 0:
-                code = 1
-                try:
-                    with open(result_w, "wb") as out:
-                        out.write(pickle.dumps(drain()))
-                    code = 0
-                finally:
-                    os._exit(code)
-            os.close(result_w)
-            workers.append((pid, open(result_r, "rb")))
-        results.update(drain())
-        for pid, pipe in workers:
-            try:
-                results.update(pickle.loads(pipe.read()))
-            except (EOFError, pickle.UnpicklingError):
-                raise RuntimeError(f"verify all: worker process {pid} "
-                                   "ended before it reported") from None
-        reported = True
-    finally:
-        os.close(queue)
-        for pid, pipe in workers:
-            pipe.close()
-            if not reported:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    reports = [results[i] for i in range(len(runs))]
-    for report in reports:
-        if isinstance(report, Exception):
-            raise report
-    return reports
+    return _pool(lambda i: runs[i](pq, spec, o), reversed(range(len(runs))))

@@ -5,6 +5,7 @@ the integer, from the API and from the CLI (exit 1, one JSON document).
 The admissible sweeps have theirs in tests/test_admissible_tables.py."""
 
 import json
+import os
 
 import pytest
 
@@ -30,13 +31,17 @@ def _flipped(t: TruncSeries, degree: int) -> TruncSeries:
 
 @pytest.fixture
 def payload_calls(monkeypatch):
-    """Counts the calls of the counterexample payload payload_calls."""
+    """Counts the calls of the counterexample payload payload_calls. These
+    sweeps are too short to share their trials with forked workers, so
+    every call is counted here: os.fork is never called."""
     calls = {"_first_mismatch": 0, "_gamma_json": 0}
     for name in calls:
         def spy(*args, _real=getattr(theorems, name), _name=name):
             calls[_name] += 1
             return _real(*args)
         monkeypatch.setattr(theorems, name, spy)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a sweep forked"),
+                        raising=False)
     return calls
 
 

@@ -1,8 +1,9 @@
-"""`verify all` on forked workers: the suites of SUITES may run in this
-process and in workers forked by theorems.verify_all. Whether they run in
-one process or in several, stdout, exit codes and errors are the same, and
-no process is left behind. Every test that forks checks, on teardown, that
-this process has no child left."""
+"""Forked workers: the suites of `verify all`, and the trials of one
+randomized sweep, may run in this process and in workers forked by
+theorems._pool. Whether they run in one process or in several, stdout,
+exit codes, counterexamples and errors are the same, and no process is
+left behind. Every test that forks checks, on teardown, that this process
+has no child left."""
 
 import os
 import signal
@@ -16,13 +17,17 @@ from qcrit import theorems
 from qcrit.cli import main
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
+from qcrit.series import AdditiveSeries
 
 from test_cli import SMALL
+from test_sweep_faults import FAULT, _flipped
 from test_verify_bytes import RUNS
 from test_verify_bytes import test_verify_stdout_is_byte_identical as check_bytes
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
 ALL_RUNS = [run for run in RUNS if run[1][0] == "all"]
+TRIAL_RUNS = [run for run in RUNS
+              if run[1][0] in ("equivariance", "logderiv", "coleman")]
 
 
 @pytest.fixture
@@ -44,7 +49,7 @@ def forks(monkeypatch):
 
 
 def _workers(monkeypatch, n: int) -> None:
-    monkeypatch.setattr(theorems, "_suite_workers", lambda: n)
+    monkeypatch.setattr(theorems, "_workers", lambda tasks: n)
 
 
 def _wrap_suites(monkeypatch, wrap) -> None:
@@ -228,11 +233,192 @@ def test_suite_workers_use_each_usable_cpu_up_to_one_per_suite(
                         raising=False)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                         raising=False)
-    assert theorems._suite_workers() == workers
+    suites = len(theorems.SUITES)
+    assert theorems._workers(suites) == workers
+    assert theorems._workers(1) == 0  # never more processes than tasks
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    assert theorems._suite_workers() == workers
+    assert theorems._workers(suites) == workers
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert theorems._suite_workers() == 0
+    assert theorems._workers(suites) == 0
     monkeypatch.delattr(os, "fork")
-    assert theorems._suite_workers() == 0
+    assert theorems._workers(suites) == 0
+
+
+# ---------------------------------------------------------------------------
+# The trials of one randomized sweep
+# ---------------------------------------------------------------------------
+
+def _trials_forked(monkeypatch, workers: int) -> None:
+    """Give every randomized sweep that many workers, whatever its work."""
+    monkeypatch.setattr(theorems, "_FORK_WORK", 1)
+    _workers(monkeypatch, workers)
+
+
+def _worker_checks_all_but_one_chunk(monkeypatch, forks) -> None:
+    """Hold this process in the first draw it makes until its one worker
+    has exited, without reaping it: the worker then checks every chunk of
+    trials but the one this process took, drawing the trials it skips."""
+    parent = os.getpid()
+    real = theorems._random_unit
+
+    def held(*args):
+        if os.getpid() == parent and forks:
+            os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
+        return real(*args)
+    monkeypatch.setattr(theorems, "_random_unit", held)
+
+
+def _wrap_trials(monkeypatch, wrap) -> None:
+    """Replace the trial of every randomized sweep by wrap(trial)."""
+    run_trials = theorems._run_trials
+    monkeypatch.setattr(
+        theorems, "_run_trials", lambda bad, trials, seed, prec, trial:
+        run_trials(bad, trials, seed, prec, wrap(trial)))
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+@pytest.mark.parametrize("mode", ["alone", "forked", "worker-checks"])
+@pytest.mark.parametrize("fmt,args,code,digest", TRIAL_RUNS,
+                         ids=[f"{args[0]}-{i}"
+                              for i, (fmt, args, *_) in enumerate(TRIAL_RUNS)])
+def test_trials_print_the_same_bytes_forked_or_alone(
+        capsys, monkeypatch, forks, mode, fmt, args, code, digest):
+    _trials_forked(monkeypatch, 0 if mode == "alone" else 1)
+    if mode == "worker-checks":
+        _worker_checks_all_but_one_chunk(monkeypatch, forks)
+    check_bytes(capsys, fmt, args, code, digest)
+    trials = int(args[args.index("--trials") + 1])  # 0: the default count
+    assert len(forks) == (mode != "alone" and trials >= 0)
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+@pytest.mark.parametrize("cap", [theorems._MAX_COUNTEREXAMPLES, 2])
+def test_a_fault_in_every_trial_gives_the_serial_counterexamples(
+        monkeypatch, forks, cap):
+    # every Teichmueller scaling of every trial fails: 3 failures a trial,
+    # so with a cap of 2 each chunk of one trial keeps fewer than it found
+    real = AdditiveSeries.apply_to
+    monkeypatch.setattr(AdditiveSeries, "apply_to",
+                        lambda self, g: _flipped(real(self, g), FAULT + 1))
+    monkeypatch.setattr(theorems, "_MAX_COUNTEREXAMPLES", cap)
+    got = {}
+    for workers in (0, 1):
+        with monkeypatch.context() as m:
+            _trials_forked(m, workers)
+            if workers:
+                _worker_checks_all_but_one_chunk(m, forks)
+            got[workers] = theorems.verify_coleman(
+                PrimePower(2, 2), ext_degree=1, prec=32, trials=12,
+                seed=3).to_json_dict(include_timing=False)
+    assert len(forks) == 1
+    assert got[0] == got[1]
+    *kept, last = got[1]["counterexamples"]
+    assert [ce["trial"] for ce in kept] == [t for t in range(12)
+                                            for _ in range(3)][:cap]
+    assert last == {"truncated": True, "total_failures": 36}
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+@pytest.mark.parametrize("raising,error", [({3, 5}, 3), (set(range(8)), 0)])
+def test_a_trial_raising_in_either_process_gives_the_serial_error(
+        capsys, monkeypatch, forks, raising, error):
+    # trials raise as they are checked, not as they are drawn; the lowest
+    # raising trial wins, whichever process checked it
+    def wrap(trial):
+        def raising_trial(rng, t):
+            checks = trial(rng, t)
+            if t not in raising:
+                return checks
+
+            def raise_():
+                raise ValueError(f"trial {t} raised")
+                yield
+            return raise_()
+        return raising_trial
+    _wrap_trials(monkeypatch, wrap)
+    argv = ["verify", "equivariance", "--p", "2", "--lambda", "2", "--n", "2",
+            "--prec", "32", "--trials", "8"]
+    got = {}
+    for workers in (0, 1):
+        with monkeypatch.context() as m:
+            _trials_forked(m, workers)
+            if workers:
+                _worker_checks_all_but_one_chunk(m, forks)
+            code = main(argv)
+            got[workers] = code, capsys.readouterr()
+    assert len(forks) == 1
+    assert got[0] == got[1]
+    assert got[1][0] == 2
+    assert got[1][1].out == ""
+    assert got[1][1].err == f"error: trial {error} raised\n"
+
+
+@needs_fork
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="no os.waitid")
+def test_a_worker_killed_mid_sweep_makes_the_sweep_raise(monkeypatch, forks):
+    parent = os.getpid()
+
+    def wrap(trial):
+        def killed_in_the_worker(rng, t):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return trial(rng, t)
+        return killed_in_the_worker
+    _wrap_trials(monkeypatch, wrap)
+    _trials_forked(monkeypatch, 1)
+    _worker_checks_all_but_one_chunk(monkeypatch, forks)
+    with pytest.raises(RuntimeError, match="ended before it reported"):
+        theorems.verify_logderiv(field_make(3, 2), prec=16, trials=4)
+    assert len(forks) == 1
+
+
+@needs_fork
+def test_a_sweep_forks_once_its_work_reaches_the_constant(
+        monkeypatch, forks):
+    # the work is trials * prec^2
+    _workers(monkeypatch, 1)
+    monkeypatch.setattr(theorems, "_FORK_WORK", 3 * 32 ** 2)
+    spec = field_make(3, 2)
+    theorems.verify_logderiv(spec, prec=32, trials=2)
+    assert forks == []
+    theorems.verify_logderiv(spec, prec=32, trials=3)
+    assert len(forks) == 1
+
+
+def test_the_constant_keeps_short_sweeps_in_process():
+    # measured break-even (BENCH_14.json): the benchmark's traced sweep
+    # (prec 32, 5 trials) and its short verify jobs (prec 96, 5 trials)
+    # stay in process; a sweep of 2 trials at prec 256 forks
+    assert 5 * 96 ** 2 < theorems._FORK_WORK <= 2 * 256 ** 2
+
+
+@needs_fork
+def test_sweeps_in_verify_all_fork_no_workers_of_their_own(forks):
+    pq, spec = PrimePower(2, 2), field_make(2, 2)
+    theorems.verify_equivariance(pq, spec, prec=256, trials=2)
+    assert len(forks) == theorems._workers(2)  # alone, the sweep forks
+    forks.clear()
+    theorems.verify_all(pq, spec, **{**SMALL, "prec": 256})
+    assert len(forks) == theorems._workers(len(theorems.SUITES))
+    forks.clear()
+    theorems.verify_equivariance(pq, spec, prec=256, trials=2)
+    assert len(forks) == theorems._workers(2)  # and alone again after it
+
+
+def test_verify_all_refuses_q_above_the_precision_before_any_suite(
+        capsys, forks):
+    argv = ["verify", "all", "--p", "2", "--lambda", "4", "--n", "4",
+            "--prec", "8"]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 0.2
+    err = capsys.readouterr().err
+    argv[1] = "equivariance"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == err == (
+        "error: q = 16 exceeds the precision 8: every gamma would be X\n")
+    assert forks == []
