@@ -58,15 +58,20 @@ def check_prime(p) -> None:
         raise ValueError(f"p must be prime, got {p!r}")
 
 
+def _of_kind(value, kind) -> bool:
+    """isinstance(value, kind), except that true and false are no numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def json_member(data, name: str, kind, of=None):
     """data[name] for the from_json readers: ValueError unless data is a JSON
     object with that member of that kind (an array with items of kind `of`)."""
     if not isinstance(data, dict):
         raise ValueError(f"expected a JSON object, got {type(data).__name__}")
     value = data.get(name)
-    if (name not in data or not isinstance(value, kind)
+    if (name not in data or not _of_kind(value, kind)
             or of is not None and isinstance(value, list)
-            and not all(isinstance(v, of) for v in value)):
+            and not all(_of_kind(v, of) for v in value)):
         raise ValueError(f"JSON member {name!r} is missing or of the wrong type")
     return value
 
@@ -334,10 +339,9 @@ class FieldSpec:
     # -- constructors -------------------------------------------------------
 
     def element(self, coords: Sequence[int]) -> FieldElement:
-        try:
-            coords = tuple(int(c) for c in coords)
-        except TypeError:
-            raise ValueError(f"coordinates must be integers, got {coords!r}") from None
+        if not isinstance(coords, (list, tuple)) or not all(
+                type(c) is int for c in coords):  # not float, bool or str
+            raise ValueError(f"coordinates must be integers, got {coords!r}")
         if len(coords) != self.n:
             raise ValueError(f"expected {self.n} coordinates, got {len(coords)}")
         if any(c < 0 or c >= self.p for c in coords):

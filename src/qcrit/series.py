@@ -17,6 +17,7 @@ by coefficient and stay inside the group.
 from __future__ import annotations
 
 import random
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -575,6 +576,13 @@ def critical_projection(t: TruncSeries, pq: PrimePower) -> TruncSeries:
 # Sparse q-power series and their composition action
 # ---------------------------------------------------------------------------
 
+def _term_index(key: str) -> int:
+    """The index i of a "terms" key, which must read as str(i) writes it."""
+    if not isinstance(key, str) or not re.fullmatch("0|-?[1-9][0-9]*", key):
+        raise ValueError(f"term key {key!r} is not an integer index")
+    return int(key)
+
+
 class AdditiveSeries:
     """Series sum a_i X^(q^i), stored sparsely as index -> coefficient.
 
@@ -720,7 +728,7 @@ class AdditiveSeries:
         check_prec(prec)
         spec = FieldSpec.from_json(json_member(data, "field", dict))
         pq = PrimePower.from_json(json_member(data, "q", dict))
-        terms = {int(i): spec.element(c)
+        terms = {_term_index(i): spec.element(c)
                  for i, c in json_member(data, "terms", dict).items()}
         return cls(spec, pq, prec, terms)
 

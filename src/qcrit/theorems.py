@@ -18,15 +18,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import compress
-from operator import add, eq, ge, le, lt
 from typing import NamedTuple
 
 from . import digits
 from .digits import (PrimePower, critical_base_set, critical_members,
                      digital_cmp, digital_key, min_residue, coprime_part,
                      orbit_id, orbit_min, orbit_residues, p_core, GREATER)
-from .finite_field import FieldSpec, field_make
+from .finite_field import FieldSpec, check_prime, field_make
 from .series import (AdditiveSeries, TruncSeries, _random_gamma, _random_unit,
                      _series, artin_hasse, critical_projection,
                      critical_projection_formula, log_deriv, orbit_series,
@@ -117,7 +115,8 @@ def _gamma_json(gamma: AdditiveSeries) -> dict:
 
 def desk_bounds(p: int) -> tuple[int, int]:
     """Default exhaustive-sweep bounds: the largest power of p at most 4096
-    and its exponent."""
+    and its exponent. p must be prime."""
+    check_prime(p)
     bound, exp = p, 1
     while bound * p <= 4096:
         bound *= p
@@ -404,12 +403,29 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
 # Digit-combinatorial statements
 # ---------------------------------------------------------------------------
 
+def _check_nonempty(sweep: str, **bounds: int) -> None:
+    """Refuse, before any work, a bound below 1: the sweep would check
+    nothing and pass."""
+    for name, bound in bounds.items():
+        if bound < 1:
+            raise ValueError(f"{sweep}: {name} = {bound} leaves nothing to "
+                             "check; it must be at least 1")
+
+
 def _admissible_bounds(p: int, m_bound: int | None,
                        ell_bound: int | None) -> tuple[int, int]:
-    """The given bounds, with desk_bounds(p) standing in for a missing one."""
+    """The given bounds, with desk_bounds(p) standing in for a missing one.
+    Bounds that admit no quadruple are refused: every admissible quadruple
+    has m >= p + 1 and ell >= 1, and (1, 2, 1, p + 1) is admissible."""
     default_m, default_ell = desk_bounds(p)
-    return (default_m if m_bound is None else m_bound,
-            default_ell if ell_bound is None else ell_bound)
+    m_bound = default_m if m_bound is None else m_bound
+    ell_bound = default_ell if ell_bound is None else ell_bound
+    digits.check_m_bound(m_bound)
+    if m_bound <= p or ell_bound < 1:
+        raise ValueError(f"m_bound = {m_bound}, ell_bound = {ell_bound}: no "
+                         f"admissible quadruple, which needs m_bound > p = "
+                         f"{p} and ell_bound >= 1")
+    return m_bound, ell_bound
 
 
 def _quad_order(payload: dict) -> tuple[int, int, int]:
@@ -431,40 +447,25 @@ def verify_admissible_order(p: int, m_bound: int | None = None,
                             ell_bound: int | None = None) -> VerifyReport:
     """Every admissible quadruple (j, k, ell, m) has k strictly below m in
     the digital well-ordering; and when the digit cores agree, j is forced
-    to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0.
-
-    Each block of admissible_blocks is checked whole, by maps over its k
-    and m; only a block that fails runs the checks quadruple by quadruple,
-    which make the payloads."""
+    to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0. Each
+    quadruple of admissible_blocks is checked on the digit tables."""
     bad = _Collector(key=_quad_order)
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     tables = digits.digit_tables(p, m_bound)
     rank, core, ordp = tables.rank, tables.core, tables.ordp
-    rank_at, core_at, ordp_at = (rank.__getitem__, core.__getitem__,
-                                 ordp.__getitem__)
     count = 0
     for ell, j, step, ks in digits.admissible_blocks(p, m_bound, ell_bound):
         count += len(ks)
         shift = j * step
-        # the forced-j arm passes at k exactly when p^ord(k) = shift + 1
-        e = ordp[shift + 1]
-        forced = e if p ** e == shift + 1 else -1
-        ms = list(map(shift.__add__, ks))
-        if all(map(lt, map(rank_at, ks), map(rank_at, ms))) and all(
-                map(forced.__eq__, compress(map(ordp_at, ks), map(
-                    eq, map(core_at, ks), map(core_at, ms))))):
-            continue
         for k in ks:
             m = k + shift
             if rank[k] >= rank[m]:
                 bad.add({"quad": [j, k, ell, m], "check": "digital_order",
                          "key_k": digits.digital_key(k, p),
                          "key_m": digits.digital_key(m, p)})
-            elif core[k] == core[m]:
-                e = ordp[k]
-                if e == 0 or e % ell != 0 or shift != p ** e - 1:
-                    bad.add({"quad": [j, k, ell, m], "check": "forced_j",
-                             "ord_k": e})
+            elif core[k] == core[m] and shift != p ** ordp[k] - 1:
+                bad.add({"quad": [j, k, ell, m], "check": "forced_j",
+                         "ord_k": ordp[k]})
     return _admissible_report(bad, "admissible_order", p, m_bound, ell_bound,
                               count)
 
@@ -473,16 +474,12 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
                               ell_bound: int | None = None) -> VerifyReport:
     """Every admissible quadruple admits the unique congruence witness r
     and satisfies both derived inequalities; any violation surfaces as a
-    counterexample rather than an exception.
-
-    Blocks are checked as in verify_admissible_order, and a failing
-    quadruple gets its payload from the public admissible_witness."""
+    counterexample, with its payload from the public admissible_witness.
+    Each quadruple is checked on the digit tables."""
     bad = _Collector(key=_quad_order)
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     tables = digits.digit_tables(p, m_bound)
     ordp, gord, core = tables.ordp, tables.gord, tables.core
-    core_at = core.__getitem__
-    orders_at = list(map(add, ordp, gord)).__getitem__  # f + g at k
     found = {}  # by ell, then by each e in ordp: p^e and the witnesses
     count = 0
     for ell, j, step, ks in digits.admissible_blocks(p, m_bound, ell_bound):
@@ -492,13 +489,6 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
             found[ell] = {e: (p ** e, digits.witness_candidates(p, e, ell))
                           for e in set(ordp)}
         by_e = found[ell]
-        es = list(map(ordp.__getitem__, map((shift + 1).__add__, ks)))
-        if (all(map(ge, map(orders_at, ks), es))
-                and all(map(le, map(core_at, ks),
-                            map(core_at, map(shift.__add__, ks))))
-                and all(len(by_e[e][1].get(j % by_e[e][0], ())) == 1
-                        for e in set(es))):
-            continue
         for k in ks:
             m = k + shift
             e = ordp[m + 1]
@@ -610,6 +600,7 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
     """
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
+    _check_nonempty("cyclic-digits", bound=bound)
     _check_orbit_scans(pq, bound=bound)
     table = digits._orbit_min_table(pq, q * p ** (2 * lam))
     checks = 0
@@ -673,6 +664,7 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
         raise ValueError("field characteristic does not match the prime power")
     if prec < 1:
         raise ValueError("precision must be at least 1")
+    _check_nonempty("projection", k_bound=k_bound, ell_bound=ell_bound)
     if coeff_pool is None:
         coeff_pool = _coeff_pool(spec)
     ah = artin_hasse(p, prec, spec)
@@ -815,8 +807,9 @@ class SuiteOptions(NamedTuple):
     """The options of the suites in SUITES, named as in `qcrit verify`.
 
     None leaves a sweep's own default in force, and so does 0 for trials
-    and ell_bound; m_bound must be positive. proj_prec and proj_ell_bound
-    are the precision and the ell bound of the projection sweep."""
+    and ell_bound; a bound that leaves a sweep nothing to check is refused.
+    proj_prec and proj_ell_bound are the precision and the ell bound of the
+    projection sweep."""
 
     prec: int | None = None
     seed: int | None = None
@@ -886,6 +879,10 @@ def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     _check_orbit_scans(pq, **_given(
         c_bound=o.c_bound, oracle_bound=o.oracle_bound, bound=o.bound))
     _check_action_sweep(pq, spec, **_given(prec=prec))
+    _admissible_bounds(pq.p, o.m_bound, o.ell_bound or None)
+    _check_nonempty("cyclic-digits", **_given(bound=o.bound))
+    _check_nonempty("projection", **_given(k_bound=o.k_bound,
+                                           ell_bound=o.proj_ell_bound))
     runs = list(SUITES.values())
     # Last suite first: SUITES order leaves projection, the longest suite,
     # to the end. On two cores desk's verify all (F_4, prec 128, seeds 1

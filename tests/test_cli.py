@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from qcrit import cli
+from qcrit import cli, digits, theorems
 from qcrit import series as sr
 from qcrit.cli import build_parser, main
 from qcrit.digits import PrimePower, admissible_quadruples, critical_members
@@ -420,6 +420,53 @@ def test_m_bound_above_the_limit_exits_two(capsys):
     assert code == 0 and out["count"] == 3
 
 
+def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
+        capsys, monkeypatch):
+    # each would print PASS with checks=0: every admissible quadruple has
+    # m >= p + 1 and ell >= 1, and cyclic-digits and projection need a
+    # bound of at least 1. verify all refuses before its first suite.
+    def no_work(*args):
+        raise AssertionError("work began before the refusal")
+    for module, name in ((digits, "digit_tables"), (digits, "admissible_blocks"),
+                         (digits, "_orbit_min_table"),
+                         (theorems, "artin_hasse"), (theorems, "_pool")):
+        monkeypatch.setattr(module, name, no_work)
+    admissible = "no admissible quadruple, which needs m_bound > p = 2"
+    for argv, message in (
+            (["admissible-order", "--lambda", "1", "--ell-bound", "-1"],
+             admissible),
+            (["admissible-witness", "--lambda", "1", "--m-bound", "1"],
+             admissible),
+            (["cyclic-digits", "--lambda", "2", "--bound", "0"],
+             "cyclic-digits: bound = 0 leaves nothing to check"),
+            (["projection", "--lambda", "1", "--k-bound", "0"],
+             "projection: k_bound = 0 leaves nothing to check"),
+            (["projection", "--lambda", "1", "--proj-ell-bound", "0"],
+             "projection: ell_bound = 0 leaves nothing to check"),
+            (["all", "--lambda", "1", "--m-bound", "2"], admissible),
+            (["all", "--lambda", "1", "--ell-bound", "-1"], admissible),
+            (["all", "--lambda", "2", "--bound", "-3"],
+             "cyclic-digits: bound = -3 leaves nothing to check"),
+            (["all", "--lambda", "1", "--k-bound", "0"],
+             "projection: k_bound = 0 leaves nothing to check"),
+            (["all", "--lambda", "1", "--proj-ell-bound", "0"],
+             "projection: ell_bound = 0 leaves nothing to check")):
+        argv = ["verify", argv[0], "--p", "2", *argv[1:]]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err, argv
+    # the least bounds that admit a check run it
+    monkeypatch.undo()
+    for argv in (["admissible-order", "--m-bound", "3", "--ell-bound", "1"],
+                 ["admissible-witness", "--m-bound", "3", "--ell-bound", "1"],
+                 ["cyclic-digits", "--bound", "1"],
+                 ["projection", "--k-bound", "1", "--proj-ell-bound", "1",
+                  "--proj-prec", "8"]):
+        code, out = run_json(capsys, "verify", argv[0], "--p", "2",
+                             "--lambda", "1", *argv[1:])
+        assert code == 0 and out["reports"][0]["checks"] > 0, argv
+
+
 def test_orbit_scans_above_the_limit_exit_two_at_once(capsys):
     # q*p^(2 lambda) = 2^36 and 3^15 for the orbit table, q - 1 = 2^40 - 1
     # and 2^21 - 1 for the base set, and the user bounds of the orbit
@@ -485,6 +532,42 @@ def test_json_documents_of_another_shape_exit_two(capsys):
         capsys.readouterr()
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def _logderiv_argv(coeff=(1, 0), prec=1, modulus=(1, 1, 1)):
+    return ["series", "logderiv", "--f", json.dumps({
+        "field": {"p": 2, "n": 2, "modulus": modulus}, "prec": prec,
+        "coeffs": [[1, 0], coeff]})]
+
+
+def _invert_argv(key="10", coeff=(1, 0)):
+    return ["series", "invert", "--g", json.dumps({
+        "field": {"p": 2, "n": 2, "modulus": [1, 1, 1]},
+        "q": {"p": 2, "lambda": 1}, "prec": 1024,
+        "terms": {"0": [1, 0], key: coeff}})]
+
+
+# each wrong document, and the right one that int() would read it as
+@pytest.mark.parametrize("wrong,right", [
+    (_logderiv_argv(coeff=[1.9, 0]), _logderiv_argv(coeff=[1, 0])),
+    (_logderiv_argv(coeff=[True, 0]), _logderiv_argv(coeff=[1, 0])),
+    (_logderiv_argv(coeff="10"), _logderiv_argv(coeff=[1, 0])),
+    (_logderiv_argv(prec=True), _logderiv_argv(prec=1)),
+    (_logderiv_argv(modulus=[True, True, True]), _logderiv_argv()),
+    (_invert_argv(key="-0"), _invert_argv(key="0")),
+    (_invert_argv(key=" 1"), _invert_argv(key="1")),
+    (_invert_argv(key="1_0"), _invert_argv(key="10")),
+    (_invert_argv(key="01"), _invert_argv(key="1")),
+    (_invert_argv(coeff=[False, True]), _invert_argv(coeff=[0, 1])),
+], ids=["float", "true", "string", "prec-true", "modulus-true", "key-minus-0",
+        "key-space", "key-underscore", "key-leading-0", "false"])
+def test_json_numbers_of_the_wrong_type_exit_two(capsys, wrong, right):
+    assert main(right) == 0
+    capsys.readouterr()
+    assert main(wrong) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert re.search("integer|wrong type", captured.err), captured.err
 
 
 def test_env_var_controls_format(capsys, monkeypatch):

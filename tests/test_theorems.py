@@ -123,6 +123,15 @@ def test_suite_registry_refuses_an_m_bound_below_one():
                                       theorems.SuiteOptions(m_bound=m_bound))
 
 
+def test_desk_bounds_and_admissible_sweeps_refuse_a_p_that_is_not_prime():
+    # the loop of desk_bounds would never end at p = 1
+    for sweep in (desk_bounds, verify_admissible_order,
+                  verify_admissible_witness):
+        for p in (0, 1, 4):
+            with pytest.raises(ValueError, match=f"p must be prime, got {p}"):
+                sweep(p)
+
+
 def test_admissible_sweeps_small():
     for p in (2, 3, 5):
         r = verify_admissible_order(p, 200, 4)
