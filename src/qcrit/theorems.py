@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import suppress
+from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -66,15 +68,26 @@ class VerifyReport:
                 f"checks={self.checks} ({self.elapsed_ms:.0f} ms)")
 
 
+_admitting = ContextVar("_admitting", default=False)
+
+
+class _Admitted(Exception):
+    """A sweep got past all of its refusals while _admitting was set."""
+
+
 class _Collector:
     """Accumulates counterexamples with a cap so a badly broken build does
     not flood the report, and times the sweep from its own creation.
 
     Without a key it keeps the first ones added; with one, the smallest
     under the key, in key order, so that the report does not depend on the
-    order in which a sweep finds them."""
+    order in which a sweep finds them. Every sweep makes all of its
+    refusals, and only the work that they need, before it builds its
+    collector; while _admitting is set, building one raises _Admitted."""
 
     def __init__(self, key=None):
+        if _admitting.get():
+            raise _Admitted
         self.t0 = time.perf_counter()
         self.items: list = []
         self.total = 0
@@ -115,13 +128,14 @@ def _gamma_json(gamma: AdditiveSeries) -> dict:
 
 def desk_bounds(p: int) -> tuple[int, int]:
     """Default exhaustive-sweep bounds: the largest power of p at most 4096
-    and its exponent. p must be prime."""
+    and its exponent. Where that power is p itself (64 < p <= 4096), which
+    bounds no admissible quadruple, (4096, 1). p must be prime."""
     check_prime(p)
     bound, exp = p, 1
     while bound * p <= 4096:
         bound *= p
         exp += 1
-    return bound, exp
+    return (4096, 1) if bound == p <= 4096 else (bound, exp)
 
 
 # ---------------------------------------------------------------------------
@@ -302,20 +316,6 @@ def _action_trial(pq: PrimePower, spec: FieldSpec, prec: int, check: str,
     return trial
 
 
-def _check_action_sweep(pq: PrimePower, spec: FieldSpec,
-                        prec: int = 128) -> None:
-    """Refuse, before any trial, an equivariance sweep that cannot run: a
-    field of another characteristic than pq, a precision below 1, or q
-    above the precision. prec defaults as in verify_equivariance."""
-    if spec.p != pq.p:
-        raise ValueError("field characteristic does not match the prime power")
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
-    if pq.q > prec:  # no X + beta*X^(q^ell) fits below the precision
-        raise ValueError(f"q = {pq.q} exceeds the precision {prec}: "
-                         "every gamma would be X")
-
-
 def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
                         trials: int = 50, seed: int = 0) -> VerifyReport:
     """Flagship identity: projecting the logarithmic derivative onto
@@ -327,7 +327,13 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     products of up to four of them. This is the action check of
     verify_coleman at omega = 1.
     """
-    _check_action_sweep(pq, spec, prec)
+    if spec.p != pq.p:
+        raise ValueError("field characteristic does not match the prime power")
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
+    if pq.q > prec:  # no X + beta*X^(q^ell) fits below the precision
+        raise ValueError(f"q = {pq.q} exceeds the precision {prec}: "
+                         "every gamma would be X")
     bad = _Collector()
     _run_trials(bad, trials, seed, prec, _action_trial(
         pq, spec, prec, "equivariance", [spec.one()]))
@@ -449,8 +455,8 @@ def verify_admissible_order(p: int, m_bound: int | None = None,
     the digital well-ordering; and when the digit cores agree, j is forced
     to equal (p^ord(k) - 1)/(p^ell - 1), so ell divides ord(k) > 0. Each
     quadruple of admissible_blocks is checked on the digit tables."""
-    bad = _Collector(key=_quad_order)
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
+    bad = _Collector(key=_quad_order)
     tables = digits.digit_tables(p, m_bound)
     rank, core, ordp = tables.rank, tables.core, tables.ordp
     count = 0
@@ -476,8 +482,8 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
     and satisfies both derived inequalities; any violation surfaces as a
     counterexample, with its payload from the public admissible_witness.
     Each quadruple is checked on the digit tables."""
-    bad = _Collector(key=_quad_order)
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
+    bad = _Collector(key=_quad_order)
     tables = digits.digit_tables(p, m_bound)
     ordp, gord, core = tables.ordp, tables.gord, tables.core
     found = {}  # by ell, then by each e in ordp: p^e and the witnesses
@@ -526,9 +532,9 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
     (orbit_min+1)*q^i - 1 are exactly those coprime to p whose digit core
     is minimal in their orbit; and the critical sets coincide with their
     direct-definition scans."""
+    _check_orbit_scans(pq, c_bound=c_bound, oracle_bound=oracle_bound)
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
-    _check_orbit_scans(pq, c_bound=c_bound, oracle_bound=oracle_bound)
     checks = 0
     mus: dict[int, int] = {}
     for c in range(1, max(c_bound, q - 1) + 1):
@@ -598,10 +604,10 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
     For lam = 1 the first and third families are vacuous and reported as
     trivially passing.
     """
-    bad = _Collector()
-    p, lam, q = pq.p, pq.lam, pq.q
     _check_nonempty("cyclic-digits", bound=bound)
     _check_orbit_scans(pq, bound=bound)
+    bad = _Collector()
+    p, lam, q = pq.p, pq.lam, pq.q
     table = digits._orbit_min_table(pq, q * p ** (2 * lam))
     checks = 0
     for c in range(1, bound + 1):
@@ -642,10 +648,11 @@ def verify_cyclic_digits(pq: PrimePower, bound: int = 10000) -> VerifyReport:
 
 def _coeff_pool(spec: FieldSpec) -> list:
     """Generator coefficients: every nonzero element of a field of at most
-    9 elements, else g, g^2 and g^3 for the field generator g."""
+    9 elements, else g, g^2 and g^3 for the basis root g, or for g = 2 in
+    a prime field (p >= 11, so the three are distinct)."""
     if spec.order <= 9:
         return list(spec.nonzero_elements())
-    g = spec.gen() if spec.n > 1 else spec.one()
+    g = spec.gen() if spec.n > 1 else spec.scalar(2)
     return [g, g * g, g * g * g]
 
 
@@ -658,13 +665,13 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
     series and taking the logarithmic derivative); and off the multiples of
     p every non-leading term sits in the orbit of k, strictly above k in
     the digital order."""
-    bad = _Collector()
     p = pq.p
     if spec.p != p:
         raise ValueError("field characteristic does not match the prime power")
     if prec < 1:
         raise ValueError("precision must be at least 1")
     _check_nonempty("projection", k_bound=k_bound, ell_bound=ell_bound)
+    bad = _Collector()
     if coeff_pool is None:
         coeff_pool = _coeff_pool(spec)
     ah = artin_hasse(p, prec, spec)
@@ -735,11 +742,14 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
     Surjectivity of Psi is witnessed by hitting each basis monomial
     X^(c+1) for c in the critical base set.
     """
-    bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q
     if ext_degree < 1:
         raise ValueError(f"ext_degree must be >= 1, got {ext_degree}")
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
     spec = field_make(p, lam * ext_degree)
+    spec.elements()  # refuses a K above 4096 elements, before enumerating
+    bad = _Collector()
     sub = spec.subfield_elements(lam)
     if len(sub) != q:
         raise AssertionError("subfield enumeration did not find q elements")
@@ -864,26 +874,23 @@ SUITES = {
 }
 
 
-def verify_all(pq: PrimePower, spec: FieldSpec, prec: int = 128,
-               seed: int = 0, trials: int | None = None,
+def verify_all(pq: PrimePower, spec: FieldSpec,
                **options) -> list[VerifyReport]:
     """Run every suite of SUITES; `qcrit verify all` is this run. options
-    are further fields of SuiteOptions.
+    are fields of SuiteOptions; each sweep supplies its own defaults.
 
-    The suites run on _pool, in this process and in forked workers; a
-    randomized suite then runs all of its trials in the process that took
-    it. The reports come in SUITES order, and the exception of the lowest
-    failing suite is raised."""
-    o = SuiteOptions(prec=prec, seed=seed, trials=trials, **options)
-    # before any suite runs
-    _check_orbit_scans(pq, **_given(
-        c_bound=o.c_bound, oracle_bound=o.oracle_bound, bound=o.bound))
-    _check_action_sweep(pq, spec, **_given(prec=prec))
-    _admissible_bounds(pq.p, o.m_bound, o.ell_bound or None)
-    _check_nonempty("cyclic-digits", **_given(bound=o.bound))
-    _check_nonempty("projection", **_given(k_bound=o.k_bound,
-                                           ell_bound=o.proj_ell_bound))
+    First each runner runs up to its sweep's _Collector, last suite first,
+    with _admitting set: a refused option raises before any suite works.
+    Then the suites run on _pool, in this process and in forked workers;
+    a randomized suite runs all of its trials where it was taken. Reports
+    come in SUITES order; the lowest failing suite's error is raised."""
+    o = SuiteOptions(**options)
     runs = list(SUITES.values())
+    refusals = copy_context()  # a context in which _admitting is set
+    refusals.run(_admitting.set, True)
+    for run in reversed(runs):
+        with suppress(_Admitted):
+            refusals.run(run, pq, spec, o)
     # Last suite first: SUITES order leaves projection, the longest suite,
     # to the end. On two cores desk's verify all (F_4, prec 128, seeds 1
     # and 6) took 0.77 s in this order and 0.88 s in SUITES order (medians

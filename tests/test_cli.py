@@ -450,7 +450,17 @@ def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
             (["all", "--lambda", "1", "--k-bound", "0"],
              "projection: k_bound = 0 leaves nothing to check"),
             (["all", "--lambda", "1", "--proj-ell-bound", "0"],
-             "projection: ell_bound = 0 leaves nothing to check")):
+             "projection: ell_bound = 0 leaves nothing to check"),
+            # options that a sweep cannot run with: refused as early
+            (["coleman", "--lambda", "1", "--prec", "0"],
+             "precision must be at least 1"),
+            (["all", "--lambda", "2", "--n", "2", "--proj-prec", "0"],
+             "precision must be at least 1"),
+            (["all", "--lambda", "2", "--n", "2", "--ext-degree", "0"],
+             "ext_degree must be >= 1, got 0"),
+            # Coleman's K = F_(2^16) is above the 4096-element enumeration
+            (["all", "--lambda", "4", "--n", "8", "--ext-degree", "4"],
+             "refusing to enumerate a field with more than 4096 elements")):
         argv = ["verify", argv[0], "--p", "2", *argv[1:]]
         assert main(argv) == 2, argv
         captured = capsys.readouterr()

@@ -1,15 +1,17 @@
 """The argument guards of the digit, field and series layers, and the
 early returns beside them: each case calls one public entry with an
 argument outside its domain and checks the exception and its message, or
-the value returned."""
+the value returned. The invariant raises, which no argument reaches, are
+each reached with one helper patched."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
-from qcrit import digits, finite_field, series
+from qcrit import digits, finite_field, series, theorems
 from qcrit.digits import PrimePower
-from qcrit.finite_field import field_make
+from qcrit.finite_field import FieldSpec, field_make
 from qcrit.series import AdditiveSeries, TruncSeries
 
 F2, F4, F9 = field_make(2, 1), field_make(2, 2), field_make(3, 2)
@@ -146,3 +148,38 @@ RETURNS = [
                          ids=[case[0] for case in RETURNS])
 def test_an_early_return_gives_its_value(call, value):
     assert call() == value
+
+
+# (label, module or class, attribute, stand-in, call, exception type,
+# message): the stand-in breaks the fact that the raise guards
+BARE_F4 = FieldSpec(2, 2)  # not from field_make's cache: _antilog runs
+INVARIANTS = [
+    ("an orbit misses its minimum", digits, "orbit_residues",
+     lambda c, pq: frozenset(), lambda: digits.orbit_min(5, PQ4),
+     RuntimeError, "no orbit representative found; internal invariant "
+     "violated"),
+    ("no irreducible modulus", finite_field, "_is_irreducible",
+     lambda mod, p: False, lambda: finite_field.default_modulus(2, 3),
+     RuntimeError, "no irreducible of degree 3 over F_2"),
+    ("no primitive element", finite_field, "_poly_mul",
+     lambda a, b, p: [1], BARE_F4._antilog,
+     AssertionError, "F_4 has no primitive element; this is a bug"),
+    ("Artin-Hasse not p-integral", series, "Fraction",
+     lambda n=0: Fraction(n, 2),
+     lambda: series._artin_hasse_residues.__wrapped__(2, 4),
+     AssertionError, "coefficient 0 of the Artin-Hasse series is not "
+     "2-integral"),
+    ("Coleman's subfield short of q elements", FieldSpec, "subfield_elements",
+     lambda spec, m: (), lambda: theorems.verify_coleman(PQ4, prec=8),
+     AssertionError, "subfield enumeration did not find q elements"),
+]
+
+
+@pytest.mark.parametrize("owner,name,stand_in,call,kind,message",
+                         [case[1:] for case in INVARIANTS],
+                         ids=[case[0] for case in INVARIANTS])
+def test_an_invariant_raises_its_message_once_broken(
+        monkeypatch, owner, name, stand_in, call, kind, message):
+    monkeypatch.setattr(owner, name, stand_in)
+    with pytest.raises(kind, match=f"^{re.escape(message)}$"):
+        call()

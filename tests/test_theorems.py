@@ -28,6 +28,21 @@ def test_desk_bounds():
     assert desk_bounds(2) == (4096, 12)
     assert desk_bounds(3) == (2187, 7)
     assert desk_bounds(5) == (3125, 5)
+    assert desk_bounds(61) == (3721, 2)
+    # above 64 the largest power is p itself, which bounds no quadruple
+    assert desk_bounds(67) == desk_bounds(4093) == (4096, 1)
+    # above 4096 no m_bound within the limit admits one: the sweeps refuse
+    assert desk_bounds(4099) == (4099, 1)
+
+
+def test_admissible_sweeps_run_at_the_desk_bounds_of_a_p_above_64():
+    for sweep in (verify_admissible_order, verify_admissible_witness):
+        for p, count in ((67, 85333), (4093, 3)):
+            r = sweep(p)
+            assert r.passed and r.checks == count
+            assert (r.params["m_bound"], r.params["ell_bound"]) == (4096, 1)
+        with pytest.raises(ValueError, match="exceeds the limit 4096"):
+            sweep(4099)
 
 
 def test_equivariance_small_grid():
@@ -159,6 +174,23 @@ def test_projection_formula_small():
     r = verify_projection_formula(PrimePower(2, 2), field_make(2, 2),
                                   prec=64, k_bound=7, ell_bound=2)
     assert r.passed, r.counterexamples[:2]
+
+
+def test_coeff_pool_of_a_prime_field_above_nine_elements_is_distinct():
+    # 2, 4 and 8 are distinct and nonzero mod every p >= 11
+    for p in (11, 13, 67):
+        spec = field_make(p, 1)
+        pool = theorems._coeff_pool(spec)
+        assert pool == [spec.scalar(2), spec.scalar(4), spec.scalar(8)]
+    r = verify_projection_formula(PrimePower(11, 1), field_make(11, 1),
+                                  prec=24, k_bound=3, ell_bound=1)
+    assert r.passed, r.counterexamples[:2]
+    assert r.params["pool_size"] == 3
+    assert r.checks == 3 * 3 * 9  # k in {1, 2, 3}, 1 ell, 9 pairs
+    rows = explore_generators(PrimePower(11, 1), field_make(11, 1),
+                              k_bound=12, prec=24)
+    keys = [(row["k"], tuple(row["alpha"])) for row in rows]
+    assert len(keys) == len(set(keys)) == 11 * 3  # k <= 12 but 11
 
 
 def test_projection_formula_pool_above_nine_elements():

@@ -53,9 +53,12 @@ def _workers(monkeypatch, n: int) -> None:
 
 
 def _wrap_suites(monkeypatch, wrap) -> None:
-    """Replace each runner of SUITES by wrap(name, runner)."""
+    """Replace each runner of SUITES by wrap(name, runner). verify_all's
+    refusal pass still calls the runner itself."""
     for name, run in list(theorems.SUITES.items()):
-        monkeypatch.setitem(theorems.SUITES, name, wrap(name, run))
+        def either(pq, spec, o, run=run, wrapped=wrap(name, run)):
+            return (run if theorems._admitting.get() else wrapped)(pq, spec, o)
+        monkeypatch.setitem(theorems.SUITES, name, either)
 
 
 def _worker_runs_all_but_one(monkeypatch, forks) -> None:
@@ -422,3 +425,34 @@ def test_verify_all_refuses_q_above_the_precision_before_any_suite(
     assert capsys.readouterr().err == err == (
         "error: q = 16 exceeds the precision 8: every gamma would be X\n")
     assert forks == []
+
+
+def test_the_refusal_pass_stops_each_sweep_at_its_collector_only(
+        monkeypatch):
+    # each runner runs once up to its sweep's _Collector, last suite first,
+    # then once on the pool; a sweep that another thread runs meanwhile,
+    # and every sweep after the pass, runs to its report
+    calls, beside = [], []
+
+    def record(name, run):
+        def recorded(pq, spec, o):
+            admitting = theorems._admitting.get()
+            if admitting and not beside:
+                thread = threading.Thread(target=lambda: beside.append(
+                    theorems.verify_logderiv(spec, prec=8, trials=1)))
+                thread.start()
+                thread.join()
+            try:
+                return run(pq, spec, o)
+            finally:
+                calls.append((name, admitting, sys.exc_info()[0]))
+        return recorded
+    for name, run in list(theorems.SUITES.items()):
+        monkeypatch.setitem(theorems.SUITES, name, record(name, run))
+    _workers(monkeypatch, 0)
+    _small_all()
+    names = list(reversed(theorems.SUITES))
+    assert calls == ([(name, True, theorems._Admitted) for name in names]
+                     + [(name, False, None) for name in names])
+    assert beside[0].checks == 6
+    assert theorems._admitting.get() is False
