@@ -228,28 +228,28 @@ def _trunc(document: str) -> sr.TruncSeries:
     return sr.TruncSeries.from_json(_load_json(document))
 
 
-# the other series operations: name -> (JSON operands, operation)
+# the other series operations, on documents that carry their own field
 _SERIES_OPS = {
-    "compose": (("--f", "--g"),
-                lambda args, pq: _trunc(args.f).compose(_trunc(args.g))),
-    "invert": (("--g",), lambda args, pq: sr.AdditiveSeries.from_json(
-        _load_json(args.g)).inverse()),
-    "logderiv": (("--f",), lambda args, pq: sr.log_deriv(_trunc(args.f))),
-    "psi": (("--f",),
-            lambda args, pq: sr.critical_projection(_trunc(args.f), pq)),
+    "compose": lambda args: _trunc(args.f).compose(_trunc(args.g)),
+    "invert": lambda args: sr.AdditiveSeries.from_json(
+        _load_json(args.g)).inverse(),
+    "logderiv": lambda args: sr.log_deriv(_trunc(args.f)),
+    # keywords are evaluated as written: q is checked before the document
+    "psi": lambda args: sr.critical_projection(pq=_prime_power(args),
+                                               t=_trunc(args.f)),
 }
 
 
 def _cmd_series(args):
-    pq = PrimePower(args.p, args.lam) if args.lam else None
     if args.series_op == "eval":
+        pq = None if args.lam is None else _prime_power(args)
         spec = _field(args)
         needs_lambda, build = _SERIES_KINDS[args.kind]
         if pq is None and needs_lambda:
             raise ValueError(f"series kind {args.kind!r} requires --lambda")
         out = build(args, spec, pq)
     else:
-        out = _SERIES_OPS[args.series_op][1](args, pq)
+        out = _SERIES_OPS[args.series_op](args)
     return 0, out.to_json(), str(out)
 
 
@@ -257,17 +257,76 @@ def _cmd_series(args):
 # Parser
 # ---------------------------------------------------------------------------
 
-def _add_pq(sub):
-    sub.add_argument("--p", type=int, required=True, help="prime")
-    sub.add_argument("--lambda", dest="lam", type=int, required=True,
-                     help="exponent: q = p^lambda")
+_INT = {"type": int}
+_P = ("--p", {"type": int, "required": True, "help": "prime"})
+_LAMBDA = ("--lambda", {"dest": "lam", "type": int, "required": True,
+                        "help": "exponent: q = p^lambda"})
+_FIELD = (("--n", {"type": int, "default": 1,
+                   "help": "coefficient field degree over F_p"}),
+          ("--modulus", {"help": "comma-separated modulus coefficients, ascending"}))
+_DOC = {"required": True, "help": "JSON document, file path, or - for stdin"}
+
+# command -> (help, arguments), each argument a name and its add_argument
+# keywords; a command whose second item is a dict has subcommands, and
+# that dict is their table. Each command runs the _cmd_* of its name.
+_COMMANDS = {
+    "criticals": ("list critical integers", [
+        _P, _LAMBDA, ("--base", {"action": "store_true",
+                                 "help": "base set only (members below q)"}),
+        ("--bound", {"type": int, "default": None,
+                     "help": "upper bound for the full set (default q)"})]),
+    "is-critical": ("criticality test with the cyclic digit table",
+                    [("k", _INT), _P, _LAMBDA]),
+    "mu": ("digital minimum of a residue orbit", [("c", _INT), _P, _LAMBDA]),
+    "core": ("digit core", [("n", _INT), _P]),
+    "defect": ("digit defect", [("n", _INT), _P]),
+    "cmp": ("digital well-ordering comparison", [("m", _INT), ("n", _INT), _P]),
+    "lucas": ("binomial coefficient mod p", [("m", _INT), ("k", _INT), _P]),
+    "witness": ("carry witness of an admissible quadruple", [
+        ("j", _INT), ("k", _INT), ("ell", _INT), ("m", _INT), _P]),
+    "admissible": ("enumerate admissible quadruples", [
+        _P, ("--m-bound", {"type": int, "default": 64}),
+        ("--ell-bound", {"type": int, "default": 8}),
+        ("--limit", {"type": int, "default": 0,
+                     "help": "stop after this many (0 = no limit)"})]),
+    "verify": ("run verification sweeps", [
+        ("statement", {"choices": ("all", *th.SUITES)}), _P, _LAMBDA, *_FIELD,
+        # unset options leave each sweep's own default in force
+        *[("--" + name.replace("_", "-"), {"type": int, "default": None})
+          for name in th.SuiteOptions._fields],
+        ("--timing", {"action": "store_true",
+                      "help": "include wall-clock timings in JSON output"})]),
+    "explore": ("tabulate digital leading terms of generator images", [
+        _P, _LAMBDA, *_FIELD, ("--k-bound", {"type": int, "default": 63}),
+        ("--prec", {"type": int, "default": 128})]),
+    "series": ("series arithmetic on JSON documents", {
+        "eval": ("build a named series", [
+            ("--kind", {"required": True, "choices": tuple(_SERIES_KINDS)}),
+            _P, ("--lambda", {"dest": "lam", "type": int, "default": None}),
+            *_FIELD, ("--prec", {"type": int, "default": 32}),
+            ("--k", {"type": int, "default": 1}),
+            ("--ell", {"type": int, "default": 1}),
+            ("--alpha", {"default": "1", "help": "element: index or "
+                         "comma-separated coordinates"}),
+            ("--beta", {"default": "1"}), ("--seed", {"type": int, "default": 0}),
+            ("--factors", {"type": int, "default": 2})]),
+        "compose": ("composition f(g)", [("--f", _DOC), ("--g", _DOC)]),
+        "invert": ("compositional inverse", [("--g", _DOC)]),
+        "logderiv": ("logarithmic derivative X f'/f", [("--f", _DOC)]),
+        "psi": ("critical projection", [("--f", _DOC), _P, _LAMBDA])}),
+}
 
 
-def _add_field(sub):
-    sub.add_argument("--n", type=int, default=1,
-                     help="coefficient field degree over F_p")
-    sub.add_argument("--modulus", type=str, default=None,
-                     help="comma-separated modulus coefficients, ascending")
+def _add_commands(parser, table: dict, dest: str, out_opts) -> None:
+    """A subparser under dest for each command of table and its arguments."""
+    cmds = parser.add_subparsers(dest=dest, required=True)
+    for name, (text, arguments) in table.items():
+        sub = cmds.add_parser(name, parents=[out_opts], help=text)
+        if isinstance(arguments, dict):
+            _add_commands(sub, arguments, name + "_op", out_opts)
+        else:
+            for flag, keywords in arguments:
+                sub.add_argument(flag, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -289,82 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (env QCRIT_FORMAT)")
     parser.add_argument("--output", type=str, default=None,
                         help="write output to this file instead of stdout")
-    cmds = parser.add_subparsers(dest="command", required=True)
-
-    c = cmds.add_parser("criticals", parents=[out_opts], help="list critical integers")
-    _add_pq(c)
-    c.add_argument("--base", action="store_true",
-                   help="base set only (members below q)")
-    c.add_argument("--bound", type=int, default=None,
-                   help="upper bound for the full set (default q)")
-
-    for name, operands, text in (
-            ("is-critical", "k", "criticality test with the cyclic digit table"),
-            ("mu", "c", "digital minimum of a residue orbit"),
-            ("core", "n", "digit core"),
-            ("defect", "n", "digit defect"),
-            ("cmp", "m n", "digital well-ordering comparison"),
-            ("lucas", "m k", "binomial coefficient mod p"),
-            ("witness", "j k ell m",
-             "carry witness of an admissible quadruple")):
-        c = cmds.add_parser(name, parents=[out_opts], help=text)
-        for operand in operands.split():
-            c.add_argument(operand, type=int)
-        if name in ("is-critical", "mu"):
-            _add_pq(c)
-        else:
-            c.add_argument("--p", type=int, required=True)
-
-    c = cmds.add_parser("admissible", parents=[out_opts], help="enumerate admissible quadruples")
-    c.add_argument("--p", type=int, required=True)
-    c.add_argument("--m-bound", type=int, default=64)
-    c.add_argument("--ell-bound", type=int, default=8)
-    c.add_argument("--limit", type=int, default=0,
-                   help="stop after this many (0 = no limit)")
-
-    c = cmds.add_parser("verify", parents=[out_opts], help="run verification sweeps")
-    c.add_argument("statement", choices=("all", *th.SUITES))
-    _add_pq(c)
-    _add_field(c)
-    # unset options leave each sweep's own default in force
-    for name in th.SuiteOptions._fields:
-        c.add_argument("--" + name.replace("_", "-"), type=int, default=None)
-    c.add_argument("--timing", action="store_true",
-                   help="include wall-clock timings in JSON output")
-
-    c = cmds.add_parser("explore", parents=[out_opts], help="tabulate digital leading terms of "
-                                        "generator images")
-    _add_pq(c)
-    _add_field(c)
-    c.add_argument("--k-bound", type=int, default=63)
-    c.add_argument("--prec", type=int, default=128)
-
-    c = cmds.add_parser("series", parents=[out_opts], help="series arithmetic on JSON documents")
-    ops = c.add_subparsers(dest="series_op", required=True)
-    ev = ops.add_parser("eval", parents=[out_opts], help="build a named series")
-    ev.add_argument("--kind", required=True, choices=tuple(_SERIES_KINDS))
-    ev.add_argument("--p", type=int, required=True)
-    ev.add_argument("--lambda", dest="lam", type=int, default=None)
-    _add_field(ev)
-    ev.add_argument("--prec", type=int, default=32)
-    ev.add_argument("--k", type=int, default=1)
-    ev.add_argument("--ell", type=int, default=1)
-    ev.add_argument("--alpha", type=str, default="1",
-                    help="element: index or comma-separated coordinates")
-    ev.add_argument("--beta", type=str, default="1")
-    ev.add_argument("--seed", type=int, default=0)
-    ev.add_argument("--factors", type=int, default=2)
-    for name, (argnames, _) in _SERIES_OPS.items():
-        op = ops.add_parser(name, parents=[out_opts])
-        for a in argnames:
-            op.add_argument(a, type=str, required=True,
-                            help="JSON document, file path, or - for stdin")
-        if name == "psi":
-            op.add_argument("--p", type=int, required=True)
-            op.add_argument("--lambda", dest="lam", type=int, required=True)
-        else:
-            op.add_argument("--p", type=int, default=0)
-            op.add_argument("--lambda", dest="lam", type=int, default=None)
+    _add_commands(parser, _COMMANDS, "command", out_opts)
     return parser
 
 

@@ -400,9 +400,6 @@ class FieldSpec:
         return field_make(json_member(data, "p", int), json_member(data, "n", int),
                           json_member(data, "modulus", (list, type(None)), int))
 
-    def element_from_json(self, data: Sequence[int]) -> FieldElement:
-        return self.element(data)
-
     # -- comparison ---------------------------------------------------------
 
     def __eq__(self, other) -> bool:

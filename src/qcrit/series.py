@@ -167,13 +167,9 @@ class TruncSeries:
 
     def scale_arg(self, alpha: FieldElement) -> TruncSeries:
         """Substitute alpha*X for X: coefficient a_i becomes a_i * alpha^i."""
-        mul = self.spec._mul
-        row = mul[_index(self.spec, alpha)]
-        out, power = [], 1
-        for c in self.idx:
-            out.append(mul[power][c])
-            power = row[power]
-        return _series(self.spec, self.prec, out)
+        n = self.prec
+        inner = [0, _index(self.spec, alpha)] + [0] * (n - 1)
+        return _series(self.spec, n, _compose(self.spec, self.idx, inner, n))
 
     def inverse_mult(self) -> TruncSeries:
         """Multiplicative inverse of a unit, at the same precision."""
@@ -196,11 +192,9 @@ class TruncSeries:
         Exact through min(prec) because the inner series has positive
         valuation. Computed by splitting self by exponent residues mod p
         (see _compose), with no Horner loop."""
-        if self.spec != inner.spec:
-            raise ValueError("series over different fields")
+        n = self._binop_prec(inner)
         if inner.idx[0]:
             raise ValueError("inner series must have zero constant term")
-        n = min(self.prec, inner.prec)
         return _series(self.spec, n, _compose(self.spec, self.idx, inner.idx, n))
 
     # -- serialization ------------------------------------------------------

@@ -148,18 +148,28 @@ _pooling = False  # set while a pool that forked drains: no pool nests in it
 def _workers(tasks: int) -> int:
     """The worker processes a pool of tasks forks beside this one: one per
     usable CPU but this one's, and at most one per task but the first.
-    None where os.fork is missing, where another thread is alive (a fork
+    None where os.fork is missing, off the main thread (only there can
+    _pool set its SIGTERM handler), where another thread is alive (a fork
     would copy its locks held), or under sys.settrace or sys.setprofile,
     whose tracer or profiler would not see the workers' tasks."""
     import os
     import sys
     import threading
     if (not hasattr(os, "fork") or threading.active_count() > 1
+            or threading.current_thread() is not threading.main_thread()
             or sys.gettrace() or sys.getprofile()):
         return 0
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     return min(cpus, tasks) - 1
+
+
+def _terminate(signum, frame):
+    """_pool's SIGTERM handler: exit through the pool's reaping, which a
+    second SIGTERM then leaves alone."""
+    import signal
+    signal.signal(signum, signal.SIG_IGN)
+    raise SystemExit(128 + signum)
 
 
 def _pool(run, order, fork: bool = True) -> list:
@@ -174,7 +184,9 @@ def _pool(run, order, fork: bool = True) -> list:
     exceptions pickled, and ends with os._exit. The results come back in
     index order; as in a serial loop, the exception of the lowest failing
     index is raised. A worker that ends before it reports makes this raise
-    RuntimeError, and every worker is reaped on every path."""
+    RuntimeError, and every worker is reaped on every path: while there
+    are workers, a SIGTERM raises SystemExit(143) here, so that it too
+    unwinds through the reaping."""
     import os
     import pickle
     import signal
@@ -194,8 +206,12 @@ def _pool(run, order, fork: bool = True) -> list:
         return done
 
     results, workers, reported, nested = {}, [], False, _pooling
+    forks = _workers(len(order)) if fork and not nested else 0
+    if forks:  # SIGTERM is held until every worker's pid is in workers
+        sigterm = signal.signal(signal.SIGTERM, _terminate)
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
     try:
-        for _ in range(_workers(len(order)) if fork and not nested else 0):
+        for _ in range(forks):
             _pooling = True
             result_r, result_w = os.pipe()
             try:
@@ -207,6 +223,7 @@ def _pool(run, order, fork: bool = True) -> list:
             if pid == 0:
                 code = 1
                 try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                     with open(result_w, "wb") as out:
                         out.write(pickle.dumps(drain()))
                     code = 0
@@ -214,6 +231,8 @@ def _pool(run, order, fork: bool = True) -> list:
                     os._exit(code)
             os.close(result_w)
             workers.append((pid, open(result_r, "rb")))
+        if forks:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         results.update(drain())
         for pid, pipe in workers:
             try:
@@ -231,6 +250,9 @@ def _pool(run, order, fork: bool = True) -> list:
             if not reported:
                 os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if forks:
+            signal.signal(signal.SIGTERM, sigterm)
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
     results = [results[i] for i in range(len(order))]
     for result in results:
         if isinstance(result, Exception):
@@ -341,7 +363,7 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
         "projection_equivariance",
         {"p": pq.p, "lambda": pq.lam, "q": pq.q, "n": spec.n, "prec": prec,
          "trials": trials, "seed": seed},
-        f"{trials} random (unit, gamma) pairs at precision {prec}", trials)
+        f"{trials} random (unit, gamma) pairs at precision {prec}", max(trials, 0))
 
 
 def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,

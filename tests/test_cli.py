@@ -142,6 +142,42 @@ def test_verify_choices_are_the_suite_registry():
     assert tuple(statement.choices) == ("all", *SUITES)
 
 
+# every command, and every subcommand of a command with a table of its own
+COMMANDS = [[name] for name in cli._COMMANDS] + [
+    [name, op] for name, (_, arguments) in cli._COMMANDS.items()
+    if isinstance(arguments, dict) for op in arguments]
+
+
+def test_every_command_has_a_handler_and_every_handler_a_command():
+    handlers = {name[len("_cmd_"):].replace("_", "-") for name in vars(cli)
+                if name.startswith("_cmd_")}
+    assert handlers == set(cli._COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_every_command_answers_help(capsys, argv):
+    assert main([*argv, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: qcrit {' '.join(argv)} ")
+
+
+@pytest.mark.parametrize("argv", [["compose", "--f", "{}", "--g", "{}"],
+                                  ["invert", "--g", "{}"],
+                                  ["logderiv", "--f", "{}"]], ids=lambda a: a[0])
+def test_series_operations_on_documents_take_no_prime_power(capsys, argv):
+    assert main(["series", *argv, "--p", "2", "--lambda", "1"]) == 2
+    assert "unrecognized arguments: --p 2 --lambda 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--f", json.dumps({"field": {"p": 2, "n": 1, "modulus": [0, 1]},
+                               "prec": 2, "coeffs": [[0], [1], [0]]})],
+    ["eval", "--kind", "artin-hasse"], ["eval", "--kind", "twisted-orbit"]],
+    ids=["psi", "artin-hasse", "twisted-orbit"])
+def test_a_lambda_below_one_is_refused_where_it_is_given(capsys, argv):
+    assert main(["series", *argv, "--p", "2", "--lambda", "0"]) == 2
+    assert capsys.readouterr().err == "error: exponent must be >= 1, got 0\n"
+
+
 SMALL = {"prec": 32, "trials": 2, "seed": 7, "m_bound": 64, "ell_bound": 3,
          "c_bound": 50, "oracle_bound": 500, "bound": 200, "k_bound": 7,
          "proj_ell_bound": 1, "proj_prec": 32}

@@ -257,7 +257,7 @@ def test_json_round_trip_bit_exact():
     assert again == spec
     assert json.dumps(again.to_json(), sort_keys=True) == blob
     a = spec.element([2, 1])
-    assert spec.element_from_json(a.to_json()) == a
+    assert spec.element(a.to_json()) == a
 
 
 @pytest.mark.parametrize("doc", [

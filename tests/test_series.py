@@ -191,6 +191,11 @@ def test_scale_arg_examples():
     alpha = F9.random_nonzero(rng)
     sq = TruncSeries.monomial(F9, 8, 2, F9.one())
     assert sq.scale_arg(alpha) == TruncSeries.monomial(F9, 8, 2, alpha * alpha)
+    # a_i becomes a_i alpha^i, for alpha = 0 too, and at precision 0
+    for a in (alpha, F9.zero()):
+        for g in (f, f.truncate(0)):
+            want = [c * a ** i for i, c in enumerate(g.coeffs)]
+            assert list(g.scale_arg(a).coeffs) == want
     # substitution of alpha*X commutes with the logarithmic derivative
     for _ in range(10):
         f = TruncSeries(F9, 24, [F9.random_nonzero(rng)]

@@ -53,6 +53,13 @@ def test_equivariance_small_grid():
         assert r.checks == 12
 
 
+def test_a_negative_trial_count_checks_nothing():
+    pq, spec = PrimePower(2, 1), field_make(2, 1)
+    for r in (verify_equivariance(pq, spec, prec=8, trials=-1),
+              verify_logderiv(spec, prec=8, trials=-1)):
+        assert r.passed and r.checks == 0
+
+
 def test_equivariance_rejects_wrong_characteristic():
     with pytest.raises(ValueError):
         verify_equivariance(PrimePower(2, 1), field_make(3, 1), 16, 2, 0)

@@ -5,8 +5,10 @@ exit codes, counterexamples and errors are the same, and no process is
 left behind. Every test that forks checks, on teardown, that this process
 has no child left."""
 
+import contextlib
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -19,7 +21,7 @@ from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
 from qcrit.series import AdditiveSeries
 
-from test_cli import SMALL
+from test_cli import SMALL, SRC
 from test_sweep_faults import FAULT, _flipped
 from test_verify_bytes import RUNS
 from test_verify_bytes import test_verify_stdout_is_byte_identical as check_bytes
@@ -163,24 +165,91 @@ def test_a_worker_killed_mid_run_makes_verify_all_raise(monkeypatch, forks):
     assert len(forks) == 1
 
 
-@needs_fork
-def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(
-        monkeypatch, forks):
+def _stop_the_parent(monkeypatch, forks, stop, raised):
+    """stop() in this process while its worker is busy: raised comes out
+    of verify_all, the worker is killed and reaped, and the SIGTERM
+    handler that _pool set in place of the one outside is undone."""
     parent = os.getpid()
 
     def wrap(name, run):
         def interrupted(pq, spec, o):
             if os.getpid() == parent:
-                raise KeyboardInterrupt
+                stop()
             time.sleep(60)  # the worker is still busy when the parent stops
         return interrupted
     _wrap_suites(monkeypatch, wrap)
     _workers(monkeypatch, 1)
-    t0 = time.perf_counter()
-    with pytest.raises(KeyboardInterrupt):
-        _small_all()
-    assert time.perf_counter() - t0 < 30
-    assert len(forks) == 1
+
+    def outside(signum, frame):
+        raise SystemExit("SIGTERM reached the handler outside the pool")
+    sigterm = signal.signal(signal.SIGTERM, outside)
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(raised) as stopped:
+            _small_all()
+        assert time.perf_counter() - t0 < 30
+        assert len(forks) == 1
+        assert signal.getsignal(signal.SIGTERM) is outside
+    finally:
+        signal.signal(signal.SIGTERM, sigterm)
+    return stopped.value
+
+
+@needs_fork
+def test_an_interrupt_in_the_parent_kills_and_reaps_the_worker(
+        monkeypatch, forks):
+    def interrupt():
+        raise KeyboardInterrupt
+    _stop_the_parent(monkeypatch, forks, interrupt, KeyboardInterrupt)
+
+
+@needs_fork
+def test_a_sigterm_in_the_parent_kills_and_reaps_the_worker(
+        monkeypatch, forks):
+    stopped = _stop_the_parent(
+        monkeypatch, forks, lambda: os.kill(os.getpid(), signal.SIGTERM),
+        SystemExit)
+    assert stopped.code == 143
+
+
+@needs_fork
+@pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/task/"
+                                       f"{os.getpid()}/children"),
+                    reason="no /proc/<pid>/task/<pid>/children")
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2
+                    if hasattr(os, "sched_getaffinity") else True,
+                    reason="one usable CPU: no worker is forked")
+def test_a_sigterm_to_the_parent_leaves_no_worker_running(tmp_path):
+    # trials * prec^2 is far above _FORK_WORK: the sweep forks at once, and
+    # its worker would run for hours if nothing stopped it
+    argv = [sys.executable, "-m", "qcrit", "verify", "equivariance", "--p",
+            "2", "--lambda", "1", "--n", "1", "--prec", "2048", "--trials",
+            "99999998"]
+    err = tmp_path / "stderr.txt"
+    with open(err, "wb") as stderr:  # a pipe would wait for a stray worker
+        proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
+                                stdout=subprocess.DEVNULL, stderr=stderr)
+    children, pids = f"/proc/{proc.pid}/task/{proc.pid}/children", []
+    try:
+        deadline = time.monotonic() + 30
+        while not pids:
+            assert proc.poll() is None and time.monotonic() < deadline
+            with open(children) as listing:
+                pids = [int(pid) for pid in listing.read().split()]
+            time.sleep(0.001)
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 143
+        assert err.read_bytes() == b""
+        time.sleep(1)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+    finally:
+        for pid in pids:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+        proc.kill()
+        proc.wait()
 
 
 @needs_fork
@@ -198,8 +267,10 @@ def test_one_worker_per_suite_gives_the_serial_reports(
         monkeypatch, forks, serial_reports):
     # more workers than cores: every suite but one may run in a worker
     _workers(monkeypatch, len(theorems.SUITES) - 1)
+    sigterm = signal.getsignal(signal.SIGTERM)
     assert _small_all() == serial_reports
     assert len(forks) == len(theorems.SUITES) - 1
+    assert signal.getsignal(signal.SIGTERM) is sigterm
 
 
 @needs_fork
@@ -239,6 +310,14 @@ def test_suite_workers_use_each_usable_cpu_up_to_one_per_suite(
     suites = len(theorems.SUITES)
     assert theorems._workers(suites) == workers
     assert theorems._workers(1) == 0  # never more processes than tasks
+    # off the main thread, where _pool could not set its SIGTERM handler
+    monkeypatch.setattr(threading, "active_count", lambda: 1)
+    off_main = []
+    thread = threading.Thread(
+        target=lambda: off_main.append(theorems._workers(suites)))
+    thread.start()
+    thread.join(timeout=10)
+    assert off_main == [0]
     monkeypatch.delattr(os, "sched_getaffinity")
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     assert theorems._workers(suites) == workers
