@@ -170,12 +170,9 @@ def _cmd_witness(args):
 def _cmd_verify(args):
     pq = _prime_power(args)
     spec = _field(args)
-    options = {name: getattr(args, name) for name in th.SuiteOptions._fields}
-    if args.statement == "all":
-        reports = th.verify_all(pq, spec, **options)
-    else:
-        reports = [th.SUITES[args.statement](pq, spec,
-                                             th.SuiteOptions(**options))]
+    options = {name: getattr(args, name) for name in th.OPTIONS}
+    reports = (th.verify_all(pq, spec, **options) if args.statement == "all"
+               else [th.verify_suite(args.statement, pq, spec, **options)])
     ok = all(r.passed for r in reports)
     payload = {"pass": ok,
                "reports": [r.to_json_dict(include_timing=args.timing)
@@ -292,8 +289,10 @@ _COMMANDS = {
     "verify": ("run verification sweeps", [
         ("statement", {"choices": ("all", *th.SUITES)}), _P, _LAMBDA, *_FIELD,
         # unset options leave each sweep's own default in force
-        *[("--" + name.replace("_", "-"), {"type": int, "default": None})
-          for name in th.SuiteOptions._fields],
+        *[("--" + name.replace("_", "-"), {"type": int, "default": None,
+            "help": "read by " + ", ".join(
+                s for s, (reads, _) in th.SUITES.items() if name in reads)})
+          for name in th.OPTIONS],
         ("--timing", {"action": "store_true",
                       "help": "include wall-clock timings in JSON output"})]),
     "explore": ("tabulate digital leading terms of generator images", [
@@ -367,9 +366,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        for name in ("prec", "proj_prec"):
-            sr.check_prec(getattr(args, name, None))
-        dg.check_m_bound(getattr(args, "m_bound", None))
+        sr.check_prec(getattr(args, "prec", None))
         # found by name on every call, so a rebound _cmd_* takes effect
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
         code, payload, text = handler(args)

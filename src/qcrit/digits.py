@@ -327,11 +327,11 @@ def is_admissible(j: int, k: int, ell: int, m: int, p: int) -> bool:
 MAX_M_BOUND = 4096
 
 
-def check_m_bound(m_bound: int | None) -> None:
-    """Raise ValueError unless m_bound is None or in [1, MAX_M_BOUND]."""
-    if m_bound is not None and m_bound > MAX_M_BOUND:
+def check_m_bound(m_bound: int) -> None:
+    """Raise ValueError unless m_bound is in [1, MAX_M_BOUND]."""
+    if m_bound > MAX_M_BOUND:
         raise ValueError(f"m_bound {m_bound} exceeds the limit {MAX_M_BOUND}")
-    if m_bound is not None and m_bound < 1:
+    if m_bound < 1:
         raise ValueError(f"m_bound must be >= 1, got {m_bound}")
 
 

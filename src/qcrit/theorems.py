@@ -9,8 +9,8 @@ all of its draws before it checks them, so a process reaches trial t by
 drawing the trials before it without checking them: this is how forked
 workers share a sweep's trials (_run_trials).
 
-SUITES is the one list of sweeps: `qcrit verify` takes its statement names
-from it and verify_all runs it in order.
+SUITES is the one list of sweeps and of the options that each reads:
+`qcrit verify` and verify_all take their statements and options from it.
 """
 
 from __future__ import annotations
@@ -20,15 +20,15 @@ import time
 from contextlib import suppress
 from contextvars import ContextVar, copy_context
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from functools import partial
 
 from . import digits
 from .digits import (PrimePower, critical_base_set, critical_members,
                      digital_cmp, digital_key, min_residue, coprime_part,
                      orbit_id, orbit_min, orbit_residues, p_core, GREATER)
 from .finite_field import FieldSpec, check_prime, field_make
-from .series import (AdditiveSeries, TruncSeries, _random_gamma, _random_unit,
-                     _series, artin_hasse, critical_projection,
+from .series import (TruncSeries, _random_gamma, _random_unit,
+                     _series, artin_hasse, check_prec, critical_projection,
                      critical_projection_formula, log_deriv, orbit_series,
                      solve_log_deriv, twisted_orbit_series)
 
@@ -120,10 +120,6 @@ def _first_mismatch(a: TruncSeries, b: TruncSeries) -> dict:
         if lhs != rhs:
             return {"degree": i, "lhs": lhs.to_json(), "rhs": rhs.to_json()}
     return {}
-
-
-def _gamma_json(gamma: AdditiveSeries) -> dict:
-    return {str(i): c.to_json() for i, c in sorted(gamma.terms.items())}
 
 
 def desk_bounds(p: int) -> tuple[int, int]:
@@ -264,6 +260,14 @@ def _pool(run, order, fork: bool = True) -> list:
 # Series-level statements
 # ---------------------------------------------------------------------------
 
+def _check_prec(prec: int) -> None:
+    """Refuse a precision below 1, which leaves a sweep no term of degree 1
+    to check, or above series.MAX_PREC."""
+    if prec < 1:
+        raise ValueError("precision must be at least 1")
+    check_prec(prec)
+
+
 # The work, trials * prec^2, from which a randomized sweep shares its trials
 # with forked workers. A fork costs about 2 ms. At 4 trials of prec 128 on
 # F_4 forking lost on equivariance and Coleman and won on logderiv; from 5
@@ -332,7 +336,7 @@ def _action_trial(pq: PrimePower, spec: FieldSpec, prec: int, check: str,
                 psi_h.scale_arg(omega).scale(omega.inverse()))
             if not lhs.agrees(rhs):
                 yield check, {"factors": factors, "omega": omega.to_json(),
-                              "gamma": _gamma_json(gamma),
+                              "gamma": gamma.to_json()["terms"],
                               "unit": [c.to_json() for c in h.coeffs],
                               **_first_mismatch(lhs, rhs)}
     return trial
@@ -351,8 +355,7 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     """
     if spec.p != pq.p:
         raise ValueError("field characteristic does not match the prime power")
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
+    _check_prec(prec)
     if pq.q > prec:  # no X + beta*X^(q^ell) fits below the precision
         raise ValueError(f"q = {pq.q} exceeds the precision {prec}: "
                          "every gamma would be X")
@@ -377,8 +380,7 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
     - surjectivity onto that constraint, via the explicit section;
     - substitution of alpha*X commutes with D.
     """
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
+    _check_prec(prec)
     bad = _Collector()
     p, q, frob1 = spec.p, spec.order, spec._frob1
     zero = TruncSeries.zero(spec, prec)
@@ -690,8 +692,7 @@ def verify_projection_formula(pq: PrimePower, spec: FieldSpec, prec: int = 256,
     p = pq.p
     if spec.p != p:
         raise ValueError("field characteristic does not match the prime power")
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
+    _check_prec(prec)
     _check_nonempty("projection", k_bound=k_bound, ell_bound=ell_bound)
     bad = _Collector()
     if coeff_pool is None:
@@ -767,8 +768,7 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
     p, lam, q = pq.p, pq.lam, pq.q
     if ext_degree < 1:
         raise ValueError(f"ext_degree must be >= 1, got {ext_degree}")
-    if prec < 1:
-        raise ValueError("precision must be at least 1")
+    _check_prec(prec)
     spec = field_make(p, lam * ext_degree)
     spec.elements()  # refuses a K above 4096 elements, before enumerating
     bad = _Collector()
@@ -835,84 +835,86 @@ def explore_generators(pq: PrimePower, spec: FieldSpec, k_bound: int = 63,
 # Orchestration
 # ---------------------------------------------------------------------------
 
-class SuiteOptions(NamedTuple):
-    """The options of the suites in SUITES, named as in `qcrit verify`.
-
-    None leaves a sweep's own default in force, and so does 0 for trials
-    and ell_bound; a bound that leaves a sweep nothing to check is refused.
-    proj_prec and proj_ell_bound are the precision and the ell bound of the
-    projection sweep."""
-
-    prec: int | None = None
-    seed: int | None = None
-    trials: int | None = None
-    m_bound: int | None = None
-    ell_bound: int | None = None
-    c_bound: int | None = None
-    oracle_bound: int | None = None
-    bound: int | None = None
-    k_bound: int | None = None
-    proj_ell_bound: int | None = None
-    proj_prec: int | None = None
-    ext_degree: int | None = None
-
-
-def _given(**kwargs) -> dict:
-    """The keyword arguments that are set; the sweep supplies the rest."""
+def _given(trials=None, **kwargs) -> dict:
+    """The keyword arguments that are set, where trials of 0 is not; the
+    sweep supplies the rest."""
+    kwargs["trials"] = trials or None
     return {k: v for k, v in kwargs.items() if v is not None}
 
 
-def _randomized(o: SuiteOptions) -> dict:
-    return _given(prec=o.prec, trials=o.trials or None, seed=o.seed)
-
-
-def _ext_degree(pq: PrimePower, spec: FieldSpec, o: SuiteOptions) -> int:
-    """The given degree, else n / lambda when lambda divides n, else 1."""
-    if o.ext_degree is not None:
-        return o.ext_degree
-    return spec.n // pq.lam if spec.n % pq.lam == 0 else 1
-
-
-# Statement name -> runner(pq, spec, options), in the order of `verify all`.
-# The runners look the verify_* functions up when they run, so a rebinding
-# of those module attributes reaches them.
+# Statement -> (the options its sweep reads, named as in `qcrit verify`, and
+# runner(pq, spec, **options), which gets each, None where not given), in
+# the order of `verify all`. None leaves the sweep's default in force, as 0
+# does for trials and ell_bound. The runners look the verify_* functions up
+# when they run, so a rebinding of those module attributes reaches them.
+_RANDOMIZED = ("prec", "seed", "trials")
 SUITES = {
-    "equivariance": lambda pq, spec, o: verify_equivariance(
-        pq, spec, **_randomized(o)),
-    "logderiv": lambda pq, spec, o: verify_logderiv(spec, **_randomized(o)),
-    "admissible-order": lambda pq, spec, o: verify_admissible_order(
-        pq.p, o.m_bound, o.ell_bound or None),
-    "admissible-witness": lambda pq, spec, o: verify_admissible_witness(
-        pq.p, o.m_bound, o.ell_bound or None),
-    "orbit-min": lambda pq, spec, o: verify_orbit_min(
-        pq, **_given(c_bound=o.c_bound, oracle_bound=o.oracle_bound)),
-    "cyclic-digits": lambda pq, spec, o: verify_cyclic_digits(
-        pq, **_given(bound=o.bound)),
-    "projection": lambda pq, spec, o: verify_projection_formula(
-        pq, spec, **_given(prec=o.proj_prec, k_bound=o.k_bound,
-                           ell_bound=o.proj_ell_bound)),
-    "coleman": lambda pq, spec, o: verify_coleman(
-        pq, _ext_degree(pq, spec, o), **_randomized(o)),
+    "equivariance": (_RANDOMIZED, lambda pq, spec, **o: verify_equivariance(
+        pq, spec, **_given(**o))),
+    "logderiv": (_RANDOMIZED, lambda pq, spec, **o: verify_logderiv(
+        spec, **_given(**o))),
+    "admissible-order": (("m_bound", "ell_bound"), lambda pq, spec, m_bound,
+                         ell_bound: verify_admissible_order(
+                             pq.p, m_bound, ell_bound or None)),
+    "admissible-witness": (("m_bound", "ell_bound"), lambda pq, spec, m_bound,
+                           ell_bound: verify_admissible_witness(
+                               pq.p, m_bound, ell_bound or None)),
+    "orbit-min": (("c_bound", "oracle_bound"), lambda pq, spec, **o:
+                  verify_orbit_min(pq, **_given(**o))),
+    "cyclic-digits": (("bound",), lambda pq, spec, **o: verify_cyclic_digits(
+        pq, **_given(**o))),
+    "projection": (("k_bound", "proj_ell_bound", "proj_prec"),
+                   lambda pq, spec, proj_ell_bound, proj_prec, **o:
+                   verify_projection_formula(pq, spec, **_given(
+                       prec=proj_prec, ell_bound=proj_ell_bound, **o))),
+    # the given extension degree, else n / lambda if lambda divides n, else 1
+    "coleman": (("ext_degree", *_RANDOMIZED), lambda pq, spec, ext_degree, **o:
+                verify_coleman(pq, ext_degree if ext_degree is not None else
+                               spec.n // pq.lam if spec.n % pq.lam == 0 else 1,
+                               **_given(**o))),
 }
+OPTIONS = tuple(dict.fromkeys(n for r, _ in SUITES.values() for n in r))
+
+
+def _runs(statements, pq: PrimePower, spec: FieldSpec, options: dict) -> list:
+    """The runner of each of statements as a call of no arguments, with the
+    options of its row. options are named as in OPTIONS, else TypeError,
+    and None where not given; one given that no row reads is refused."""
+    rows = [SUITES[statement] for statement in statements]
+    for name, value in options.items():
+        if name not in OPTIONS:
+            raise TypeError(f"unknown option {name!r}")
+        if value is not None and all(name not in r for r, _ in rows):
+            flags = ", ".join("--" + n.replace("_", "-") for n in rows[0][0])
+            raise ValueError(f"verify {statements[0]} does not read "
+                             f"--{name.replace('_', '-')}; it reads {flags}")
+    return [partial(run, pq, spec, **{name: options.get(name) for name in r})
+            for r, run in rows]
+
+
+def verify_suite(statement: str, pq: PrimePower, spec: FieldSpec,
+                 **options) -> VerifyReport:
+    """Run the sweep of statement; `qcrit verify STATEMENT` is this run.
+    An option given that the sweep does not read is refused (_runs)."""
+    return _runs([statement], pq, spec, options)[0]()
 
 
 def verify_all(pq: PrimePower, spec: FieldSpec,
                **options) -> list[VerifyReport]:
-    """Run every suite of SUITES; `qcrit verify all` is this run. options
-    are fields of SuiteOptions; each sweep supplies its own defaults.
+    """Run every suite of SUITES; `qcrit verify all` is this run. Each
+    suite reads the options of its row.
 
     First each runner runs up to its sweep's _Collector, last suite first,
     with _admitting set: a refused option raises before any suite works.
     Then the suites run on _pool, in this process and in forked workers;
     a randomized suite runs all of its trials where it was taken. Reports
     come in SUITES order; the lowest failing suite's error is raised."""
-    o = SuiteOptions(**options)
-    runs = list(SUITES.values())
+    runs = _runs(SUITES, pq, spec, options)
     refusals = copy_context()  # a context in which _admitting is set
     refusals.run(_admitting.set, True)
     for run in reversed(runs):
         with suppress(_Admitted):
-            refusals.run(run, pq, spec, o)
+            refusals.run(run)
     # Last suite first: SUITES order leaves projection, the longest suite,
     # to the end. On two cores desk's verify all (F_4, prec 128, seeds 1
     # and 6) took 0.77 s in this order and 0.88 s in SUITES order (medians
@@ -920,4 +922,4 @@ def verify_all(pq: PrimePower, spec: FieldSpec,
     # serial rule that no suite after a failing one starts: every later
     # suite was taken before it, and the earlier ones run to find the
     # lowest failure.
-    return _pool(lambda i: runs[i](pq, spec, o), reversed(range(len(runs))))
+    return _pool(lambda i: runs[i](), reversed(range(len(runs))))

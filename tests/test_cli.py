@@ -16,7 +16,7 @@ from qcrit import series as sr
 from qcrit.cli import build_parser, main
 from qcrit.digits import PrimePower, admissible_quadruples, critical_members
 from qcrit.finite_field import field_make
-from qcrit.theorems import SUITES, verify_all
+from qcrit.theorems import OPTIONS, SUITES, verify_all, verify_suite
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -456,17 +456,24 @@ def test_m_bound_above_the_limit_exits_two(capsys):
     assert code == 0 and out["count"] == 3
 
 
-def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
-        capsys, monkeypatch):
-    # each would print PASS with checks=0: every admissible quadruple has
-    # m >= p + 1 and ell >= 1, and cyclic-digits and projection need a
-    # bound of at least 1. verify all refuses before its first suite.
+@pytest.fixture
+def no_work(monkeypatch):
+    """Make the first step of every sweep's work raise: the digit tables,
+    the orbit table, the Artin-Hasse series, and the pool that runs a
+    sweep's trials or verify all's suites."""
     def no_work(*args):
         raise AssertionError("work began before the refusal")
     for module, name in ((digits, "digit_tables"), (digits, "admissible_blocks"),
                          (digits, "_orbit_min_table"),
                          (theorems, "artin_hasse"), (theorems, "_pool")):
         monkeypatch.setattr(module, name, no_work)
+
+
+def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
+        capsys, monkeypatch, no_work):
+    # each would print PASS with checks=0: every admissible quadruple has
+    # m >= p + 1 and ell >= 1, and cyclic-digits and projection need a
+    # bound of at least 1. verify all refuses before its first suite.
     admissible = "no admissible quadruple, which needs m_bound > p = 2"
     for argv, message in (
             (["admissible-order", "--lambda", "1", "--ell-bound", "-1"],
@@ -511,6 +518,74 @@ def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
         code, out = run_json(capsys, "verify", argv[0], "--p", "2",
                              "--lambda", "1", *argv[1:])
         assert code == 0 and out["reports"][0]["checks"] > 0, argv
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+@pytest.mark.parametrize("statement,name", [
+    (statement, name) for statement, (reads, _) in SUITES.items()
+    for name in OPTIONS if name not in reads], ids="{0[0]} {0[1]}".format)
+def test_an_option_the_statement_does_not_read_exits_two_before_any_work(
+        capsys, no_work, statement, name):
+    # it used to be accepted and dropped without a word
+    reads = ", ".join(_flag(n) for n in SUITES[statement][0])
+    assert main(["verify", statement, "--p", "2", "--lambda", "1",
+                 _flag(name), "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: verify {statement} does not read "
+                            f"{_flag(name)}; it reads {reads}\n")
+
+
+def test_options_that_were_dropped_or_misread_exit_two(capsys):
+    # projection reads --proj-prec, not --prec, and logderiv never read the
+    # --m-bound that main once refused for every command
+    for argv, flag in (
+            (["projection", "--p", "2", "--lambda", "1", "--n", "2",
+              "--prec", "16", "--k-bound", "3"], "--prec"),
+            (["cyclic-digits", "--p", "2", "--lambda", "2", "--bound", "50",
+              "--trials", "5", "--prec", "9", "--ext-degree", "7"], "--prec"),
+            (["logderiv", "--p", "2", "--lambda", "1", "--prec", "8",
+              "--m-bound", "5000"], "--m-bound")):
+        assert main(["verify", *argv]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"does not read {flag};" in captured.err, argv
+    pq, spec = PrimePower(2, 1), field_make(2, 1)
+    with pytest.raises(ValueError, match="^verify projection does not read "
+                                         "--prec; it reads --k-bound, "
+                                         "--proj-ell-bound, --proj-prec$"):
+        verify_suite("projection", pq, spec, prec=16)
+    # an option left unset is not given; a name outside OPTIONS is no option
+    assert verify_suite("cyclic-digits", pq, spec, bound=5, prec=None).passed
+    for run in (verify_all, lambda pq, spec, **o: verify_suite(
+            "logderiv", pq, spec, **o)):
+        with pytest.raises(TypeError, match="unknown option 'bogus'"):
+            run(pq, spec, bogus=1)
+
+
+# a value for each option, each away from every sweep's default
+READ = {"prec": 12, "seed": 5, "trials": 2, "m_bound": 20, "ell_bound": 2,
+        "c_bound": 30, "oracle_bound": 200, "bound": 40, "k_bound": 3,
+        "proj_ell_bound": 1, "proj_prec": 14, "ext_degree": 2}
+
+
+@pytest.mark.parametrize("statement", SUITES)
+def test_every_option_a_statement_reads_shows_in_its_report(capsys,
+                                                            statement):
+    # so no row of SUITES names an option that its sweep ignores; the
+    # projection sweep's prec and ell_bound are its proj_ options
+    reads = SUITES[statement][0]
+    code, payload = run_json(capsys, "verify", statement, "--p", "2",
+                             "--lambda", "1",
+                             *(f"{_flag(n)}={READ[n]}" for n in reads))
+    assert code == 0
+    (report,) = payload["reports"]
+    assert report["checks"] > 0
+    assert {n: report["params"][n.removeprefix("proj_")] for n in reads} \
+        == {n: READ[n] for n in reads}
 
 
 def test_orbit_scans_above_the_limit_exit_two_at_once(capsys):

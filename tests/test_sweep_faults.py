@@ -31,15 +31,18 @@ def _flipped(t: TruncSeries, degree: int) -> TruncSeries:
 
 @pytest.fixture
 def payload_calls(monkeypatch):
-    """Counts the calls of the counterexample payload payload_calls. These
-    sweeps are too short to share their trials with forked workers, so
-    every call is counted here: os.fork is never called."""
-    calls = {"_first_mismatch": 0, "_gamma_json": 0}
-    for name in calls:
-        def spy(*args, _real=getattr(theorems, name), _name=name):
+    """Counts the calls of the counterexample payload helpers: the first
+    mismatch, and the JSON of an additive series, whose terms are the
+    gamma of a payload. These sweeps are too short to share their trials
+    with forked workers, so every call is counted here: os.fork is never
+    called."""
+    calls = {"_first_mismatch": 0, "to_json": 0}
+    for owner, name in ((theorems, "_first_mismatch"),
+                        (AdditiveSeries, "to_json")):
+        def spy(*args, _real=getattr(owner, name), _name=name):
             calls[_name] += 1
             return _real(*args)
-        monkeypatch.setattr(theorems, name, spy)
+        monkeypatch.setattr(owner, name, spy)
     monkeypatch.setattr(os, "fork", lambda: pytest.fail("a sweep forked"),
                         raising=False)
     return calls
@@ -68,10 +71,10 @@ def test_equivariance_reports_a_broken_compose(monkeypatch, capsys, payload_call
     assert (first["trial"], first["check"], first["degree"]) == (0, "equivariance", 16)
     assert first["gamma"] == {"0": [1, 0]}  # trial 0 composes with X
     assert len(r.counterexamples) == 3
-    assert payload_calls == {"_first_mismatch": 3, "_gamma_json": 3}
+    assert payload_calls == {"_first_mismatch": 3, "to_json": 3}
     _cli_report(capsys, ["equivariance", "--p", "2", "--lambda", "1", "--n", "2",
                          "--prec", "32", "--trials", "3", "--seed", "4"], r)
-    assert payload_calls == {"_first_mismatch": 6, "_gamma_json": 6}
+    assert payload_calls == {"_first_mismatch": 6, "to_json": 6}
 
 
 def test_projection_reports_a_dropped_exponent(monkeypatch, capsys, payload_calls):
@@ -172,7 +175,7 @@ def test_coleman_reports_a_broken_action(monkeypatch, capsys, payload_calls):
     assert (first["trial"], first["check"], first["degree"]) == (0, "action", 16)
     # every Teichmueller scaling of both trials fails; surjectivity holds
     assert [ce["check"] for ce in r.counterexamples] == ["action"] * 6
-    assert payload_calls == {"_first_mismatch": 6, "_gamma_json": 6}
+    assert payload_calls == {"_first_mismatch": 6, "to_json": 6}
     _cli_report(capsys, ["coleman", "--p", "2", "--lambda", "2", "--n", "2",
                          "--prec", "32", "--trials", "2", "--seed", "3"], r)
 

@@ -141,8 +141,26 @@ def test_suite_registry_refuses_an_m_bound_below_one():
     for name in ("admissible-order", "admissible-witness"):
         for m_bound in (0, -5):
             with pytest.raises(ValueError, match="m_bound must be >= 1"):
-                theorems.SUITES[name](PrimePower(2, 1), field_make(2, 1),
-                                      theorems.SuiteOptions(m_bound=m_bound))
+                theorems.verify_suite(name, PrimePower(2, 1),
+                                      field_make(2, 1), m_bound=m_bound)
+
+
+@pytest.mark.parametrize("sweep", [
+    lambda prec: verify_equivariance(PrimePower(2, 1), field_make(2, 1), prec),
+    lambda prec: verify_logderiv(field_make(2, 1), prec),
+    lambda prec: verify_projection_formula(PrimePower(2, 1), field_make(2, 1),
+                                           prec),
+    lambda prec: verify_coleman(PrimePower(2, 1), 1, prec)],
+    ids=["equivariance", "logderiv", "projection", "coleman"])
+def test_the_series_sweeps_refuse_a_precision_out_of_range(monkeypatch, sweep):
+    # at 4096 the projection sweep would start its cubic Artin-Hasse
+    # recursion; each refusal comes before the sweep builds its collector
+    monkeypatch.setattr(theorems, "_Collector", None)
+    for prec, message in ((0, "precision must be at least 1"),
+                          (2049, "precision 2049 exceeds the limit 2048"),
+                          (4096, "precision 4096 exceeds the limit 2048")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            sweep(prec)
 
 
 def test_desk_bounds_and_admissible_sweeps_refuse_a_p_that_is_not_prime():
@@ -222,8 +240,8 @@ def test_coleman_small():
                        seed=2)
     assert r.passed
     # the suite registry takes a given degree over n / lambda
-    r = theorems.SUITES["coleman"](PrimePower(2, 2), field_make(2, 4),
-                                   theorems.SuiteOptions(ext_degree=1, trials=1))
+    r = theorems.verify_suite("coleman", PrimePower(2, 2), field_make(2, 4),
+                              ext_degree=1, trials=1)
     assert r.passed and r.params["ext_degree"] == 1
 
 

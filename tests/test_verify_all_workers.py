@@ -55,12 +55,14 @@ def _workers(monkeypatch, n: int) -> None:
 
 
 def _wrap_suites(monkeypatch, wrap) -> None:
-    """Replace each runner of SUITES by wrap(name, runner). verify_all's
-    refusal pass still calls the runner itself."""
-    for name, run in list(theorems.SUITES.items()):
-        def either(pq, spec, o, run=run, wrapped=wrap(name, run)):
-            return (run if theorems._admitting.get() else wrapped)(pq, spec, o)
-        monkeypatch.setitem(theorems.SUITES, name, either)
+    """Replace each runner of SUITES by wrap(name, runner), which takes the
+    same options. verify_all's refusal pass still calls the runner
+    itself."""
+    for name, (reads, run) in list(theorems.SUITES.items()):
+        def either(pq, spec, run=run, wrapped=wrap(name, run), **o):
+            chosen = run if theorems._admitting.get() else wrapped
+            return chosen(pq, spec, **o)
+        monkeypatch.setitem(theorems.SUITES, name, (reads, either))
 
 
 def _worker_runs_all_but_one(monkeypatch, forks) -> None:
@@ -70,10 +72,10 @@ def _worker_runs_all_but_one(monkeypatch, forks) -> None:
     parent = os.getpid()
 
     def wrap(name, run):
-        def held(pq, spec, o):
+        def held(pq, spec, **o):
             if os.getpid() == parent:
                 os.waitid(os.P_PID, forks[0], os.WEXITED | os.WNOWAIT)
-            return run(pq, spec, o)
+            return run(pq, spec, **o)
         return held
     _wrap_suites(monkeypatch, wrap)
 
@@ -111,7 +113,7 @@ def test_a_suite_raising_in_the_worker_gives_the_serial_error(
         if name not in ("admissible-witness", "cyclic-digits"):
             return run
 
-        def refuse(pq, spec, o):
+        def refuse(pq, spec, **o):
             raise ValueError(f"{name} refused")
         return refuse
     _wrap_suites(monkeypatch, wrap)
@@ -136,7 +138,7 @@ def test_a_suite_raising_in_the_worker_gives_the_serial_error(
 def test_the_lowest_failing_suite_wins_in_either_process(monkeypatch, forks):
     # every suite refuses: suite 0's error is raised, whichever process ran it
     def wrap(name, run):
-        def refuse(pq, spec, o):
+        def refuse(pq, spec, **o):
             raise ValueError(f"{name} refused")
         return refuse
     _wrap_suites(monkeypatch, wrap)
@@ -152,10 +154,10 @@ def test_a_worker_killed_mid_run_makes_verify_all_raise(monkeypatch, forks):
     parent = os.getpid()
 
     def wrap(name, run):
-        def killed_in_the_worker(pq, spec, o):
+        def killed_in_the_worker(pq, spec, **o):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return run(pq, spec, o)
+            return run(pq, spec, **o)
         return killed_in_the_worker
     _wrap_suites(monkeypatch, wrap)
     _workers(monkeypatch, 1)
@@ -172,7 +174,7 @@ def _stop_the_parent(monkeypatch, forks, stop, raised):
     parent = os.getpid()
 
     def wrap(name, run):
-        def interrupted(pq, spec, o):
+        def interrupted(pq, spec, **o):
             if os.getpid() == parent:
                 stop()
             time.sleep(60)  # the worker is still busy when the parent stops
@@ -514,7 +516,7 @@ def test_the_refusal_pass_stops_each_sweep_at_its_collector_only(
     calls, beside = [], []
 
     def record(name, run):
-        def recorded(pq, spec, o):
+        def recorded(pq, spec, **o):
             admitting = theorems._admitting.get()
             if admitting and not beside:
                 thread = threading.Thread(target=lambda: beside.append(
@@ -522,12 +524,12 @@ def test_the_refusal_pass_stops_each_sweep_at_its_collector_only(
                 thread.start()
                 thread.join()
             try:
-                return run(pq, spec, o)
+                return run(pq, spec, **o)
             finally:
                 calls.append((name, admitting, sys.exc_info()[0]))
         return recorded
-    for name, run in list(theorems.SUITES.items()):
-        monkeypatch.setitem(theorems.SUITES, name, record(name, run))
+    for name, (reads, run) in list(theorems.SUITES.items()):
+        monkeypatch.setitem(theorems.SUITES, name, (reads, record(name, run)))
     _workers(monkeypatch, 0)
     _small_all()
     names = list(reversed(theorems.SUITES))
