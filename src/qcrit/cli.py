@@ -179,7 +179,7 @@ def _cmd_verify(args):
                            for r in reports]}
     lines = []
     for r in reports:
-        lines.append(r.summary())
+        lines.append(r.summary(include_timing=args.timing))
         for ce in r.counterexamples[:5]:
             lines.append(f"    counterexample: {json.dumps(ce, sort_keys=True)}")
     lines.append("ALL PASS" if ok else "FAILURES FOUND")
@@ -187,6 +187,7 @@ def _cmd_verify(args):
 
 
 def _cmd_explore(args):
+    sr.check_prec(args.prec)
     pq = _prime_power(args)
     spec = _field(args)
     rows = th.explore_generators(pq, spec, args.k_bound, args.prec)
@@ -239,6 +240,7 @@ _SERIES_OPS = {
 
 def _cmd_series(args):
     if args.series_op == "eval":
+        sr.check_prec(args.prec)
         pq = None if args.lam is None else _prime_power(args)
         spec = _field(args)
         needs_lambda, build = _SERIES_KINDS[args.kind]
@@ -294,7 +296,7 @@ _COMMANDS = {
                 s for s, (reads, _) in th.SUITES.items() if name in reads)})
           for name in th.OPTIONS],
         ("--timing", {"action": "store_true",
-                      "help": "include wall-clock timings in JSON output"})]),
+                      "help": "include wall-clock timings in text and JSON output"})]),
     "explore": ("tabulate digital leading terms of generator images", [
         _P, _LAMBDA, *_FIELD, ("--k-bound", {"type": int, "default": 63}),
         ("--prec", {"type": int, "default": 128})]),
@@ -366,7 +368,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        sr.check_prec(getattr(args, "prec", None))
         # found by name on every call, so a rebound _cmd_* takes effect
         handler = globals()["_cmd_" + args.command.replace("-", "_")]
         code, payload, text = handler(args)

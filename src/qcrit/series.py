@@ -34,9 +34,9 @@ from .finite_field import FieldElement, FieldSpec, _cache_put, _pack, json_membe
 MAX_PREC = 2048
 
 
-def check_prec(prec: int | None) -> None:
+def check_prec(prec: int) -> None:
     """Raise ValueError if prec is above MAX_PREC."""
-    if prec is not None and prec > MAX_PREC:
+    if prec > MAX_PREC:
         raise ValueError(f"precision {prec} exceeds the limit {MAX_PREC}")
 
 
@@ -272,7 +272,7 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 # 2048 (tools/series_ops.py).
 
 # An operand with at most this many nonzero coefficients is multiplied row
-# by row; denser products go through one big-int product.
+# by row; denser products go by Kronecker substitution.
 _SPARSE = 16
 # The online recurrence (_online) solves blocks of at most this many
 # degrees one coefficient at a time; inverse_mult takes Newton steps above
@@ -308,39 +308,74 @@ def _mul_rows(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
     return out
 
 
-def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int],
-                   n: int) -> list[int]:
-    """The product by Kronecker substitution.
+def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
+    """The product by Kronecker substitution, one coordinate plane at a time.
 
-    A coefficient is a polynomial in t of degree below d = spec.n, so a
-    product coefficient has degree below 2d - 1 in t. Each gets 2d - 1
-    slots, one per power of t, and every slot holds the integer sum of
-    coordinate products, at most min(len) * d * (p-1)^2. Substituting a
-    power of two for t and for X turns the series into two big ints, whose
-    one product holds every slot of the product series."""
+    Slot i of plane j holds coordinate j of coefficient i. Karatsuba over
+    the d = spec.n planes of a and b gives the 2d - 1 planes of the product,
+    with slots of at most min(len) * d * (p-1)^2. For p = 2 a mask reduces
+    them mod 2, t^d .. t^(2d-2) fold back by XOR, and a slot then holds an
+    index; for odd p one pass of v % p per plane gives the coordinates."""
     p, d = spec.p, spec.n
-    w = 2 * d - 1
-    bits = (min(len(a), len(b)) * d * (p - 1) ** 2).bit_length()
-    slot = (bits + 7) // 8
-    slot = next((s for s in _SLOT_FORMATS if s >= slot), slot)
-    prod = _kron_pack(spec, a, slot, w) * _kron_pack(spec, b, slot, w)
+    bits = max(min(len(a), len(b)) * d * (p - 1) ** 2, spec.order - 1).bit_length()
+    slot = next((s for s in _SLOT_FORMATS if 8 * s >= bits), (bits + 7) // 8)
+    planes = _karatsuba(_planes(spec, a, slot), _planes(spec, b, slot))
     count = min(n + 1, len(a) + len(b) - 1)
-    raw = memoryview(prod.to_bytes((len(a) + len(b) - 1) * w * slot, "little"))
-    raw = raw[:count * w * slot]
-    if slot in _SLOT_FORMATS:
-        slots = raw.cast(_SLOT_FORMATS[slot])
+    top = _pack([-c % p for c in spec.modulus[:d]], p)  # the element t^d
+    if p == 2:
+        mask = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
+        planes = [c & mask for c in planes]
+        for k in reversed(range(d, 2 * d - 1)):  # t^k = t^(k-d) t^d
+            for j in (j for j in range(d) if top >> j & 1):
+                planes[k - d + j] ^= planes[k]
+        out = list(_slots(sum(c << j for j, c in enumerate(planes[:d])), count, slot))
     else:
-        slots = [int.from_bytes(raw[i:i + slot], "little")
-                 for i in range(0, len(raw), slot)]
-    # coordinate j of every product coefficient is slots[j::w] mod p
-    digits = [[v % p for v in slots[j::w]] for j in range(w)]
-    low = _horner(digits[:d], p)
-    if d > 1:
-        # t^d * h(t) for the high part h = digits d .. 2d-2
-        add, row = spec._add, spec._mul[_pack([-c % p for c in spec.modulus[:d]], p)]
-        low = [add[lo][row[h]] if h else lo
-               for lo, h in zip(low, _horner(digits[d:], p))]
-    return low + [0] * (n + 1 - count)
+        digits = [[v % p for v in _slots(c, count, slot)] for c in planes]
+        out = _horner(digits[:d], p)
+        if d > 1:  # plus t^d times the high part
+            add, row, high = spec._add, spec._mul[top], _horner(digits[d:], p)
+            out = [add[x][row[h]] if h else x for x, h in zip(out, high)]
+    return out + [0] * (n + 1 - count)
+
+
+def _planes(spec: FieldSpec, a: list[int], slot: int) -> list[int]:
+    """The d coordinate planes of a, as big ints of slot-byte slots."""
+    p, d = spec.p, spec.n
+    if spec.order > 256:
+        return [int.from_bytes(b"".join((x // p ** j % p).to_bytes(slot, "little")
+                                        for x in a), "little") for j in range(d)]
+    raw, buf, planes = bytes(a), bytearray(len(a) * slot), []
+    for table in _plane_tables(p, d):
+        buf[::slot] = raw.translate(table)
+        planes.append(int.from_bytes(buf, "little"))
+    return planes
+
+
+@lru_cache(maxsize=None)
+def _plane_tables(p: int, d: int) -> list[bytes]:
+    return [bytes(x // p ** j % p for x in range(256)) for j in range(d)]
+
+
+def _karatsuba(a: list[int], b: list[int]) -> list[int]:
+    """The 2d - 1 planes of a * b, by Karatsuba on halves of the d planes."""
+    if len(a) == 1:
+        return [a[0] * b[0]]
+    m, pad = (len(a) + 1) // 2, [0] * (len(a) % 2)
+    lo, hi = _karatsuba(a[:m], b[:m]), _karatsuba(a[m:], b[m:])
+    mid = _karatsuba(*[[x + y for x, y in zip(s[:m], s[m:] + pad)] for s in (a, b)])
+    out = lo + [0] + hi
+    for i, (x, y, z) in enumerate(zip(mid, lo, hi + pad * 2)):
+        out[m + i] += x - y - z
+    return out
+
+
+def _slots(c: int, count: int, slot: int):
+    """The first count slots of the big int c."""
+    raw = memoryview(c.to_bytes(max(count * slot, c.bit_length() // 8 + 1), "little"))
+    if slot in _SLOT_FORMATS:
+        return raw[:count * slot].cast(_SLOT_FORMATS[slot])
+    return [int.from_bytes(raw[i:i + slot], "little")
+            for i in range(0, count * slot, slot)]
 
 
 def _horner(digits: list[list[int]], p: int) -> list[int]:
@@ -349,22 +384,6 @@ def _horner(digits: list[list[int]], p: int) -> list[int]:
     for plane in reversed(digits[:-1]):
         acc = [x * p + y for x, y in zip(acc, plane)]
     return acc
-
-
-def _kron_pack(spec: FieldSpec, a: list[int], slot: int, w: int) -> int:
-    """The big int with coordinate j of a[i] in slot i * w + j."""
-    p, d = spec.p, spec.n
-    stride = w * slot
-    buf = bytearray(len(a) * stride)
-    width = ((p - 1).bit_length() + 7) // 8
-    pj = 1
-    for j in range(d):
-        plane = [x // pj % p for x in a]
-        for k in range(width):
-            buf[j * slot + k::stride] = bytes(
-                plane if width == 1 else [x >> 8 * k & 255 for x in plane])
-        pj *= p
-    return int.from_bytes(buf, "little")
 
 
 def _spread(spec: FieldSpec, a: list[int], n: int) -> list[int]:
@@ -391,11 +410,11 @@ def _compose(spec: FieldSpec, a: list[int], g: list[int], n: int) -> list[int]:
     a = a[:n // v + 1]
     p, add, mul = spec.p, spec._add, spec._mul
     if len(support) == 1:
-        c, power = g[v], 1
+        row, power = mul[g[v]], 1
         res = [0] * (n + 1)
         for i, ai in enumerate(a):
             res[i * v] = mul[ai][power]
-            power = mul[power][c]
+            power = row[power]
         return res
     frob = spec._frob1
     inner = [frob[c] if c else 0 for c in g[:n // p + 1]]

@@ -62,10 +62,10 @@ class VerifyReport:
             "elapsed_ms": round(self.elapsed_ms, 3) if include_timing else None,
         }
 
-    def summary(self) -> str:
+    def summary(self, include_timing: bool = True) -> str:
         tag = "PASS" if self.passed else "FAIL"
-        return (f"{tag} {self.statement} [{self.scope}] "
-                f"checks={self.checks} ({self.elapsed_ms:.0f} ms)")
+        timing = f" ({self.elapsed_ms:.0f} ms)" if include_timing else ""
+        return f"{tag} {self.statement} [{self.scope}] checks={self.checks}{timing}"
 
 
 _admitting = ContextVar("_admitting", default=False)

@@ -566,6 +566,36 @@ def test_options_that_were_dropped_or_misread_exit_two(capsys):
             run(pq, spec, bogus=1)
 
 
+def test_a_precision_a_statement_does_not_read_is_refused_as_unread(capsys):
+    # the refusal does not depend on the value: only series eval and explore
+    # check --prec against 2048 before anything else
+    for prec in ("16", "3000"):
+        assert main(["verify", "projection", "--p", "2", "--lambda", "1",
+                     "--prec", prec]) == 2, prec
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: verify projection does not read --prec; "
+                                "it reads --k-bound, --proj-ell-bound, "
+                                "--proj-prec\n"), prec
+    # a statement that reads --prec refuses it above 2048 itself
+    assert main(["verify", "logderiv", "--p", "2", "--lambda", "1",
+                 "--prec", "3000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: precision 3000 exceeds the limit 2048\n"
+
+
+def test_text_verify_prints_wall_clock_times_only_under_timing(capsys):
+    args = ("verify", "cyclic-digits", "--p", "2", "--lambda", "2", "--bound", "50")
+    assert run_cli(capsys, *args) == (
+        0, "PASS cyclic_digit_bounds [all statements for c <= 50] checks=200\n"
+           "ALL PASS\n")
+    code, out = run_cli(capsys, *args, "--timing")
+    assert code == 0
+    assert re.fullmatch(r"PASS cyclic_digit_bounds \[all statements for c <= 50\] "
+                        r"checks=200 \(\d+ ms\)\nALL PASS\n", out)
+
+
 # a value for each option, each away from every sweep's default
 READ = {"prec": 12, "seed": 5, "trials": 2, "m_bound": 20, "ell_bound": 2,
         "c_bound": 30, "oracle_bound": 200, "bound": 40, "k_bound": 3,
@@ -733,14 +763,13 @@ MANY_CALLS = [
 
 
 def _outcome(capsys, argv, out_path):
-    """(exit, stdout, stderr, --output file) of one call; the text-mode
-    verify summary's wall-clock milliseconds are masked."""
+    """(exit, stdout, stderr, --output file) of one call."""
     code = main([a.replace("{out}", str(out_path)) for a in argv])
     captured = capsys.readouterr()
     written = out_path.read_text() if out_path.exists() else None
     if written is not None:
         out_path.unlink()
-    return code, re.sub(r"\(\d+ ms\)", "(ms)", captured.out), captured.err, written
+    return code, captured.out, captured.err, written
 
 
 def test_calls_in_one_process_do_not_depend_on_their_order(capsys, tmp_path):

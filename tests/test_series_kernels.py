@@ -10,6 +10,12 @@ split their blocks by divide and conquer, the Newton form of log_deriv
 grows with the precision and with p, and in compose the residue split,
 which starts at precision p, and the monomial inner series.
 
+The Kronecker kernel is also called on its own: on operands of unequal
+length, on prime-field coefficients (every coordinate plane but the first
+zero), with its slots filled to their bound, and through the fold of the
+high planes under every default modulus of F_2 .. F_256, other moduli of
+F_8, F_9 and F_25 and odd-p default moduli, against the coordinate oracle.
+
 The closed forms of the projection sweep, twisted_orbit_series and
 critical_projection_formula, are compared with the FieldElement versions
 in series_reference, and are seen to call none of the kernels.
@@ -96,6 +102,75 @@ def test_mul_matches_schoolbook(p, n, prec):
         other = random_idx(spec, prec + 1, rng, nonzero=nonzero)
         got = idx(series(spec, dense) * series(spec, other))
         assert got == ref.mul(spec, dense, other, prec), nonzero
+
+
+# ---------------------------------------------------------------------------
+# The Kronecker kernel, called directly
+# ---------------------------------------------------------------------------
+
+KRONECKER_FIELDS = SMALL + LARGE + COMPUTED
+KRONECKER_IDS = [f"F{p ** n}" for p, n in KRONECKER_FIELDS]
+
+
+@pytest.mark.parametrize("p,n", KRONECKER_FIELDS, ids=KRONECKER_IDS)
+def test_kronecker_products_of_unequal_length_match_schoolbook(p, n):
+    # the product is cut at prec below, at and above its own degree, and
+    # the slots of 4294967291 are wider than the widest memoryview format
+    spec = field_make(p, n)
+    rng = random.Random(spec.order)
+    for la, lb, prec in ((17, 40, 70), (40, 17, 56), (40, 17, 30), (33, 33, 16),
+                         (1, 5, 10), (25, 9, 0)):
+        a, b = random_idx(spec, la, rng), random_idx(spec, lb, rng)
+        got = sr._mul_kronecker(spec, a, b, prec)
+        assert got == ref.mul(spec, a, b, prec), (la, lb, prec)
+
+
+@pytest.mark.parametrize("p,n", KRONECKER_FIELDS, ids=KRONECKER_IDS)
+def test_kronecker_products_of_prime_field_coefficients(p, n):
+    # the indices below p are the prime field: every plane but the first is 0
+    spec = field_make(p, n)
+    rng = random.Random(spec.order + 1)
+    a = [rng.randrange(p) for _ in range(37)]
+    b = [rng.randrange(p) for _ in range(29)]
+    c = random_idx(spec, 33, rng)
+    for x, y in ((a, b), (a, c), (c, a), (a, a)):
+        assert sr._mul_kronecker(spec, x, y, 64) == ref.mul(spec, x, y, 64)
+
+
+@pytest.mark.parametrize("p,n", SMALL + LARGE,
+                         ids=[f"F{p ** n}" for p, n in SMALL + LARGE])
+def test_kronecker_slots_hold_their_largest_sum(p, n):
+    # with every coordinate p - 1, the middle plane's slots reach the bound
+    # min(len) * n * (p-1)^2; lengths put the bound on both sides of 256
+    spec = field_make(p, n)
+    top = spec.order - 1
+    for length in {max(1, 255 // (n * (p - 1) ** 2)), 256 // (n * (p - 1) ** 2) + 1}:
+        a = [top] * length
+        got = sr._mul_kronecker(spec, a, a, 2 * length)
+        assert got == ref.mul(spec, a, a, 2 * length), length
+
+
+# (p, n, modulus): the p = 2 fold under every default modulus through F_256
+# and one other modulus of F_8; the odd-p fold under default and other moduli
+FOLDS = ([(2, n, None) for n in range(1, 9)] + [(2, 3, (1, 0, 1, 1))]
+         + [(3, 2, None), (3, 2, (2, 1, 1)), (3, 3, None), (3, 5, None),
+            (5, 2, None), (5, 2, (2, 1, 1)), (7, 2, None)])
+
+
+@pytest.mark.parametrize("p,n,modulus", FOLDS, ids=[
+    f"F{p ** n}-{'default' if m is None else ''.join(map(str, m))}"
+    for p, n, m in FOLDS])
+def test_kronecker_fold_matches_coordinate_oracle(p, n, modulus):
+    spec = field_make(p, n, modulus)
+    rng = random.Random(spec.order)
+    # t^(n-1) in every coefficient puts t^(2n-2) in every product slot
+    high = [p ** (n - 1)] * 24
+    for a, b in ((random_idx(spec, 30, rng), random_idx(spec, 30, rng)),
+                 (high, high), (high, random_idx(spec, 24, rng))):
+        coords = [[spec.from_index(i).coords for i in x] for x in (a, b)]
+        got = sr._mul_kronecker(spec, a, b, len(a) - 1)
+        assert ([spec.from_index(i).coords for i in got]
+                == series_mul(*coords, spec.modulus, p))
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)

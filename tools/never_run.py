@@ -8,10 +8,11 @@ of src/qcrit with a line that never ran, its path and those lines as
 "number: source text", and under "count" the number of such lines. The
 executable lines of a module are the line starts of its code objects
 (dis.findlinestarts), so blank lines, comments and docstrings never
-count. With --fail-on, the exit code is 1 if a line
-that never ran matches REGEX, searched in "path:line: text"; else it is
-pytest's own. Tracing makes the tests several times slower. Only the
-standard library is used.
+count. With --fail-on, the exit code is 1 if a line that never ran
+matches REGEX, searched in "path:line: text [in NAME]", with NAME the
+module-level function or class that holds the line (empty for
+module-level code); else it is pytest's own. Tracing makes the tests
+several times slower. Only the standard library is used.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "qcrit"
 
 
-def executable_lines(path: Path) -> set[int]:
-    """The line starts of every code object compiled from path."""
-    lines, todo = set(), [compile(path.read_text(), str(path), "exec")]
+def executable_lines(path: Path) -> dict[int, str]:
+    """The line starts of every code object compiled from path, each with
+    the name of the module-level function or class that holds it."""
+    lines, todo = {}, [(compile(path.read_text(), str(path), "exec"), "")]
     while todo:
-        code = todo.pop()
-        lines.update(n for _, n in dis.findlinestarts(code) if n)
-        todo.extend(c for c in code.co_consts if hasattr(c, "co_code"))
+        # a code object comes after the one that holds it, so a def line
+        # ends up with the name of its function
+        code, top = todo.pop()
+        lines.update((n, top) for _, n in dis.findlinestarts(code) if n)
+        todo.extend((c, top or c.co_name) for c in code.co_consts
+                    if hasattr(c, "co_code"))
     return lines
 
 
@@ -78,7 +83,8 @@ def main(argv=None) -> int:
     code, ran = run(pytest_args)
     report, count, matched = {}, 0, []
     for path in sorted(PACKAGE.glob("*.py")):
-        never = sorted(executable_lines(path) - ran.get(str(path), set()))
+        lines = executable_lines(path)
+        never = sorted(set(lines) - ran.get(str(path), set()))
         if not never:
             continue
         text = path.read_text().splitlines()
@@ -86,8 +92,9 @@ def main(argv=None) -> int:
         report[rel] = [f"{n}: {text[n - 1].strip()}" for n in never]
         count += len(never)
         if args.fail_on:
-            matched += [f"{rel}:{line}" for line in report[rel]
-                        if re.search(args.fail_on, f"{rel}:{line}")]
+            named = [f"{rel}:{line} [in {lines[n]}]"
+                     for n, line in zip(never, report[rel])]
+            matched += [line for line in named if re.search(args.fail_on, line)]
     print(json.dumps({"count": count, **report}, indent=1))
     for line in matched:
         print(f"never ran: {line}", file=sys.stderr)
