@@ -379,10 +379,22 @@ class FieldSpec:
         return (self.from_index(i) for i in range(1, self.order))
 
     def subfield_elements(self, m: int) -> tuple[FieldElement, ...]:
-        """All elements of the subfield F_{p^m}, i.e. fixed points of x -> x^(p^m)."""
+        """All elements of the subfield F_{p^m}, i.e. fixed points of x -> x^(p^m).
+
+        That map is F_p-linear, so its images are tabled from those of the
+        basis: x = sum_j x_j t^j maps to sum_j x_j (t^j)^(p^m)."""
         if self.n % m != 0:
             raise ValueError(f"{m} does not divide extension degree {self.n}")
-        return tuple(a for a in self.elements() if a.frobenius(m) == a)
+        self.elements()  # refuses a field above 4096 elements, before any work
+        p, add, mul, images = self.p, self._add, self._mul, [0]
+        for j in range(self.n):  # images holds those of the indices below p^j
+            b = self.from_index(p ** j).frobenius(m).idx
+            if p == 2:
+                images += [y ^ b for y in images]
+            else:
+                images += [add[y][s] for s in [mul[c][b] for c in range(1, p)]
+                           for y in images]
+        return tuple(self._elements[x] for x, y in enumerate(images) if x == y)
 
     def random_element(self, rng) -> FieldElement:
         return self.from_index(rng.randrange(self.order))

@@ -278,8 +278,14 @@ _SPARSE = 16
 # degrees one coefficient at a time; inverse_mult takes Newton steps above
 # it. 32 and 64 were not faster on the inputs of desk's series sweeps.
 _BLOCK = 128
-# log_deriv above this precision is X f' f^(-1); below, the recurrence.
-_LOG_DERIV_NEWTON = 256
+# log_deriv's recurrence makes about one table lookup per nonzero
+# coefficient of f per degree; its quotient route makes a few products per
+# degree, each over the d coordinate planes, which costs about d^1.6 plane
+# products (Karatsuba), half again for odd p (a v % p pass per plane). The
+# quotient is taken when f has more nonzero coefficients than this many per
+# unit of that cost, and at least twice this many. Above 256 elements each
+# lookup computes a product mod the modulus, and the count is this alone.
+_QUOTIENT_NONZERO = 15
 
 # memoryview formats of the slot widths a product can be unpacked with
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -501,18 +507,44 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
     spec, n, a = f.spec, f.prec, f.idx
     if not a[0]:
         raise ValueError("logarithmic derivative requires a unit series")
+    route = _log_deriv_quotient if _quotient_wins(spec, n, a) else _log_deriv_rows
+    return _series(spec, n, route(spec, a, n))
+
+
+def _quotient_wins(spec: FieldSpec, n: int, a: Sequence[int]) -> bool:
+    """Whether log_deriv of the unit a through degree n takes the quotient
+    route (see _QUOTIENT_NONZERO)."""
+    cost = 1 if spec.order > 256 else max(
+        2, spec.n ** 1.6 * (1.5 if spec.p % 2 else 1))
+    return n + 1 - a.count(0) > _QUOTIENT_NONZERO * cost
+
+
+def _log_deriv_rows(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
+    """X f' = f t at degree m reads m a_m = sum_{k=0..m-1} a_k t_(m-k), so
+    t_m = -(1/a_0) (-m a_m + sum_{k=1..m} a_k t_(m-k)), with t_0 = 0 and the
+    integer m the prime-field element of index m mod p."""
     mul, p = spec._mul, spec.p
-    if n <= _LOG_DERIV_NEWTON:
-        # X f' = f t at degree m reads m a_m = sum_{k=0..m-1} a_k t_(m-k),
-        # so t_m = -(1/a_0) (-m a_m + sum_{k=1..m} a_k t_(m-k)), with t_0 = 0
-        # and the integer m the prime-field element of index m mod p.
-        t = [0] * (n + 1)
-        s = [mul[-m % p][c] for m, c in enumerate(a)]
-        scale = mul[spec._neg[spec._inv[a[0]]]]
-        _online(spec, a, s, t, [scale] * (n + 1), 1, n + 1)
-        return _series(spec, n, t)
+    t = [0] * (n + 1)
+    s = [mul[-m % p][c] for m, c in enumerate(a)]
+    scale = mul[spec._neg[spec._inv[a[0]]]]
+    _online(spec, a, s, t, [scale] * (n + 1), 1, n + 1)
+    return t
+
+
+def _log_deriv_quotient(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
+    """X f' / f by the quotient step of Karp and Markstein ("High-precision
+    division and square root", ACM TOMS 1997). With h = n // 2 and g = 1/f
+    through degree h, q0 = X f' g is exact through degree h, and
+    X f' - f q0 = X^(h+1) r; the quotient is q0 + X^(h+1) g r, and g r is
+    needed only through degree n - h - 1 <= h."""
+    add, mul, neg, p = spec._add, spec._mul, spec._neg, spec.p
+    h = n // 2
     xf = [mul[m % p][c] for m, c in enumerate(a)]
-    return _series(spec, n, _mul(spec, xf, _inverse(spec, a, n), n))
+    g = _inverse(spec, a, h)
+    q0 = _mul(spec, xf, g, h)
+    r = [add[x][neg[y]] if y else x
+         for x, y in zip(xf[h + 1:], _mul(spec, a, q0, n)[h + 1:])]
+    return q0 + _mul(spec, g, r, n - h - 1)
 
 
 def solve_log_deriv(t: TruncSeries) -> TruncSeries:

@@ -238,6 +238,18 @@ def test_subfield_membership():
         spec.subfield_elements(3)
 
 
+@pytest.mark.parametrize("p,n,ms", [(2, 9, (1, 3, 9)), (3, 6, (1, 2, 3, 6)),
+                                    (2, 12, (2, 6)), (3, 2, (1, 2)), (5, 1, (1,))])
+def test_subfield_elements_are_the_fixed_points_of_frobenius(p, n, ms):
+    # subfield_elements tables x -> x^(p^m) from its images of the basis;
+    # the definition applies the map to every element, in index order
+    spec = field_make(p, n)
+    for m in ms:
+        fixed = tuple(a for a in spec.elements() if a.frobenius(m) == a)
+        assert spec.subfield_elements(m) == fixed
+        assert len(fixed) == p ** m
+
+
 @given(st.integers(0, 8), st.integers(0, 8))
 def test_hypothesis_f9_commutative(i, j):
     spec = field_make(3, 2)

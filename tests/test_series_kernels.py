@@ -5,10 +5,19 @@ the independent coordinate oracle (field_oracle) on random inputs.
 The crossovers are the sparse-operand rule of products (_SPARSE nonzero
 coefficients), the block size of the online recurrence (_BLOCK), past
 which inverse_mult takes Newton steps and log_deriv and solve_log_deriv
-split their blocks by divide and conquer, the Newton form of log_deriv
-(above _LOG_DERIV_NEWTON), the byte width of the Kronecker slots, which
-grows with the precision and with p, and in compose the residue split,
-which starts at precision p, and the monomial inner series.
+split their blocks by divide and conquer, the route rule of log_deriv
+(the recurrence up to a nonzero count set by the field, _QUOTIENT_NONZERO
+times a cost of its coordinate planes, and one quotient above it), the
+byte width of the Kronecker slots, which grows with the precision and
+with p, and in compose the residue split, which starts at precision p,
+and the monomial inner series.
+
+Both routes of log_deriv are also called on their own, on every field of
+the grid, at precisions 0 to 3, odd and even, on both sides of the
+quotient's Newton reciprocal (2 _BLOCK), on dense units, units with one
+nonzero coefficient in six and single-term units, against the recurrence
+of series_reference and the coordinate oracle; and log_deriv is seen to
+take the route of its rule on both sides of each field's crossover.
 
 The Kronecker kernel is also called on its own: on operands of unequal
 length, on prime-field coefficients (every coordinate plane but the first
@@ -183,6 +192,83 @@ def test_inverse_and_log_deriv_match_recurrences(p, n, prec):
     assert idx(log_deriv(f)) == ref.log_deriv(spec, a, prec)
 
 
+# ---------------------------------------------------------------------------
+# The two routes of log_deriv, called directly
+# ---------------------------------------------------------------------------
+
+ROUTES = {"rows": sr._log_deriv_rows, "quotient": sr._log_deriv_quotient}
+# The quotient halves the precision: its reciprocal takes Newton steps from
+# h = n // 2 > B on, and g r needs g's top coefficient only for odd n
+ROUTE_PRECS = {0, 1, 2, 3, 10, 11}
+ROUTE_GRID = (
+    [(p, n, prec) for p, n in SMALL for prec in sorted(
+        ROUTE_PRECS | {p - 1, p, 127, 128, 129, 513, *range(2 * B - 1, 2 * B + 4)})]
+    + [(p, n, prec) for p, n in LARGE for prec in sorted(ROUTE_PRECS | {129, 257})]
+    + [(p, n, prec) for p, n in COMPUTED for prec in sorted(ROUTE_PRECS | {40, 41})])
+
+
+def route_operands(spec, prec, rng):
+    """A dense unit, a unit with about one nonzero coefficient in six, and a
+    unit of a single term."""
+    return (random_idx(spec, prec + 1, rng, unit=True),
+            random_idx(spec, prec + 1, rng, nonzero=prec // 6, valuation=1, unit=True),
+            random_idx(spec, prec + 1, rng, nonzero=0, unit=True))
+
+
+@pytest.mark.parametrize("p,n,prec", ROUTE_GRID,
+                         ids=[f"F{p ** n}-prec{prec}" for p, n, prec in ROUTE_GRID])
+def test_both_log_deriv_routes_match_the_recurrence(p, n, prec):
+    spec = field_make(p, n)
+    rng = random.Random(prec * 53 + spec.order)
+    for a in route_operands(spec, prec, rng):
+        want = ref.log_deriv(spec, a, prec)
+        for name, route in ROUTES.items():
+            assert route(spec, a, prec) == want, name
+
+
+@pytest.mark.parametrize("p,n", KRONECKER_FIELDS, ids=KRONECKER_IDS)
+def test_both_log_deriv_routes_match_coordinate_oracle(p, n):
+    spec = field_make(p, n)
+    rng = random.Random(spec.order + 2)
+    for prec in (0, 1, 2, 3, 8, 9):
+        for a in route_operands(spec, prec, rng):
+            want = series_log_deriv([spec.from_index(i).coords for i in a],
+                                    spec.modulus, p)
+            for name, route in ROUTES.items():
+                got = route(spec, a, prec)
+                assert [spec.from_index(i).coords for i in got] == want, name
+
+
+# The largest nonzero count that log_deriv still solves by the recurrence,
+# by field order: 15 times max(2, d^1.6), half again for odd p, on the
+# tabled fields, and 15 on those above 256 elements
+ROWS_UP_TO = {2: 30, 3: 30, 5: 30, 4: 45, 9: 68, 243: 295, 256: 417,
+              512: 15, 729: 15, 257: 15, 4294967291: 15}
+
+
+@pytest.mark.parametrize("p,n", KRONECKER_FIELDS, ids=KRONECKER_IDS)
+def test_log_deriv_takes_the_quotient_above_its_crossover(p, n):
+    spec = field_make(p, n)
+    top = ROWS_UP_TO[spec.order]
+    rng = random.Random(spec.order + 3)
+    taken = []
+
+    def spy(name):
+        return lambda *args: taken.append(name) or ROUTES[name](*args)
+
+    for prec in (top - 1, top, 2 * top + 1):
+        for nonzero in (top, top + 1):
+            if nonzero > prec + 1:
+                continue
+            a = random_idx(spec, prec + 1, rng, nonzero=nonzero - 1, valuation=1,
+                           unit=True)
+            with mock.patch.multiple(sr, _log_deriv_rows=spy("rows"),
+                                     _log_deriv_quotient=spy("quotient")):
+                got = idx(log_deriv(series(spec, a)))
+            assert taken.pop() == ("quotient" if nonzero > top else "rows")
+            assert got == ref.log_deriv(spec, a, prec), (prec, nonzero)
+
+
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
 def test_solve_log_deriv_matches_recurrence(p, n, prec):
     spec = field_make(p, n)
@@ -247,9 +333,9 @@ def test_compose_matches_horner(p, n, prec, v, nonzero):
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 THRESHOLDS = {
     "default": {"_SPARSE": S, "_BLOCK": B,
-                "_LOG_DERIV_NEWTON": sr._LOG_DERIV_NEWTON},
+                "_QUOTIENT_NONZERO": sr._QUOTIENT_NONZERO},
     # low enough that every kernel branch runs at small precision
-    "low": {"_SPARSE": 2, "_BLOCK": 3, "_LOG_DERIV_NEWTON": 5},
+    "low": {"_SPARSE": 2, "_BLOCK": 3, "_QUOTIENT_NONZERO": 0},
 }
 
 
@@ -287,6 +373,17 @@ def test_kernels_match_coordinate_oracle(thresholds, case):
         assert [c.coords for c in fs.compose(gs).coeffs] == series_compose(fc, gc, mod, p)
         ts = series(spec, t)
         assert log_deriv(solve_log_deriv(ts)) == ts
+
+
+def test_low_thresholds_send_small_precisions_through_the_quotient():
+    # so that the property test runs the quotient, its reciprocal's Newton
+    # steps and its products on both sides of _SPARSE at small precision
+    with mock.patch.multiple(sr, **THRESHOLDS["low"]):
+        for p, n in ORACLE_FIELDS:
+            spec = field_make(p, n)
+            for prec in (0, 1, 2, 7):
+                for a in route_operands(spec, prec, random.Random(prec)):
+                    assert sr._quotient_wins(spec, prec, a)
 
 
 @pytest.mark.parametrize("thresholds", THRESHOLDS)

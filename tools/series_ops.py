@@ -14,15 +14,17 @@ and Coleman sweeps compose with. The "closed_forms" rows time
 of the projection sweep, at the same precisions over F_4 and F_9. Run it
 with PYTHONPATH pointing at two checkouts to compare them.
 
-When the checkout has the online recurrence kernel (series._online), a
+When the checkout has both routes of log_deriv (_log_deriv_quotient), a
 "crossovers" section times each kernel against the alternative on either
 side of its threshold: row products against Kronecker products by the
 number of nonzero coefficients; the online recurrence as one block of
 every degree against its divide-and-conquer split into blocks of _BLOCK,
-through solve_log_deriv, its thinnest caller; and log_deriv by the
-recurrence against X f' f^(-1) below and above _LOG_DERIV_NEWTON, on dense
-units and on units with one nonzero coefficient in six, the density of
-the projection sweep's inputs.
+through solve_log_deriv, its thinnest caller; and the two routes of
+log_deriv, the recurrence and the quotient, called directly on units with
+1/16, 1/8, 1/4, 1/2 and all of their coefficients nonzero, over F_4, F_9,
+F_243 and F_256 at precision 64, 128, 256, 512 and 2048. Each of those
+rows takes max(5, --repeat) samples of each route in turn, reports their
+medians, and names the route that log_deriv's rule takes.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from unittest import mock
 from qcrit import series as sr
 from qcrit.digits import PrimePower
 from qcrit.finite_field import field_make
-from timing import best
+from timing import alternated, best
 
 # (p, n, lambda of the composition series)
 FIELDS = [(2, 2, 2), (3, 2, 1), (3, 5, 1), (2, 8, 2)]
@@ -84,7 +86,7 @@ def closed_forms(repeat: int) -> list[dict]:
 
 def crossovers(repeat: int) -> dict:
     out = {"mul_rows_vs_kronecker": [], "kernel_block_vs_split": [],
-           "log_deriv_kernel_vs_newton": []}
+           "log_deriv_rows_vs_quotient": []}
     for p, n, _ in FIELDS:
         spec = field_make(p, n)
         for prec in (128, 2048):
@@ -106,22 +108,30 @@ def crossovers(repeat: int) -> dict:
                 row["one_block_ms"] = best(
                     lambda: sr._solve_log_deriv(spec, t, prec), repeat)
             out["kernel_block_vs_split"].append(row)
-        for prec in (128, 256, 512):
-            rng = random.Random(prec)
-            dense = sr.random_unit(spec, prec, 5)
-            sparse = sr._series(spec, prec, [
-                c if i == 0 or rng.randrange(6) == 0 else 0
-                for i, c in enumerate(dense.idx)])
-            for nonzero, f in (("all", dense), ("1/6", sparse)):
-                threshold = sr._LOG_DERIV_NEWTON
-                row = {"field": spec.order, "prec": prec, "nonzero": nonzero,
-                       "threshold": threshold}
-                with mock.patch.object(sr, "_LOG_DERIV_NEWTON", max(threshold, prec)):
-                    row["kernel_ms"] = best(lambda: sr.log_deriv(f), repeat)
-                with mock.patch.object(sr, "_LOG_DERIV_NEWTON", 0):
-                    row["newton_ms"] = best(lambda: sr.log_deriv(f), repeat)
-                out["log_deriv_kernel_vs_newton"].append(row)
+        for prec in (64, 128, 256, 512, 2048):
+            for share in (16, 8, 4, 2, 1):
+                a = _unit(spec, prec, share, random.Random(prec * share))
+                quotient = sr._quotient_wins(spec, prec, a)
+                row = {"field": spec.order, "prec": prec,
+                       "nonzero": "all" if share == 1 else f"1/{share}",
+                       "count": prec + 1 - a.count(0),
+                       "rule": "quotient" if quotient else "rows"}
+                row.update(alternated({
+                    "rows_ms": lambda: sr._log_deriv_rows(spec, a, prec),
+                    "quotient_ms": lambda: sr._log_deriv_quotient(spec, a, prec)},
+                    max(5, repeat)))
+                print(json.dumps(row), flush=True, file=sys.stderr)
+                out["log_deriv_rows_vs_quotient"].append(row)
     return out
+
+
+def _unit(spec, prec: int, share: int, rng: random.Random) -> list[int]:
+    """A unit whose nonzero coefficients are its constant term and
+    (prec + 1) / share - 1 others, at random degrees."""
+    a = [0] * (prec + 1)
+    for i in [0] + rng.sample(range(1, prec + 1), (prec + 1) // share - 1):
+        a[i] = rng.randrange(1, spec.order)
+    return a
 
 
 def main() -> None:
@@ -130,7 +140,7 @@ def main() -> None:
     args = parser.parse_args()
     result = {"python": platform.python_version(), "repeat": args.repeat,
               "ops": ops(args.repeat), "closed_forms": closed_forms(args.repeat)}
-    if hasattr(sr, "_online"):
+    if hasattr(sr, "_log_deriv_quotient"):
         result["crossovers"] = crossovers(args.repeat)
     print(json.dumps(result, indent=1))
 

@@ -9,6 +9,7 @@ call of a few milliseconds swings with the scheduler and the cache; a
 
 from __future__ import annotations
 
+import statistics
 import time
 
 SAMPLE_S = 0.02
@@ -22,17 +23,36 @@ def _sample(fn, number: int) -> float:
     return time.perf_counter() - t0
 
 
-def best(fn, repeat: int) -> float:
-    """Milliseconds per call of fn: the best of repeat samples of at least
-    SAMPLE_S each (fewer samples when one takes over LONG_S)."""
+def _calibrate(fn) -> tuple[int, float]:
+    """The number of calls of fn that a sample makes, and the time of the
+    first sample of that many."""
     number = 1
     dt = _sample(fn, number)
     while dt < SAMPLE_S:
         # aim a little past SAMPLE_S from the time per call seen so far
         number = max(2 * number, int(1.2 * SAMPLE_S * number / max(dt, 1e-9)))
         dt = _sample(fn, number)
+    return number, dt
+
+
+def best(fn, repeat: int) -> float:
+    """Milliseconds per call of fn: the best of repeat samples of at least
+    SAMPLE_S each (fewer samples when one takes over LONG_S)."""
+    number, dt = _calibrate(fn)
     times = [dt / number]
     while len(times) < repeat and dt <= LONG_S:
         dt = _sample(fn, number)
         times.append(dt / number)
     return round(min(times) * 1e3, 4)
+
+
+def alternated(fns: dict, rounds: int) -> dict:
+    """Milliseconds per call of each of fns, by name: the median of rounds
+    samples of at least SAMPLE_S each, one sample of every function per
+    round, so that a drift in the machine's speed reaches all of them."""
+    numbers = {name: _calibrate(fn)[0] for name, fn in fns.items()}
+    times = {name: [] for name in fns}
+    for _ in range(rounds):
+        for name, fn in fns.items():
+            times[name].append(_sample(fn, numbers[name]) / numbers[name])
+    return {name: round(statistics.median(t) * 1e3, 4) for name, t in times.items()}
