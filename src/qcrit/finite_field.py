@@ -8,7 +8,10 @@ An element's index packs its coordinates as base-p digits.
 Every field has the same operation tables on indices (_add, _mul, _neg,
 _inv, _frob1) and an index -> element table (_elements), built on first
 use. Fields of at most 256 elements store them as tuples; above that they
-are small objects that compute each entry when indexed. The build is
+are small objects that compute each entry when indexed. In characteristic
+2 a sum of elements is the XOR of their indices, and a field of at most
+256 elements also keeps each row of _mul as a 256-byte bytes.translate
+table (_mul_bytes, None for every other field). The build is
 idempotent and specs and elements are otherwise immutable, so everything
 here is safe to share across threads.
 """
@@ -32,7 +35,7 @@ _TABLE_LIMIT = 256
 _P_LIMIT = 2 ** 32
 _ORDER_LIMIT = 2 ** 64
 
-_TABLES = ("_elements", "_add", "_mul", "_neg", "_inv", "_frob1")
+_TABLES = ("_elements", "_add", "_mul", "_neg", "_inv", "_frob1", "_mul_bytes")
 
 # field_make's cache, by (p, n, modulus), holds at most this many keys.
 # Specs compare by value, so one that is dropped is simply built again.
@@ -304,6 +307,8 @@ class FieldSpec:
         self._neg = tuple(row.index(0) for row in add)
         self._add = tuple(add)
         self._mul = tuple(mul)
+        self._mul_bytes = tuple(bytes(row) + bytes(256 - q)
+                                for row in mul) if p == 2 else None
         self._elements = tuple(map(self._new_element, range(q)))
 
     def _compute_tables(self) -> None:
@@ -335,6 +340,7 @@ class FieldSpec:
         self._neg = _Computed(neg)
         self._inv = _Computed(power(q - 2))
         self._frob1 = _Computed(power(p))
+        self._mul_bytes = None
 
     # -- constructors -------------------------------------------------------
 

@@ -268,11 +268,16 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 # ---------------------------------------------------------------------------
 # A kernel takes series as sequences of packed element indices and returns
 # the list of the n + 1 coefficients through degree n. The crossovers below
-# come from timings on F_4, F_9, F_243 and F_256 at precision 128, 512 and
-# 2048 (tools/series_ops.py).
+# come from timings on F_2, F_4, F_9, F_16, F_243 and F_256 at precision 64
+# to 2048 (tools/series_ops.py, BENCH_21.json). In characteristic 2 with at
+# most 256 elements (spec._mul_bytes) a sum of indices is their XOR, and a
+# row of a product or of the recurrence is one bytes.translate of a whole
+# operand through a row of _mul, XORed into one big int.
 
 # An operand with at most this many nonzero coefficients is multiplied row
-# by row; denser products go by Kronecker substitution.
+# by row; denser products go by Kronecker substitution. On bytes, rows beat
+# Kronecker at 32 nonzero coefficients too, but desk's series suites did not
+# move with 32, 64 or 128 here.
 _SPARSE = 16
 # The online recurrence (_online) solves blocks of at most this many
 # degrees one coefficient at a time; inverse_mult takes Newton steps above
@@ -286,6 +291,10 @@ _BLOCK = 128
 # unit of that cost, and at least twice this many. Above 256 elements each
 # lookup computes a product mod the modulus, and the count is this alone.
 _QUOTIENT_NONZERO = 15
+# On bytes the recurrence costs one translate per degree whatever the count,
+# and the quotient is taken from precision this times d^2 on: F_2 from 128,
+# F_4 from 512, F_16 at 2048, and F_256 never below MAX_PREC.
+_QUOTIENT_PREC = 128
 
 # memoryview formats of the slot widths a product can be unpacked with
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -302,7 +311,16 @@ def _mul(spec: FieldSpec, a: Sequence[int], b: Sequence[int], n: int) -> list[in
 
 
 def _mul_rows(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
-    """The schoolbook product, one row per nonzero coefficient of a."""
+    """The schoolbook product, one row per nonzero coefficient of a. In
+    characteristic 2 a row is one translate of b's bytes, XORed into one
+    int at byte i."""
+    if spec._mul_bytes is not None:
+        rows, seg, acc = spec._mul_bytes, bytes(b[:n + 1]), 0
+        for i, ai in enumerate(a):
+            if ai:
+                acc ^= int.from_bytes(seg[:n + 1 - i].translate(rows[ai]),
+                                      "little") << 8 * i
+        return list(acc.to_bytes(n + 1, "little"))
     add, mul = spec._add, spec._mul
     out = [0] * (n + 1)
     for i, ai in enumerate(a):
@@ -466,7 +484,9 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
     Blocks of more than _BLOCK degrees are split by divide and conquer
     (van der Hoeven, "Relax, but don't be too lazy", JSC 2002): solve the
     left half, add its terms to the right half's sums with one product,
-    then solve the right half."""
+    then solve the right half. Within a block, a field on bytes adds all of
+    f_m's terms to the later sums as soon as f_m is known; other fields
+    gather the terms of S_m when they reach degree m."""
     add = spec._add
     if hi - lo > _BLOCK:
         mid = (lo + hi) // 2
@@ -474,6 +494,18 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
         part = _mul(spec, f[lo:mid], w[1:hi - lo], hi - lo - 2)[mid - lo - 1:]
         s[mid:hi] = [add[x][y] if y else x for x, y in zip(s[mid:hi], part)]
         _online(spec, w, s, f, scales, mid, hi)
+        return
+    if spec._mul_bytes is not None:
+        # byte j of acc holds the terms of S_(m+j) known so far; f_m's
+        # terms w_k f_m (k >= 1) join it as one translate of w's bytes
+        rows, ws = spec._mul_bytes, bytes(w[1:hi - lo])
+        acc = int.from_bytes(bytes(s[lo:hi]), "little")
+        for m in range(lo, hi):
+            s[m] = sm = acc & 255
+            f[m] = fm = scales[m][sm]
+            acc >>= 8
+            if fm:
+                acc ^= int.from_bytes(ws.translate(rows[fm]), "little")
         return
     mul = spec._mul
     rows = [(k, mul[w[k]]) for k in range(1, hi - lo) if w[k]]
@@ -513,7 +545,9 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
 
 def _quotient_wins(spec: FieldSpec, n: int, a: Sequence[int]) -> bool:
     """Whether log_deriv of the unit a through degree n takes the quotient
-    route (see _QUOTIENT_NONZERO)."""
+    route (see _QUOTIENT_NONZERO and _QUOTIENT_PREC)."""
+    if spec._mul_bytes is not None:
+        return n >= _QUOTIENT_PREC * spec.n ** 2
     cost = 1 if spec.order > 256 else max(
         2, spec.n ** 1.6 * (1.5 if spec.p % 2 else 1))
     return n + 1 - a.count(0) > _QUOTIENT_NONZERO * cost

@@ -268,6 +268,25 @@ def _check_prec(prec: int) -> None:
     check_prec(prec)
 
 
+# The most work, checks * (prec + 32)^2, that a randomized sweep takes on,
+# counting the checks of its trials as its report does: one per equivariance
+# trial, six per logderiv trial and one per Teichmueller scaling of a
+# Coleman trial. A check costs about (prec + 1)^2 units and, at any
+# precision, about 1,000 more: at prec 1 or 2 a check took 5 to 50 us. At
+# this bound the sweeps ran for 0.2 to 12.5 s in one process on fields of
+# at most 256 elements (BENCH_21.json `work_limit`).
+_MAX_WORK = 2 ** 28
+
+
+def _check_work(sweep: str, trials: int, checks_per_trial: int, prec: int) -> None:
+    """Refuse, before any work, a randomized sweep above _MAX_WORK."""
+    work = max(trials, 0) * checks_per_trial * (prec + 32) ** 2
+    if work > _MAX_WORK:
+        raise ValueError(
+            f"verify {sweep}: {trials} trials at precision {prec} are {work} "
+            f"units of work (checks x (prec+32)^2), above the limit {_MAX_WORK}")
+
+
 # The work, trials * prec^2, from which a randomized sweep shares its trials
 # with forked workers. A fork costs about 2 ms. At 4 trials of prec 128 on
 # F_4 forking lost on equivariance and Coleman and won on logderiv; from 5
@@ -359,6 +378,7 @@ def verify_equivariance(pq: PrimePower, spec: FieldSpec, prec: int = 128,
     if pq.q > prec:  # no X + beta*X^(q^ell) fits below the precision
         raise ValueError(f"q = {pq.q} exceeds the precision {prec}: "
                          "every gamma would be X")
+    _check_work("equivariance", trials, 1, prec)
     bad = _Collector()
     _run_trials(bad, trials, seed, prec, _action_trial(
         pq, spec, prec, "equivariance", [spec.one()]))
@@ -381,6 +401,7 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
     - substitution of alpha*X commutes with D.
     """
     _check_prec(prec)
+    _check_work("logderiv", trials, 6, prec)
     bad = _Collector()
     p, q, frob1 = spec.p, spec.order, spec._frob1
     zero = TruncSeries.zero(spec, prec)
@@ -769,6 +790,7 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
     if ext_degree < 1:
         raise ValueError(f"ext_degree must be >= 1, got {ext_degree}")
     _check_prec(prec)
+    _check_work("coleman", trials, q - 1, prec)
     spec = field_make(p, lam * ext_degree)
     spec.elements()  # refuses a K above 4096 elements, before enumerating
     bad = _Collector()

@@ -7,7 +7,9 @@ coefficients), the block size of the online recurrence (_BLOCK), past
 which inverse_mult takes Newton steps and log_deriv and solve_log_deriv
 split their blocks by divide and conquer, the route rule of log_deriv
 (the recurrence up to a nonzero count set by the field, _QUOTIENT_NONZERO
-times a cost of its coordinate planes, and one quotient above it), the
+times a cost of its coordinate planes, and one quotient above it; in
+characteristic 2 up to 256 elements, the quotient from precision
+_QUOTIENT_PREC d^2 on), the
 byte width of the Kronecker slots, which grows with the precision and
 with p, and in compose the residue split, which starts at precision p,
 and the monomial inner series.
@@ -25,6 +27,12 @@ zero), with its slots filled to their bound, and through the fold of the
 high planes under every default modulus of F_2 .. F_256, other moduli of
 F_8, F_9 and F_25 and odd-p default moduli, against the coordinate oracle.
 
+The byte path of _mul_rows and _online, which F_{2^d} up to 256 elements
+take, is called on its own under non-default moduli: rows in the last
+degrees and operands shorter than n + 1, the recurrence through every
+caller above _BLOCK, where its blocks start at lo > 1, and the sums it
+leaves in s; a spy shows which fields take it.
+
 The closed forms of the projection sweep, twisted_orbit_series and
 critical_projection_formula, are compared with the FieldElement versions
 in series_reference, and are seen to call none of the kernels.
@@ -38,7 +46,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcrit import series as sr
 from qcrit.digits import PrimePower
-from qcrit.finite_field import field_make
+from qcrit.finite_field import FieldSpec, field_make
 from qcrit.series import TruncSeries, log_deriv, solve_log_deriv
 
 import series_reference as ref
@@ -241,32 +249,169 @@ def test_both_log_deriv_routes_match_coordinate_oracle(p, n):
 
 # The largest nonzero count that log_deriv still solves by the recurrence,
 # by field order: 15 times max(2, d^1.6), half again for odd p, on the
-# tabled fields, and 15 on those above 256 elements
-ROWS_UP_TO = {2: 30, 3: 30, 5: 30, 4: 45, 9: 68, 243: 295, 256: 417,
-              512: 15, 729: 15, 257: 15, 4294967291: 15}
+# tabled fields of odd p, and 15 on those above 256 elements
+ROWS_UP_TO = {3: 30, 5: 30, 9: 68, 243: 295, 512: 15, 729: 15, 257: 15,
+              4294967291: 15}
+# In characteristic 2 up to 256 elements the recurrence runs on bytes, at
+# the same cost whatever the count: the quotient is taken from precision
+# 128 d^2 on, which F_256 (8192) never reaches
+QUOTIENT_FROM = {2: 128, 4: 512, 256: 8192}
 
 
 @pytest.mark.parametrize("p,n", KRONECKER_FIELDS, ids=KRONECKER_IDS)
 def test_log_deriv_takes_the_quotient_above_its_crossover(p, n):
     spec = field_make(p, n)
-    top = ROWS_UP_TO[spec.order]
     rng = random.Random(spec.order + 3)
     taken = []
 
     def spy(name):
         return lambda *args: taken.append(name) or ROUTES[name](*args)
 
+    def route(prec, nonzero, want):
+        a = random_idx(spec, prec + 1, rng, nonzero=nonzero - 1, valuation=1,
+                       unit=True)
+        with mock.patch.multiple(sr, _log_deriv_rows=spy("rows"),
+                                 _log_deriv_quotient=spy("quotient")):
+            got = idx(log_deriv(series(spec, a)))
+        assert taken.pop() == want, (prec, nonzero)
+        assert got == ref.log_deriv(spec, a, prec), (prec, nonzero)
+
+    if spec.order in QUOTIENT_FROM:
+        start = QUOTIENT_FROM[spec.order]
+        for prec in (start - 1, start):
+            if prec <= sr.MAX_PREC:  # a single term, a sparse and a dense unit
+                for nonzero in (1, 16, prec + 1):
+                    route(prec, nonzero, "quotient" if prec >= start else "rows")
+        if start > sr.MAX_PREC:
+            route(sr.MAX_PREC, sr.MAX_PREC + 1, "rows")
+        return
+    top = ROWS_UP_TO[spec.order]
     for prec in (top - 1, top, 2 * top + 1):
         for nonzero in (top, top + 1):
-            if nonzero > prec + 1:
-                continue
-            a = random_idx(spec, prec + 1, rng, nonzero=nonzero - 1, valuation=1,
+            if nonzero <= prec + 1:
+                route(prec, nonzero, "quotient" if nonzero > top else "rows")
+
+
+# ---------------------------------------------------------------------------
+# The characteristic-2 byte path of _mul_rows and _online
+# ---------------------------------------------------------------------------
+
+# (p, n, modulus): a modulus other than the default where there is one
+# (x^2 + x + 1 is the only one of F_4); F_256's rows fill all 256 entries
+# of a translate table
+BYTE_FIELDS = [(2, 1, (1, 1)), (2, 2, None), (2, 3, (1, 0, 1, 1)),
+               (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))]
+BYTE_IDS = [f"F{p ** n}-{'default' if m is None else ''.join(map(str, m))}"
+            for p, n, m in BYTE_FIELDS]
+
+
+@pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+def test_byte_rows_match_schoolbook(p, n, modulus):
+    spec = field_make(p, n, modulus)
+    assert spec.modulus != field_make(p, n).modulus or n == 2
+    rng = random.Random(spec.order + 5)
+    every = list(range(spec.order)) * (300 // spec.order + 1)
+    for la, lb, prec, nonzero in (
+            (41, 41, 40, 3),     # rows whose products are cut at degree n
+            (41, 41, 40, 41),    # every row
+            (12, 30, 80, 12),    # both operands shorter than n + 1
+            (30, 5, 80, 6),      # b shorter than a
+            (300, 300, 299, 5),  # b holds every element
+            (1, 1, 0, 1)):
+        a = random_idx(spec, la, rng, nonzero=nonzero)
+        for b in (random_idx(spec, lb, rng), every[:lb]):
+            assert sr._mul_rows(spec, a, b, prec) == ref.mul(spec, a, b, prec)
+    # nonzero rows only in the last degrees, each against every element
+    a = [0] * 297 + [spec.order - 1, 1, rng.randrange(1, spec.order)]
+    assert sr._mul_rows(spec, a, every[:300], 299) == ref.mul(spec, a, every[:300], 299)
+
+
+@pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+def test_byte_recurrence_matches_the_references(p, n, modulus):
+    # above _BLOCK the row route and solve_log_deriv split their blocks:
+    # the byte block then starts at lo > 1, with s preloaded by the split;
+    # inverse_mult runs one block through _BLOCK, then Newton steps
+    spec = field_make(p, n, modulus)
+    rng = random.Random(spec.order + 7)
+    for prec in (B - 1, B + 1, 2 * B + 1, 3 * B + 2):
+        for nonzero in (None, prec // 6):
+            a = random_idx(spec, prec + 1, rng, nonzero=nonzero, valuation=1,
                            unit=True)
-            with mock.patch.multiple(sr, _log_deriv_rows=spy("rows"),
-                                     _log_deriv_quotient=spy("quotient")):
-                got = idx(log_deriv(series(spec, a)))
-            assert taken.pop() == ("quotient" if nonzero > top else "rows")
-            assert got == ref.log_deriv(spec, a, prec), (prec, nonzero)
+            assert idx(series(spec, a).inverse_mult()) == ref.inverse(spec, a, prec)
+            want = ref.log_deriv(spec, a, prec)
+            for name, route in ROUTES.items():
+                assert route(spec, a, prec) == want, (name, prec)
+        t = section_target(spec, prec + 1, rng)
+        assert idx(solve_log_deriv(series(spec, t))) == ref.solve_log_deriv(spec, t, prec)
+
+
+@pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+def test_byte_recurrence_leaves_each_sum_in_s(p, n, modulus):
+    # on return s_m = S_m = s_m + sum_{k=1..m-1} w_k f_(m-k) for every m,
+    # in one block and across the split, and f_m = c_m S_m
+    spec = field_make(p, n, modulus)
+    add, mul = spec._add, spec._mul
+    rng = random.Random(spec.order + 11)
+    for prec in (B - 1, 2 * B + 3):
+        w = random_idx(spec, prec + 1, rng)
+        s0 = random_idx(spec, prec + 1, rng)
+        scales = [mul[rng.randrange(1, spec.order)] for _ in range(prec + 1)]
+        f, s = [rng.randrange(spec.order)] + [0] * prec, list(s0)
+        sr._online(spec, w, s, f, scales, 1, prec + 1)
+        for m in range(1, prec + 1):
+            want = s0[m]
+            for k in range(1, m):
+                want = add[want][mul[w[k]][f[m - k]]]
+            assert s[m] == want and f[m] == scales[m][want], (prec, m)
+
+
+@pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+def test_byte_section_kernel_checks_every_even_degree(p, n, modulus):
+    # _solve_log_deriv reads s_m at every multiple of 2 after the recurrence:
+    # a target that breaks a_(2i) = a_i^2 past the first block must fail there
+    spec = field_make(p, n, modulus)
+    prec = 2 * B + 1
+    t = section_target(spec, prec + 1, random.Random(spec.order))
+    t[prec - 1] = spec._add[t[prec - 1]][1]
+    with pytest.raises(AssertionError, match=f"degree {prec - 1};"):
+        sr._solve_log_deriv(spec, t, prec)
+
+
+# F_2 .. F_256 take the byte path; odd p and F_512 keep the lookup loops
+PATH_FIELDS = [(2, d) for d in range(1, 9)] + [(3, 1), (3, 2), (3, 5), (2, 9)]
+
+
+@pytest.mark.parametrize("p,n", PATH_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in PATH_FIELDS])
+def test_characteristic_2_fields_to_256_elements_take_the_byte_path(p, n):
+    spec = FieldSpec(p, n)  # not field_make's: the spies stay in this test
+    on_bytes = p == 2 and n <= 8
+    reads = {"add": 0, "bytes": 0}
+
+    class Spy(tuple):
+        def __getitem__(self, i):
+            reads[self.name] += 1
+            return tuple.__getitem__(self, i)
+
+    def spy(name, table):
+        wrapped = Spy(table[i] for i in range(spec.order))
+        wrapped.name = name
+        return wrapped
+
+    assert (spec._mul_bytes is not None) == on_bytes
+    spec._add = spy("add", spec._add)
+    if on_bytes:
+        spec._mul_bytes = spy("bytes", spec._mul_bytes)
+    rng = random.Random(spec.order)
+    a = random_idx(spec, 40, rng, nonzero=4)
+    b = random_idx(spec, 40, rng)
+    got = sr._mul_rows(spec, a, b, 39)
+    w = random_idx(spec, 40, rng, unit=True)
+    s, f = [0] * 40, [1] + [0] * 39
+    sr._online(spec, w, s, f, [spec._mul[1]] * 40, 1, 40)
+    # the byte path reads no sum from _add; the lookup loops read many
+    assert (reads["add"] == 0) == on_bytes and (reads["bytes"] > 0) == on_bytes
+    assert got == ref.mul(field_make(p, n), a, b, 39)
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
@@ -333,9 +478,11 @@ def test_compose_matches_horner(p, n, prec, v, nonzero):
 ORACLE_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2), (2, 3)]
 THRESHOLDS = {
     "default": {"_SPARSE": S, "_BLOCK": B,
-                "_QUOTIENT_NONZERO": sr._QUOTIENT_NONZERO},
+                "_QUOTIENT_NONZERO": sr._QUOTIENT_NONZERO,
+                "_QUOTIENT_PREC": sr._QUOTIENT_PREC},
     # low enough that every kernel branch runs at small precision
-    "low": {"_SPARSE": 2, "_BLOCK": 3, "_QUOTIENT_NONZERO": 0},
+    "low": {"_SPARSE": 2, "_BLOCK": 3, "_QUOTIENT_NONZERO": 0,
+            "_QUOTIENT_PREC": 0},
 }
 
 

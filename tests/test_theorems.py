@@ -163,6 +163,49 @@ def test_the_series_sweeps_refuse_a_precision_out_of_range(monkeypatch, sweep):
             sweep(prec)
 
 
+class _Built(Exception):
+    """A sweep got past its refusals to its collector."""
+
+
+def _built(key=None):
+    raise _Built
+
+
+@pytest.mark.parametrize("sweep,checks_per_trial", [
+    (lambda prec, trials: verify_equivariance(
+        PrimePower(2, 1), field_make(2, 1), prec, trials), 1),
+    (lambda prec, trials: verify_logderiv(field_make(2, 1), prec, trials), 6),
+    (lambda prec, trials: verify_coleman(PrimePower(2, 2), 1, prec, trials), 3)],
+    ids=["equivariance", "logderiv", "coleman"])
+def test_the_randomized_sweeps_refuse_work_above_the_limit(
+        monkeypatch, sweep, checks_per_trial):
+    # trials x checks per trial x (prec+32)^2 is refused above _MAX_WORK
+    # before the sweep builds its collector; at the limit it is admitted
+    monkeypatch.setattr(theorems, "_Collector", _built)
+    for prec in (2, 128, 2048):
+        most = theorems._MAX_WORK // (checks_per_trial * (prec + 32) ** 2)
+        with pytest.raises(_Built):
+            sweep(prec, most)
+        work = (most + 1) * checks_per_trial * (prec + 32) ** 2
+        with pytest.raises(ValueError, match=(
+                f"^verify .*: {most + 1} trials at precision {prec} are {work} "
+                r"units of work \(checks x \(prec\+32\)\^2\), above the limit ")):
+            sweep(prec, most + 1)
+    # each of these would run for minutes
+    for prec, trials in ((2048, 99999998), (2, 10 ** 7)):
+        with pytest.raises(ValueError, match="above the limit"):
+            sweep(prec, trials)
+
+
+def test_the_work_limit_admits_every_benchmark_and_default_sweep():
+    # deep-series' equivariance job is the largest benchmark sweep; the
+    # default Coleman sweep at q = 256 checks 255 scalings per trial
+    for trials, checks_per_trial, prec in ((5, 1, 2048), (2, 6, 2048),
+                                           (50, 1, 128), (100, 6, 128),
+                                           (25, 255, 128)):
+        theorems._check_work("sweep", trials, checks_per_trial, prec)
+
+
 def test_desk_bounds_and_admissible_sweeps_refuse_a_p_that_is_not_prime():
     # the loop of desk_bounds would never end at p = 1
     for sweep in (desk_bounds, verify_admissible_order,

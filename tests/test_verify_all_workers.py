@@ -223,10 +223,10 @@ def test_a_sigterm_in_the_parent_kills_and_reaps_the_worker(
                     reason="one usable CPU: no worker is forked")
 def test_a_sigterm_to_the_parent_leaves_no_worker_running(tmp_path):
     # trials * prec^2 is far above _FORK_WORK: the sweep forks at once, and
-    # its worker would run for hours if nothing stopped it
+    # at just under theorems._MAX_WORK its workers would run for seconds
     argv = [sys.executable, "-m", "qcrit", "verify", "equivariance", "--p",
-            "2", "--lambda", "1", "--n", "1", "--prec", "2048", "--trials",
-            "99999998"]
+            "3", "--lambda", "1", "--n", "5", "--prec", "128", "--trials",
+            "10000"]
     err = tmp_path / "stderr.txt"
     with open(err, "wb") as stderr:  # a pipe would wait for a stray worker
         proc = subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=SRC),
@@ -505,6 +505,24 @@ def test_verify_all_refuses_q_above_the_precision_before_any_suite(
     assert main(argv) == 2
     assert capsys.readouterr().err == err == (
         "error: q = 16 exceeds the precision 8: every gamma would be X\n")
+    assert forks == []
+
+
+def test_verify_all_refuses_an_oversized_sweep_before_any_suite(
+        capsys, forks):
+    # a sweep above theorems._MAX_WORK would run for days; verify all
+    # refuses it in its refusal pass, as the sweep alone does
+    argv = ["verify", "all", "--p", "2", "--lambda", "1", "--n", "1",
+            "--prec", "2048", "--trials", "100000000"]
+    t0 = time.perf_counter()
+    assert main(argv) == 2
+    assert time.perf_counter() - t0 < 0.2
+    assert "units of work" in capsys.readouterr().err
+    for statement in ("equivariance", "logderiv", "coleman"):
+        argv[1] = statement
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: verify {statement}: 100000000 trials at precision 2048 ")
     assert forks == []
 
 

@@ -21,10 +21,11 @@ number of nonzero coefficients; the online recurrence as one block of
 every degree against its divide-and-conquer split into blocks of _BLOCK,
 through solve_log_deriv, its thinnest caller; and the two routes of
 log_deriv, the recurrence and the quotient, called directly on units with
-1/16, 1/8, 1/4, 1/2 and all of their coefficients nonzero, over F_4, F_9,
-F_243 and F_256 at precision 64, 128, 256, 512 and 2048. Each of those
-rows takes max(5, --repeat) samples of each route in turn, reports their
-medians, and names the route that log_deriv's rule takes.
+1/16, 1/4 and all of their coefficients nonzero, at precision 64, 128, 256,
+512, 1024 and 2048. The crossovers run over F_2, F_4, F_9, F_16, F_243 and
+F_256. Each log_deriv row takes max(5, --repeat) samples of each route in
+turn, reports their medians, and names the route that log_deriv's rule
+takes.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ from timing import alternated, best
 
 # (p, n, lambda of the composition series)
 FIELDS = [(2, 2, 2), (3, 2, 1), (3, 5, 1), (2, 8, 2)]
+# the crossover rows add F_2 and F_16: characteristic 2, whose products and
+# recurrence run on bytes, at d = 1 and d = 4 between F_4 and F_256
+CROSSOVER_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 4), (3, 5), (2, 8)]
 PRECS = [128, 512, 2048]
 
 
@@ -87,7 +91,7 @@ def closed_forms(repeat: int) -> list[dict]:
 def crossovers(repeat: int) -> dict:
     out = {"mul_rows_vs_kronecker": [], "kernel_block_vs_split": [],
            "log_deriv_rows_vs_quotient": []}
-    for p, n, _ in FIELDS:
+    for p, n in CROSSOVER_FIELDS:
         spec = field_make(p, n)
         for prec in (128, 2048):
             dense = [c.idx for c in sr.random_unit(spec, prec, 4).coeffs]
@@ -108,8 +112,8 @@ def crossovers(repeat: int) -> dict:
                 row["one_block_ms"] = best(
                     lambda: sr._solve_log_deriv(spec, t, prec), repeat)
             out["kernel_block_vs_split"].append(row)
-        for prec in (64, 128, 256, 512, 2048):
-            for share in (16, 8, 4, 2, 1):
+        for prec in (64, 128, 256, 512, 1024, 2048):
+            for share in (16, 4, 1):
                 a = _unit(spec, prec, share, random.Random(prec * share))
                 quotient = sr._quotient_wins(spec, prec, a)
                 row = {"field": spec.order, "prec": prec,
