@@ -21,6 +21,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import comb
 from typing import Sequence
 
@@ -167,9 +168,9 @@ class TruncSeries:
 
     def scale_arg(self, alpha: FieldElement) -> TruncSeries:
         """Substitute alpha*X for X: coefficient a_i becomes a_i * alpha^i."""
-        n = self.prec
-        inner = [0, _index(self.spec, alpha)] + [0] * (n - 1)
-        return _series(self.spec, n, _compose(self.spec, self.idx, inner, n))
+        c, n = _index(self.spec, alpha), self.prec
+        terms = [(1, c)] if c else []
+        return _series(self.spec, n, _compose(self.spec, self.idx, terms, n))
 
     def inverse_mult(self) -> TruncSeries:
         """Multiplicative inverse of a unit, at the same precision."""
@@ -195,7 +196,9 @@ class TruncSeries:
         n = self._binop_prec(inner)
         if inner.idx[0]:
             raise ValueError("inner series must have zero constant term")
-        return _series(self.spec, n, _compose(self.spec, self.idx, inner.idx, n))
+        g = inner.idx
+        terms = [(e, g[e]) for e in compress(range(n + 1), g)]
+        return _series(self.spec, n, _compose(self.spec, self.idx, terms, n))
 
     # -- serialization ------------------------------------------------------
 
@@ -281,7 +284,10 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 _SPARSE = 16
 # The online recurrence (_online) solves blocks of at most this many
 # degrees one coefficient at a time; inverse_mult takes Newton steps above
-# it. 32 and 64 were not faster on the inputs of desk's series sweeps.
+# it. 32 and 64 were not faster on the inputs of desk's series sweeps. On
+# bytes a block costs one translate per degree whatever d, while the split's
+# product costs about d^1.6 plane products: there blocks take up to 4 times
+# this on F_2 and F_4, and 16 times (MAX_PREC) from F_8 on (_block_limit).
 _BLOCK = 128
 # log_deriv's recurrence makes about one table lookup per nonzero
 # coefficient of f per degree; its quotient route makes a few products per
@@ -418,39 +424,58 @@ def _spread(spec: FieldSpec, a: list[int], n: int) -> list[int]:
     return out
 
 
-def _compose(spec: FieldSpec, a: list[int], g: list[int], n: int) -> list[int]:
-    """a(g) through degree n, for g with zero constant term.
+def _compose(spec: FieldSpec, a: list[int], terms: list[tuple[int, int]],
+             n: int) -> list[int]:
+    """a(g) through degree n, for g = sum of c X^e over the (e, c) of terms:
+    the nonzero coefficients of g, by ascending exponent e >= 1.
 
     Coefficients of a past n // val(g) cannot reach degree n and are
     dropped first. A monomial g = c X^v sends a_i to a_i c^i X^(iv).
     Otherwise a is split by exponent residues mod p,
     a(Y) = sum_r Y^r A_r(Y^p), and A_r(g^p) = (A_r o G)(X^p) with G the
-    Frobenius image of g's coefficients: a composition at precision
-    n // p. The parts are combined with one product by g each."""
-    support = [i for i in range(1, n + 1) if g[i]]
-    if not support:
+    terms of g up to degree n // p, each coefficient taken through the
+    Frobenius: a composition at precision n // p. The parts are combined
+    with one product by g each. On bytes, with at most _SPARSE terms, the
+    partial result is one int: a product by g is one translate per term
+    and a part joins by one XOR, as in _mul_rows."""
+    if not terms:
         return [a[0]] + [0] * n
-    v = support[0]
+    v = terms[0][0]
     a = a[:n // v + 1]
     p, add, mul = spec.p, spec._add, spec._mul
-    if len(support) == 1:
-        row, power = mul[g[v]], 1
+    if len(terms) == 1:
+        row, power = mul[terms[0][1]], 1
         res = [0] * (n + 1)
         for i, ai in enumerate(a):
             res[i * v] = mul[ai][power]
             power = row[power]
         return res
     frob = spec._frob1
-    inner = [frob[c] if c else 0 for c in g[:n // p + 1]]
-    res = None
+    inner = [(e, frob[c]) for e, c in terms if e <= n // p]
+    rows = spec._mul_bytes if len(terms) <= _SPARSE else None
+    if rows is None:
+        g = [0] * (n + 1)
+        for e, c in terms:
+            g[e] = c
+    res = None if rows is None else 0
     for r in reversed(range(min(p, len(a)))):
         part = a[r::p]
         if len(part) > 1:
             part = _compose(spec, part, inner, n // p)
-        res = [0] * (n + 1) if res is None else _mul(spec, res, g, n)
-        at = slice(0, len(part) * p, p)
-        res[at] = [add[x][y] if y else x for x, y in zip(res[at], part)]
-    return res
+        if rows is None:
+            res = [0] * (n + 1) if res is None else _mul(spec, res, g, n)
+            at = slice(0, len(part) * p, p)
+            res[at] = [add[x][y] if y else x for x, y in zip(res[at], part)]
+            continue
+        if res:  # times g, one translate per term
+            seg, res = res.to_bytes(n + 1, "little"), 0
+            for e, c in terms:
+                res ^= int.from_bytes(seg[:n + 1 - e].translate(rows[c]),
+                                      "little") << 8 * e
+        spread = bytearray(2 * len(part))  # p = 2: part at the even degrees
+        spread[::2] = bytes(part)
+        res ^= int.from_bytes(spread, "little")
+    return res if rows is None else list(res.to_bytes(n + 1, "little"))
 
 
 def _inverse(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
@@ -481,14 +506,14 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
     f below lo is known and s_m already holds its terms of S_m; c_m
     multiplies by the table row scales[m]. On return s_m holds S_m.
 
-    Blocks of more than _BLOCK degrees are split by divide and conquer
-    (van der Hoeven, "Relax, but don't be too lazy", JSC 2002): solve the
-    left half, add its terms to the right half's sums with one product,
-    then solve the right half. Within a block, a field on bytes adds all of
-    f_m's terms to the later sums as soon as f_m is known; other fields
-    gather the terms of S_m when they reach degree m."""
+    Blocks of more than _block_limit(spec) degrees are split by divide and
+    conquer (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
+    solve the left half, add its terms to the right half's sums with one
+    product, then solve the right half. Within a block, a field on bytes
+    adds all of f_m's terms to the later sums as soon as f_m is known;
+    other fields gather the terms of S_m when they reach degree m."""
     add = spec._add
-    if hi - lo > _BLOCK:
+    if hi - lo > _block_limit(spec):
         mid = (lo + hi) // 2
         _online(spec, w, s, f, scales, lo, mid)
         part = _mul(spec, f[lo:mid], w[1:hi - lo], hi - lo - 2)[mid - lo - 1:]
@@ -524,6 +549,13 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
             f[m] = scales[m][sm]
         live.append(term)
         start = stop
+
+
+def _block_limit(spec: FieldSpec) -> int:
+    """The most degrees that _online solves as one block over spec."""
+    if spec._mul_bytes is None:
+        return _BLOCK
+    return _BLOCK * (4 if spec.n <= 2 else 16)
 
 
 # ---------------------------------------------------------------------------

@@ -526,11 +526,13 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
     """Every admissible quadruple admits the unique congruence witness r
     and satisfies both derived inequalities; any violation surfaces as a
     counterexample, with its payload from the public admissible_witness.
-    Each quadruple is checked on the digit tables."""
+    Each quadruple is checked on the digit tables: per block, the e at
+    which j has no unique witness are found once, and f + g is one table."""
     m_bound, ell_bound = _admissible_bounds(p, m_bound, ell_bound)
     bad = _Collector(key=_quad_order)
     tables = digits.digit_tables(p, m_bound)
-    ordp, gord, core = tables.ordp, tables.gord, tables.core
+    ordp, core = tables.ordp, tables.core
+    fg = [f + g for f, g in zip(ordp, tables.gord)]
     found = {}  # by ell, then by each e in ordp: p^e and the witnesses
     count = 0
     for ell, j, step, ks in digits.admissible_blocks(p, m_bound, ell_bound):
@@ -539,13 +541,12 @@ def verify_admissible_witness(p: int, m_bound: int | None = None,
         if ell not in found:
             found[ell] = {e: (p ** e, digits.witness_candidates(p, e, ell))
                           for e in set(ordp)}
-        by_e = found[ell]
+        no_witness = {e for e, (pe, cands) in found[ell].items()
+                      if len(cands.get(j % pe, ())) != 1}
         for k in ks:
             m = k + shift
             e = ordp[m + 1]
-            pe, cands = by_e[e]
-            if (len(cands.get(j % pe, ())) != 1 or ordp[k] + gord[k] < e
-                    or core[k] > core[m]):
+            if e in no_witness or fg[k] < e or core[k] > core[m]:
                 try:  # the public derivation gives the payload
                     digits.admissible_witness(
                         digits.AdmissibleQuadruple(j, k, ell, m), p)

@@ -3,7 +3,8 @@ replaced (series_reference), on both sides of every crossover, and against
 the independent coordinate oracle (field_oracle) on random inputs.
 
 The crossovers are the sparse-operand rule of products (_SPARSE nonzero
-coefficients), the block size of the online recurrence (_BLOCK), past
+coefficients), the block size of the online recurrence (_BLOCK, larger on
+bytes), past
 which inverse_mult takes Newton steps and log_deriv and solve_log_deriv
 split their blocks by divide and conquer, the route rule of log_deriv
 (the recurrence up to a nonzero count set by the field, _QUOTIENT_NONZERO
@@ -12,7 +13,9 @@ characteristic 2 up to 256 elements, the quotient from precision
 _QUOTIENT_PREC d^2 on), the
 byte width of the Kronecker slots, which grows with the precision and
 with p, and in compose the residue split, which starts at precision p,
-and the monomial inner series.
+the monomial inner series, and the terms of the inner series carried down
+the split: exactly 2 and _SPARSE of them, the byte path's limit, and
+gamma-shaped series whose top term a level of the split keeps or drops.
 
 Both routes of log_deriv are also called on their own, on every field of
 the grid, at precisions 0 to 3, odd and even, on both sides of the
@@ -30,8 +33,10 @@ F_8, F_9 and F_25 and odd-p default moduli, against the coordinate oracle.
 The byte path of _mul_rows and _online, which F_{2^d} up to 256 elements
 take, is called on its own under non-default moduli: rows in the last
 degrees and operands shorter than n + 1, the recurrence through every
-caller above _BLOCK, where its blocks start at lo > 1, and the sums it
-leaves in s; a spy shows which fields take it.
+caller above its block limit, where its blocks start at lo > 1, and the
+sums it leaves in s; a spy shows which fields take it, and another that
+_online splits a block exactly when it is longer than its field's limit
+(_block_limit).
 
 The closed forms of the projection sweep, twisted_orbit_series and
 critical_projection_formula, are compared with the FieldElement versions
@@ -303,6 +308,10 @@ BYTE_FIELDS = [(2, 1, (1, 1)), (2, 2, None), (2, 3, (1, 0, 1, 1)),
                (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))]
 BYTE_IDS = [f"F{p ** n}-{'default' if m is None else ''.join(map(str, m))}"
             for p, n, m in BYTE_FIELDS]
+# On bytes _online splits only blocks of more than 4 _BLOCK degrees (F_2,
+# F_4) or 16 _BLOCK (F_8 on): the recurrence tests below lower _BLOCK to
+# this, so that blocks of 64 and 256 degrees split within their precisions.
+BYTE_BLOCK = B // 8
 
 
 @pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
@@ -327,10 +336,11 @@ def test_byte_rows_match_schoolbook(p, n, modulus):
 
 
 @pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+@mock.patch.object(sr, "_BLOCK", BYTE_BLOCK)
 def test_byte_recurrence_matches_the_references(p, n, modulus):
-    # above _BLOCK the row route and solve_log_deriv split their blocks:
-    # the byte block then starts at lo > 1, with s preloaded by the split;
-    # inverse_mult runs one block through _BLOCK, then Newton steps
+    # above _block_limit the row route and solve_log_deriv split their
+    # blocks: the byte block then starts at lo > 1, with s preloaded by the
+    # split; inverse_mult runs one block through _BLOCK, then Newton steps
     spec = field_make(p, n, modulus)
     rng = random.Random(spec.order + 7)
     for prec in (B - 1, B + 1, 2 * B + 1, 3 * B + 2):
@@ -346,13 +356,14 @@ def test_byte_recurrence_matches_the_references(p, n, modulus):
 
 
 @pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+@mock.patch.object(sr, "_BLOCK", BYTE_BLOCK)
 def test_byte_recurrence_leaves_each_sum_in_s(p, n, modulus):
     # on return s_m = S_m = s_m + sum_{k=1..m-1} w_k f_(m-k) for every m,
     # in one block and across the split, and f_m = c_m S_m
     spec = field_make(p, n, modulus)
     add, mul = spec._add, spec._mul
     rng = random.Random(spec.order + 11)
-    for prec in (B - 1, 2 * B + 3):
+    for prec in (B // 4 - 1, 2 * B + 3):
         w = random_idx(spec, prec + 1, rng)
         s0 = random_idx(spec, prec + 1, rng)
         scales = [mul[rng.randrange(1, spec.order)] for _ in range(prec + 1)]
@@ -366,6 +377,7 @@ def test_byte_recurrence_leaves_each_sum_in_s(p, n, modulus):
 
 
 @pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
+@mock.patch.object(sr, "_BLOCK", BYTE_BLOCK)
 def test_byte_section_kernel_checks_every_even_degree(p, n, modulus):
     # _solve_log_deriv reads s_m at every multiple of 2 after the recurrence:
     # a target that breaks a_(2i) = a_i^2 past the first block must fail there
@@ -414,6 +426,24 @@ def test_characteristic_2_fields_to_256_elements_take_the_byte_path(p, n):
     assert got == ref.mul(field_make(p, n), a, b, 39)
 
 
+@pytest.mark.parametrize("p,n", PATH_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in PATH_FIELDS])
+def test_online_splits_only_blocks_above_the_field_limit(p, n):
+    # one block of every degree up to 4 _BLOCK on F_2 and F_4 and 16 _BLOCK
+    # (MAX_PREC) on F_8 .. F_256; _BLOCK on the other fields
+    spec = field_make(p, n)
+    limit = B if p > 2 or n > 8 else 4 * B if n <= 2 else 16 * B
+    assert sr._block_limit(spec) == limit
+    rng = random.Random(spec.order + 13)
+    for degrees, splits in ((limit, False), (limit + 1, True)):
+        hi = degrees + 1
+        w = random_idx(spec, hi, rng, unit=True)
+        s, f = [0] * hi, [1] + [0] * degrees
+        with mock.patch.object(sr, "_mul", wraps=sr._mul) as product:
+            sr._online(spec, w, s, f, [spec._mul[1]] * hi, 1, hi)
+        assert product.called == splits, degrees
+
+
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
 def test_solve_log_deriv_matches_recurrence(p, n, prec):
     spec = field_make(p, n)
@@ -453,20 +483,62 @@ def compose_cases(fields, precs, budget):
     return cases
 
 
+def exact_cases(fields, prec, gamma_top):
+    """(p, n, prec, valuation, exponents): inner series with terms at exactly
+    these exponents. Monomials c X^v; 2 and _SPARSE terms at random
+    exponents from v; and gamma-shaped series X + c_1 X^p + .. + c_i X^e
+    with e = p^i (i = 1, 2, 5), at the precisions up to gamma_top where
+    level d = 1 or 2 of the residue split has precision exactly e, which
+    keeps that term there, or e - 1, which drops it."""
+    cases = []
+    for p, n in fields:
+        rng = random.Random(p ** n)
+        for v in (1, 2):
+            cases.append((p, n, prec, v, (v,)))
+            for count in (2, S):
+                rest = rng.sample(range(v + 1, prec + 1), count - 1)
+                cases.append((p, n, prec, v, (v, *sorted(rest))))
+        for i in (1, 2, 5):
+            for d in (1, 2):
+                e, pd = p ** i, p ** d
+                for top in (e * pd + pd - 1, e * pd - 1):  # kept, dropped
+                    if top <= gamma_top:
+                        gamma = tuple(p ** j for j in range(i + 1))
+                        cases.append((p, n, top, 1, gamma))
+    return cases
+
+
 COMPOSE = (compose_cases(SMALL, (127, 128, 129, 255, 256, 257, 1024), 5e6)
            + compose_cases(LARGE, (129, 257), 2e6)
-           + compose_cases(COMPUTED, (40,), 1e5))
+           + compose_cases(COMPUTED, (40,), 1e5)
+           + exact_cases(SMALL, 257, 700) + exact_cases(LARGE, 129, 300)
+           + exact_cases(COMPUTED, 40, 40))
 
 
-@pytest.mark.parametrize("p,n,prec,v,nonzero", COMPOSE, ids=[
-    f"F{p ** n}-prec{prec}-val{v}-nz{nz}" for p, n, prec, v, nz in COMPOSE])
+def compose_id(p, n, prec, v, nonzero):
+    if isinstance(nonzero, tuple):
+        nonzero = ("at" + "-".join(map(str, nonzero)) if len(nonzero) < 4
+                   else f"{len(nonzero)}terms")
+    return f"F{p ** n}-prec{prec}-val{v}-nz{nonzero}"
+
+
+@pytest.mark.parametrize("p,n,prec,v,nonzero", COMPOSE,
+                         ids=[compose_id(*case) for case in COMPOSE])
 def test_compose_matches_horner(p, n, prec, v, nonzero):
+    # nonzero: a count of random terms from v (None: dense), or the exponents
+    # of exactly the terms of the inner series, whose coefficients are not 1
+    # where the field has other nonzero elements
     spec = field_make(p, n)
     rng = random.Random(prec * 43 + v * 7 + spec.order)
     a = random_idx(spec, prec + 1, rng)
-    g = random_idx(spec, prec + 1, rng, nonzero=nonzero, valuation=v)
-    if v <= prec:
-        g[v] = g[v] or 1
+    if isinstance(nonzero, tuple):
+        g = [0] * (prec + 1)
+        for e in nonzero:
+            g[e] = rng.randrange(min(2, spec.order - 1), spec.order)
+    else:
+        g = random_idx(spec, prec + 1, rng, nonzero=nonzero, valuation=v)
+        if v <= prec:
+            g[v] = g[v] or 1
     got = idx(series(spec, a).compose(series(spec, g)))
     assert got == ref.compose(spec, a, g, prec)
 

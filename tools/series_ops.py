@@ -9,7 +9,14 @@ call for at least 20 ms (tools/timing.py).
 The inputs are seeded random units; `solve_log_deriv` solves for the
 logarithmic derivative of one, and the inner series of `compose` is a
 random composition of two X + beta*X^(q^ell), the shape the equivariance
-and Coleman sweeps compose with. The "closed_forms" rows time
+and Coleman sweeps compose with; `scale_arg` substitutes t*X, the
+generator t of the field. The "compose" rows time f.compose(g) on
+sparse inner series at the same precisions and fields: g a random
+composition of 1 to 4 series X + beta*X^(q^ell), as the equivariance and
+Coleman trials draw them, and t*(X + t*X^(q^ell))^k at ell = 1 and
+k = p^2 - 1, p^3 - 1 and p^4 - 1, the shape the projection sweep composes
+the Artin-Hasse series with (4, 8 and 16 terms for p = 2, 9, 27 and 81
+for p = 3). The "closed_forms" rows time
 `twisted_orbit_series` and `critical_projection_formula`, the closed forms
 of the projection sweep, at the same precisions over F_4 and F_9. Run it
 with PYTHONPATH pointing at two checkouts to compare them.
@@ -17,9 +24,11 @@ with PYTHONPATH pointing at two checkouts to compare them.
 When the checkout has both routes of log_deriv (_log_deriv_quotient), a
 "crossovers" section times each kernel against the alternative on either
 side of its threshold: row products against Kronecker products by the
-number of nonzero coefficients; the online recurrence as one block of
-every degree against its divide-and-conquer split into blocks of _BLOCK,
-through solve_log_deriv, its thinnest caller; and the two routes of
+number of nonzero coefficients; the online recurrence through
+solve_log_deriv, its thinnest caller, in three ways: split into blocks of
+at most _BLOCK degrees, at the checkout's own rule (_block_limit, which
+lets blocks grow on bytes) and as one block of every degree, at precision
+64 to 2048, here also over F_8; and the two routes of
 log_deriv, the recurrence and the quotient, called directly on units with
 1/16, 1/4 and all of their coefficients nonzero, at precision 64, 128, 256,
 512, 1024 and 2048. The crossovers run over F_2, F_4, F_9, F_16, F_243 and
@@ -47,6 +56,9 @@ FIELDS = [(2, 2, 2), (3, 2, 1), (3, 5, 1), (2, 8, 2)]
 # the crossover rows add F_2 and F_16: characteristic 2, whose products and
 # recurrence run on bytes, at d = 1 and d = 4 between F_4 and F_256
 CROSSOVER_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 4), (3, 5), (2, 8)]
+# the block rows add F_8, the first byte field on which one block beats
+# the split through MAX_PREC
+BLOCK_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 5), (2, 8)]
 PRECS = [128, 512, 2048]
 
 
@@ -65,8 +77,30 @@ def ops(repeat: int) -> list[dict]:
             t = sr.log_deriv(g)
             row["solve_log_deriv_ms"] = best(lambda: sr.solve_log_deriv(t), repeat)
             row["compose_ms"] = best(lambda: f.compose(gamma), repeat)
+            row["scale_arg_ms"] = best(lambda: f.scale_arg(spec.gen()), repeat)
             rows.append(row)
             print(json.dumps(row), flush=True, file=sys.stderr)
+    return rows
+
+
+def compose(repeat: int) -> list[dict]:
+    rows = []
+    for p, n, lam in FIELDS:
+        spec, pq = field_make(p, n), PrimePower(p, lam)
+        t = spec.gen()
+        for prec in PRECS:
+            f = sr.random_unit(spec, prec, 1)
+            inners = {f"gamma{i}": sr.random_gamma(pq, spec, prec, 3, i).as_trunc()
+                      for i in range(1, 5)}
+            twist = sr.AdditiveSeries.generator(spec, pq, prec, t, 1).as_trunc()
+            for e in (2, 3, 4):
+                inners[f"power{p ** e - 1}"] = (twist ** (p ** e - 1)).scale(t)
+            for name, g in inners.items():
+                row = {"field": spec.order, "prec": prec, "inner": name,
+                       "terms": len(g.support()),
+                       "compose_ms": best(lambda: f.compose(g), repeat)}
+                rows.append(row)
+                print(json.dumps(row), flush=True, file=sys.stderr)
     return rows
 
 
@@ -104,14 +138,6 @@ def crossovers(repeat: int) -> dict:
                     "rows_ms": best(lambda: sr._mul_rows(spec, sparse, dense, prec), repeat),
                     "kronecker_ms": best(
                         lambda: sr._mul_kronecker(spec, sparse, dense, prec), repeat)})
-        for prec in (64, 128, 256, 512, 2048):
-            t = sr.log_deriv(sr.random_unit(spec, prec, 6)).idx
-            row = {"field": spec.order, "prec": prec, "block": sr._BLOCK}
-            row["split_ms"] = best(lambda: sr._solve_log_deriv(spec, t, prec), repeat)
-            with mock.patch.object(sr, "_BLOCK", max(sr._BLOCK, prec)):
-                row["one_block_ms"] = best(
-                    lambda: sr._solve_log_deriv(spec, t, prec), repeat)
-            out["kernel_block_vs_split"].append(row)
         for prec in (64, 128, 256, 512, 1024, 2048):
             for share in (16, 4, 1):
                 a = _unit(spec, prec, share, random.Random(prec * share))
@@ -126,6 +152,26 @@ def crossovers(repeat: int) -> dict:
                     max(5, repeat)))
                 print(json.dumps(row), flush=True, file=sys.stderr)
                 out["log_deriv_rows_vs_quotient"].append(row)
+    for p, n in BLOCK_FIELDS:
+        spec = field_make(p, n)
+        limit = getattr(sr, "_block_limit", lambda spec: sr._BLOCK)(spec)
+        for prec in (64, 128, 256, 512, 1024, 2048):
+            t = sr.log_deriv(sr.random_unit(spec, prec, 6)).idx
+            row = {"field": spec.order, "prec": prec, "block": sr._BLOCK,
+                   "limit": limit}
+
+            def solve():
+                return sr._solve_log_deriv(spec, t, prec)
+
+            with mock.patch.object(sr, "_block_limit", lambda spec: sr._BLOCK,
+                                   create=True):
+                row["split_ms"] = best(solve, repeat)
+            row["rule_ms"] = best(solve, repeat)
+            with mock.patch.object(sr, "_block_limit", lambda spec: prec,
+                                   create=True), \
+                    mock.patch.object(sr, "_BLOCK", max(sr._BLOCK, prec)):
+                row["one_block_ms"] = best(solve, repeat)
+            out["kernel_block_vs_split"].append(row)
     return out
 
 
@@ -143,7 +189,8 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
     result = {"python": platform.python_version(), "repeat": args.repeat,
-              "ops": ops(args.repeat), "closed_forms": closed_forms(args.repeat)}
+              "ops": ops(args.repeat), "compose": compose(args.repeat),
+              "closed_forms": closed_forms(args.repeat)}
     if hasattr(sr, "_log_deriv_quotient"):
         result["crossovers"] = crossovers(args.repeat)
     print(json.dumps(result, indent=1))
