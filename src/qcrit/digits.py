@@ -12,7 +12,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .finite_field import _ORDER_LIMIT, check_prime, json_member
@@ -367,7 +366,7 @@ def digit_tables(p: int, m_bound: int) -> DigitTables:
 def admissible_blocks(p: int, m_bound: int, ell_bound: int
                       ) -> Iterator[tuple[int, int, int, list[int]]]:
     """(ell, j, step = p^ell - 1, ks) for every (ell, j) that has an
-    admissible quadruple with m <= m_bound and ell <= ell_bound, ell then j
+    admissible quadruple with m <= m_bound and ell <= ell_bound, j then ell
     ascending; ks lists the k of the quadruples (j, k, ell, k + j*step),
     ascending. A bad p or m_bound raises at the call.
 
@@ -376,8 +375,22 @@ def admissible_blocks(p: int, m_bound: int, ell_bound: int
     is at most p-1 minus that of j, and ks is the mixed-radix product of
     those digit ranges, built from the lowest digit up. As m = k + j*step
     is congruent to y_0 + 1 - j_0 mod p, p divides m only when j_0 = 0 and
-    z_0 = p-1: that last digit is left out."""
-    return chain.from_iterable(_block_streams(p, m_bound, ell_bound))
+    z_0 = p-1: that last digit is left out. Block (ell, j) is
+    _dominating(j, m_bound - 1 - j*p^ell, p), so it is the prefix of block
+    (1, j) with k <= m_bound - j*step: the k of each j are built once."""
+    check_prime(p)
+    check_m_bound(m_bound)
+    return _j_blocks(p, m_bound, ell_bound)
+
+
+def _j_blocks(p: int, m_bound: int, ell_bound: int):
+    for j in range(1, (m_bound - 1) // p + 1):
+        ks, pl = _dominating(j, m_bound - 1 - j * p, p), p
+        for ell in range(1, ell_bound + 1):
+            if j * pl >= m_bound:  # the least m of a block is j*p^ell + 1
+                break
+            yield ell, j, pl - 1, ks[:bisect_right(ks, m_bound - j * (pl - 1))]
+            pl *= p
 
 
 def _block_streams(p: int, m_bound: int, ell_bound: int) -> list[Iterator]:
@@ -402,8 +415,9 @@ def _ell_blocks(p: int, m_bound: int, ell: int, pl: int):
 def _dominating(j: int, zmax: int, p: int) -> list[int]:
     """The k = j + 1 + z, ascending, over the z <= zmax each of whose
     base-p digits is at most p-1 minus that of j, the lowest at most p-2
-    when j_0 = 0. The digits below the unit of _low_digits come from its
-    table, so a block whose zmax is below that unit is one slice of it."""
+    when j_0 = 0; a smaller zmax gives a prefix of the list. The digits
+    below the unit of _low_digits come from its table, so a block whose
+    zmax is below that unit is one slice of it."""
     unit, low = _low_digits(p)
     rest, r = divmod(j, unit)
     zs = low[r]
@@ -425,7 +439,7 @@ def _extend(ks: list[int], rest: int, unit: int, limit: int,
         if top:
             lower = ks[:]
             for z in range(unit, min(top * unit, zmax) + 1, unit):
-                ks += map(z.__add__, lower)
+                ks += [z + y for y in lower]
         unit *= p
     del ks[bisect_right(ks, limit):]  # the top digit's sums can pass it
     return ks
@@ -447,9 +461,9 @@ def _low_digits(p: int) -> tuple[int, list[tuple[int, ...]]]:
 def admissible_quadruples(p: int, m_bound: int, ell_bound: int
                           ) -> Iterator[AdmissibleQuadruple]:
     """All admissible quadruples with m <= m_bound and ell <= ell_bound,
-    in ascending (m, ell, j) order, from the blocks of admissible_blocks.
-    A block is built when the listing reaches its least m, so a listing
-    cut short builds few of them. A bad p or m_bound raises at the call."""
+    in ascending (m, ell, j) order, from the blocks of admissible_blocks,
+    each built alone when the listing reaches its least m: a listing cut
+    short builds few of them. A bad p or m_bound raises at the call."""
     return _in_m_order(p, _block_streams(p, m_bound, ell_bound), m_bound)
 
 

@@ -284,7 +284,7 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 _SPARSE = 16
 # The online recurrence (_online) solves blocks of at most this many
 # degrees one coefficient at a time; inverse_mult takes Newton steps above
-# it. 32 and 64 were not faster on the inputs of desk's series sweeps. On
+# it (_newton_limit). 32 and 64 were not faster on desk's series sweeps. On
 # bytes a block costs one translate per degree whatever d, while the split's
 # product costs about d^1.6 plane products: there blocks take up to 4 times
 # this on F_2 and F_4, and 16 times (MAX_PREC) from F_8 on (_block_limit).
@@ -480,11 +480,11 @@ def _compose(spec: FieldSpec, a: list[int], terms: list[tuple[int, int]],
 
 def _inverse(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
     """1/f through degree n for a unit f: the recurrence
-    g_m = -(1/a_0) sum_{k=1..m} a_k g_(m-k) through degree _BLOCK, then
-    Newton steps g <- g + g(1 - f g), each of which doubles the number of
-    exact coefficients."""
-    tops = []
-    while n > _BLOCK:
+    g_m = -(1/a_0) sum_{k=1..m} a_k g_(m-k) through degree _newton_limit,
+    then Newton steps g <- g + g(1 - f g), each of which doubles the number
+    of exact coefficients."""
+    tops, limit = [], _newton_limit(spec)
+    while n > limit:
         tops.append(n)
         n //= 2
     mul, neg = spec._mul, spec._neg
@@ -556,6 +556,15 @@ def _block_limit(spec: FieldSpec) -> int:
     if spec._mul_bytes is None:
         return _BLOCK
     return _BLOCK * (4 if spec.n <= 2 else 16)
+
+
+def _newton_limit(spec: FieldSpec) -> int:
+    """The most degrees of 1/f that _inverse solves by the recurrence: on
+    bytes, twice _BLOCK on F_8 and F_16 and one block from F_32 on, where
+    a Newton step's products cost d^1.6 (BENCH_23.json inverse)."""
+    if spec._mul_bytes is None or spec.n <= 2:
+        return _BLOCK
+    return 2 * _BLOCK if spec.n <= 4 else _block_limit(spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
-"""The admissible blocks and the sweeps on per-integer digit tables
-against the per-quadruple loops of tests/admissible_reference.py: the same
-quadruples in the same order, and under a fault injected at a single
-integer the same counterexamples in the same order, from the API and from
-the CLI."""
+"""The admissible listing, its blocks and the sweeps on per-integer digit
+tables against the per-quadruple loops of tests/admissible_reference.py:
+the listing gives the same quadruples in the same (m, ell, j) order, the
+blocks give them j then ell, each block a prefix of block (1, j), and
+under a fault injected at a single integer the sweeps give the same
+counterexamples in the same order, from the API and from the CLI."""
 
 import itertools
 import json
@@ -13,15 +14,35 @@ from hypothesis import example, given, strategies as st
 import admissible_reference as ref
 from qcrit import digits, theorems
 from qcrit.cli import main
-from qcrit.digits import MAX_M_BOUND, admissible_quadruples
+from qcrit.digits import (MAX_M_BOUND, AdmissibleQuadruple,
+                          admissible_quadruples)
 
 BOUNDS = [(2, 600, 10), (3, 729, 6), (5, 625, 4), (7, 343, 3)]
+
+
+def check_blocks(p, m_bound, ell_bound):
+    """The blocks come j then ell ascending, block (ell, j) is the prefix
+    of block (1, j) with m <= m_bound, and sorted by (m, ell, j) their
+    quadruples are the reference's."""
+    blocks = list(digits.admissible_blocks(p, m_bound, ell_bound))
+    assert [(j, ell) for ell, j, *_ in blocks] \
+        == sorted((j, ell) for ell, j, *_ in blocks)
+    for ell, j, step, ks in blocks:
+        assert step == p ** ell - 1
+        if ell == 1:
+            first = ks
+        assert ks == [k for k in first if k + j * step <= m_bound]
+    quads = sorted((AdmissibleQuadruple(j, k, ell, k + j * step)
+                    for ell, j, step, ks in blocks for k in ks),
+                   key=lambda q: (q.m, q.ell, q.j))
+    assert quads == list(ref.quadruples(p, m_bound, ell_bound))
 
 
 @pytest.mark.parametrize("p,m_bound,ell_bound", BOUNDS)
 def test_enumeration_matches_reference(p, m_bound, ell_bound):
     got = list(admissible_quadruples(p, m_bound, ell_bound))
     assert got == list(ref.quadruples(p, m_bound, ell_bound))
+    check_blocks(p, m_bound, ell_bound)
 
 
 @given(p=st.sampled_from([2, 3, 5, 7, 11]), m_bound=st.integers(1, 400),
@@ -36,6 +57,7 @@ def test_enumeration_matches_reference(p, m_bound, ell_bound):
 def test_blocks_list_the_reference_quadruples_in_order(p, m_bound, ell_bound):
     assert list(admissible_quadruples(p, m_bound, ell_bound)) \
         == list(ref.quadruples(p, m_bound, ell_bound))
+    check_blocks(p, m_bound, ell_bound)
 
 
 def test_a_listing_cut_short_builds_few_blocks(monkeypatch):

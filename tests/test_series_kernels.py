@@ -4,9 +4,9 @@ the independent coordinate oracle (field_oracle) on random inputs.
 
 The crossovers are the sparse-operand rule of products (_SPARSE nonzero
 coefficients), the block size of the online recurrence (_BLOCK, larger on
-bytes), past
-which inverse_mult takes Newton steps and log_deriv and solve_log_deriv
-split their blocks by divide and conquer, the route rule of log_deriv
+bytes), past which log_deriv and solve_log_deriv split their blocks by
+divide and conquer, the degree past which inverse_mult takes Newton steps
+(_newton_limit: _BLOCK, larger on bytes from F_8 on), the route rule of log_deriv
 (the recurrence up to a nonzero count set by the field, _QUOTIENT_NONZERO
 times a cost of its coordinate planes, and one quotient above it; in
 characteristic 2 up to 256 elements, the quotient from precision
@@ -340,7 +340,8 @@ def test_byte_rows_match_schoolbook(p, n, modulus):
 def test_byte_recurrence_matches_the_references(p, n, modulus):
     # above _block_limit the row route and solve_log_deriv split their
     # blocks: the byte block then starts at lo > 1, with s preloaded by the
-    # split; inverse_mult runs one block through _BLOCK, then Newton steps
+    # split; inverse_mult runs one block through _newton_limit, then Newton
+    # steps
     spec = field_make(p, n, modulus)
     rng = random.Random(spec.order + 7)
     for prec in (B - 1, B + 1, 2 * B + 1, 3 * B + 2):
@@ -442,6 +443,24 @@ def test_online_splits_only_blocks_above_the_field_limit(p, n):
         with mock.patch.object(sr, "_mul", wraps=sr._mul) as product:
             sr._online(spec, w, s, f, [spec._mul[1]] * hi, 1, hi)
         assert product.called == splits, degrees
+
+
+@pytest.mark.parametrize("p,n", PATH_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in PATH_FIELDS])
+def test_inverse_takes_newton_steps_only_above_the_field_limit(p, n):
+    # the recurrence through _BLOCK degrees on F_2, F_4 and the fields off
+    # bytes, 2 _BLOCK on F_8 and F_16, and 16 _BLOCK (MAX_PREC) from F_32 on
+    spec = field_make(p, n)
+    limit = (B if p > 2 or n > 8 or n <= 2 else 2 * B if n <= 4
+             else 16 * B)
+    assert sr._newton_limit(spec) == limit
+    rng = random.Random(spec.order + 17)
+    for degrees, newton in ((limit, False), (limit + 1, True)):
+        a = random_idx(spec, degrees + 1, rng, unit=True)
+        with mock.patch.object(sr, "_mul", wraps=sr._mul) as product:
+            g = sr._inverse(spec, a, degrees)
+        assert product.called == newton, degrees
+        assert sr._mul(spec, a, g, degrees) == [1] + [0] * degrees
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)

@@ -34,7 +34,11 @@ log_deriv, the recurrence and the quotient, called directly on units with
 512, 1024 and 2048. The crossovers run over F_2, F_4, F_9, F_16, F_243 and
 F_256. Each log_deriv row takes max(5, --repeat) samples of each route in
 turn, reports their medians, and names the route that log_deriv's rule
-takes.
+takes. The inverse rows time 1/f of a random unit on the byte fields F_2,
+F_4, F_8, F_16, F_32 and F_256 at precision 512, 1024 and 2048 in three
+ways: Newton steps above _BLOCK degrees, the checkout's own rule
+(_newton_limit) and the recurrence as one block of every degree, the
+medians of max(3, --repeat) samples of each in turn.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ CROSSOVER_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 4), (3, 5), (2, 8)]
 # the block rows add F_8, the first byte field on which one block beats
 # the split through MAX_PREC
 BLOCK_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 5), (2, 8)]
+# the inverse rows: every byte field through F_16, and F_32 and F_256
+INVERSE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 8)]
 PRECS = [128, 512, 2048]
 
 
@@ -172,7 +178,33 @@ def crossovers(repeat: int) -> dict:
                     mock.patch.object(sr, "_BLOCK", max(sr._BLOCK, prec)):
                 row["one_block_ms"] = best(solve, repeat)
             out["kernel_block_vs_split"].append(row)
+    out["inverse_newton_vs_block"] = [
+        inverse_row(p, n, prec, max(3, repeat))
+        for p, n in INVERSE_FIELDS for prec in (512, 1024, 2048)]
     return out
+
+
+def inverse_row(p: int, n: int, prec: int, rounds: int) -> dict:
+    spec = field_make(p, n)
+    a = sr.random_unit(spec, prec, 7).idx
+    rule = getattr(sr, "_newton_limit", lambda spec: sr._BLOCK)
+
+    def inverse(**values):
+        # every way patches the module, so that all pay the same for it
+        def run():
+            with mock.patch.multiple(sr, create=True, **values):
+                return sr._inverse(spec, a, prec)
+        return run
+
+    row = {"field": spec.order, "prec": prec, "limit": rule(spec)}
+    row.update(alternated({
+        "newton_ms": inverse(_newton_limit=lambda spec: sr._BLOCK),
+        "rule_ms": inverse(_newton_limit=rule),
+        "one_block_ms": inverse(
+            _BLOCK=max(sr._BLOCK, prec), _newton_limit=lambda spec: prec,
+            _block_limit=lambda spec: prec)}, rounds))
+    print(json.dumps(row), flush=True, file=sys.stderr)
+    return row
 
 
 def _unit(spec, prec: int, share: int, rng: random.Random) -> list[int]:
