@@ -28,20 +28,6 @@ RUNS = [
     ("json", ("admissible-witness", "--p", "3", "--lambda", "1",
               "--m-bound", "243", "--ell-bound", "4"), 0,
      "e036e23e1fbfc754ea7a3754d27627539d9cd5dc5ac9052668e0fbb92fc59402"),
-    # the admissible sweeps at the desk bounds of p = 3 and p = 2, recorded
-    # while admissible_blocks still listed its blocks ell then j
-    ("json", ("admissible-order", "--p", "3", "--lambda", "1",
-              "--m-bound", "2187", "--ell-bound", "7"), 0,
-     "b5c5c79be972ceb90a97db76dc03c88de906e3bb5aa9847b105338f6f139d8e0"),
-    ("json", ("admissible-witness", "--p", "3", "--lambda", "1",
-              "--m-bound", "2187", "--ell-bound", "7"), 0,
-     "d5e829dc0783608ccd1fad7cde5832987906e27480cdc3fa38d4455d5ea822ea"),
-    ("json", ("admissible-order", "--p", "2", "--lambda", "1",
-              "--m-bound", "4096", "--ell-bound", "12"), 0,
-     "b5e07d41b485e2d4267b3b65e74b810a5d07404f6a49de1fcd7811885dd47925"),
-    ("json", ("admissible-witness", "--p", "2", "--lambda", "1",
-              "--m-bound", "4096", "--ell-bound", "12"), 0,
-     "0f6c1abdd9dac3a2ee2a1e9f5d3eb11d840f66f77af798c3a88bc2bea3b17a09"),
     ("json", ("orbit-min", "--p", "3", "--lambda", "2", "--c-bound", "200",
               "--oracle-bound", "3000"), 0,
      "e39b5927fefb55506d7abd5210ed1500c2815d03b637469e61c4ac6f39e59cd5"),
@@ -99,6 +85,20 @@ RUNS = [
     ("json", ("equivariance", "--p", "3", "--lambda", "2", "--n", "6",
               "--prec", "24", "--trials", "2", "--seed", "7"), 0,
      "a4ef801382565bb25315703c500fb895d6fd0549b3ac9cc663b1d7173733bf5a"),
+    # the admissible sweeps at the desk bounds of p = 3 and p = 2, recorded
+    # while admissible_blocks still listed its blocks ell then j
+    ("json", ("admissible-order", "--p", "3", "--lambda", "1",
+              "--m-bound", "2187", "--ell-bound", "7"), 0,
+     "b5c5c79be972ceb90a97db76dc03c88de906e3bb5aa9847b105338f6f139d8e0"),
+    ("json", ("admissible-witness", "--p", "3", "--lambda", "1",
+              "--m-bound", "2187", "--ell-bound", "7"), 0,
+     "d5e829dc0783608ccd1fad7cde5832987906e27480cdc3fa38d4455d5ea822ea"),
+    ("json", ("admissible-order", "--p", "2", "--lambda", "1",
+              "--m-bound", "4096", "--ell-bound", "12"), 0,
+     "b5e07d41b485e2d4267b3b65e74b810a5d07404f6a49de1fcd7811885dd47925"),
+    ("json", ("admissible-witness", "--p", "2", "--lambda", "1",
+              "--m-bound", "4096", "--ell-bound", "12"), 0,
+     "0f6c1abdd9dac3a2ee2a1e9f5d3eb11d840f66f77af798c3a88bc2bea3b17a09"),
 ]
 
 
