@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 from .finite_field import _ORDER_LIMIT, check_prime, json_member
@@ -354,10 +355,11 @@ def digit_tables(p: int, m_bound: int) -> DigitTables:
     check_m_bound(m_bound)
     ns = range(1, m_bound + 2)
     ordp = [0] + [ord_p(n, p) for n in ns]
-    order = sorted(ns, key=lambda n: digital_key(n, p))
+    keys = [None] + [digital_key(n, p) for n in ns]
+    order = sorted(ns, key=keys.__getitem__)
     rank = [0] * (len(ns) + 1)
     for prev, n in zip(order, order[1:]):
-        rank[n] = rank[prev] + (digital_key(prev, p) != digital_key(n, p))
+        rank[n] = rank[prev] + (keys[prev] != keys[n])
     return DigitTables(
         p, ordp, [0] + [p_core(n, p) for n in ns],
         [0] + [ord_p(n // p ** ordp[n] + 1, p) for n in ns], rank)
@@ -375,41 +377,26 @@ def admissible_blocks(p: int, m_bound: int, ell_bound: int
     is at most p-1 minus that of j, and ks is the mixed-radix product of
     those digit ranges, built from the lowest digit up. As m = k + j*step
     is congruent to y_0 + 1 - j_0 mod p, p divides m only when j_0 = 0 and
-    z_0 = p-1: that last digit is left out. Block (ell, j) is
-    _dominating(j, m_bound - 1 - j*p^ell, p), so it is the prefix of block
-    (1, j) with k <= m_bound - j*step: the k of each j are built once."""
+    z_0 = p-1: that last digit is left out. Block (ell, j) is the prefix
+    of block (1, j) with k <= m_bound - j*step, so the k of each j are
+    built once (_blocks_of), here and in admissible_quadruples."""
     check_prime(p)
     check_m_bound(m_bound)
-    return _j_blocks(p, m_bound, ell_bound)
+    return chain.from_iterable(_blocks_of(j, p, m_bound, ell_bound)
+                               for j in range(1, (m_bound - 1) // p + 1))
 
 
-def _j_blocks(p: int, m_bound: int, ell_bound: int):
-    for j in range(1, (m_bound - 1) // p + 1):
-        ks, pl = _dominating(j, m_bound - 1 - j * p, p), p
-        for ell in range(1, ell_bound + 1):
-            if j * pl >= m_bound:  # the least m of a block is j*p^ell + 1
-                break
-            yield ell, j, pl - 1, ks[:bisect_right(ks, m_bound - j * (pl - 1))]
-            pl *= p
-
-
-def _block_streams(p: int, m_bound: int, ell_bound: int) -> list[Iterator]:
-    """One lazy stream of the blocks of admissible_blocks per ell that has
-    any; p and m_bound are checked here, at the call."""
-    check_prime(p)
-    check_m_bound(m_bound)
-    streams, pl = [], p
+def _blocks_of(j: int, p: int, m_bound: int, ell_bound: int):
+    """The blocks (ell, j, p^ell - 1, ks) of one j, ell ascending. Block
+    (ell, j) is _dominating(j, m_bound - 1 - j*p^ell, p), so it is the
+    prefix of block (1, j) with k <= m_bound - j*(p^ell - 1), cut by one
+    bisection."""
+    ks, pl = _dominating(j, m_bound - 1 - j * p, p), p
     for ell in range(1, ell_bound + 1):
-        if pl >= m_bound:  # the least m of a block is j*p^ell + 1
+        if j * pl >= m_bound:  # the least m of a block is j*p^ell + 1
             break
-        streams.append(_ell_blocks(p, m_bound, ell, pl))
+        yield ell, j, pl - 1, ks[:bisect_right(ks, m_bound - j * (pl - 1))]
         pl *= p
-    return streams
-
-
-def _ell_blocks(p: int, m_bound: int, ell: int, pl: int):
-    for j in range(1, (m_bound - 1) // pl + 1):
-        yield ell, j, pl - 1, _dominating(j, m_bound - 1 - j * pl, p)
 
 
 def _dominating(j: int, zmax: int, p: int) -> list[int]:
@@ -461,32 +448,36 @@ def _low_digits(p: int) -> tuple[int, list[tuple[int, ...]]]:
 def admissible_quadruples(p: int, m_bound: int, ell_bound: int
                           ) -> Iterator[AdmissibleQuadruple]:
     """All admissible quadruples with m <= m_bound and ell <= ell_bound,
-    in ascending (m, ell, j) order, from the blocks of admissible_blocks,
-    each built alone when the listing reaches its least m: a listing cut
-    short builds few of them. A bad p or m_bound raises at the call."""
-    return _in_m_order(p, _block_streams(p, m_bound, ell_bound), m_bound)
+    in ascending (m, ell, j) order, from the blocks of admissible_blocks:
+    the blocks of a j are built when the listing reaches m = j*p + 1, the
+    least m of block (1, j), so a listing cut short builds the blocks of
+    the j up to its last m / p only. A bad p or m_bound raises at the
+    call."""
+    check_prime(p)
+    check_m_bound(m_bound)
+    return _in_m_order(p, m_bound, ell_bound)
 
 
-def _in_m_order(p: int, streams: list[Iterator], m_bound: int
+def _in_m_order(p: int, m_bound: int, ell_bound: int
                 ) -> Iterator[AdmissibleQuadruple]:
-    # The block (ell, j) holds m from j*p^ell + 1 up. It is taken from its
-    # stream, which is in j order, when the listing reaches that m, and it
-    # puts j in the bucket of ell at each of its m. So the buckets of an m
-    # are complete once it is reached, and read ell by ell they give
-    # (ell, j) order. The buckets of an ell are made with its first block,
-    # and each is dropped once read.
+    # Block (ell, j) holds m from j*p^ell + 1 >= j*p + 1 up. The blocks of
+    # j are built at m = j*p + 1, and each puts j in the bucket of its ell
+    # at each of its m. So the buckets of an m are complete once it is
+    # reached, and read ell by ell they give (ell, j) order, as j comes
+    # ascending. The buckets of an ell are made with its first block, and
+    # each is dropped once read.
     buckets: list[list[list[int]]] = []
-    steps = [p ** ell - 1 for ell in range(1, len(streams) + 1)]
+    steps: list[int] = []
     for m in range(2, m_bound + 1):
-        for i, (stream, step) in enumerate(zip(streams, steps)):
-            if (m - 1) % (step + 1):
-                break
-            _, j, _, ks = next(stream)
-            if j == 1:
-                buckets.append([[] for _ in range(m_bound + 1)])
-            by_m = buckets[i]
-            for mk in map((j * step).__add__, ks):
-                by_m[mk].append(j)
+        j, r = divmod(m - 1, p)
+        if not r:
+            for ell, j, step, ks in _blocks_of(j, p, m_bound, ell_bound):
+                if ell > len(buckets):
+                    buckets.append([[] for _ in range(m_bound + 1)])
+                    steps.append(step)
+                by_m = buckets[ell - 1]
+                for mk in map((j * step).__add__, ks):
+                    by_m[mk].append(j)
         for ell, (by_m, step) in enumerate(zip(buckets, steps), 1):
             for j in by_m[m]:
                 yield AdmissibleQuadruple(j, m - j * step, ell, m)

@@ -938,14 +938,16 @@ def twisted_orbit_series(k: int, alpha: FieldElement, ell: int,
         raise ValueError(f"exponent {k} must be positive and coprime to {p}")
     if ell < 1:
         raise ValueError("twist index must be >= 1")
+    out = [0] * (prec + 1)
+    _check_length(prec, len(out))
     add, mul, frob1 = spec._add, spec._mul, spec._frob1
     a, row = _index(spec, alpha), mul[_index(spec, beta)]
-    step = q ** ell - 1
+    # q^ell > prec once ell reaches the bit length of prec: no q ** ell
+    # then, and a step above prec leaves out every twist term
+    step = q ** ell - 1 if ell < prec.bit_length() else prec + 1
     bpow = [1]  # beta^j for every j that reaches degree prec
     while len(bpow) <= (prec - k) // step:
         bpow.append(row[bpow[-1]])
-    out = [0] * (prec + 1)
-    _check_length(prec, len(out))
     base = k
     while base <= prec:  # base = k*p^i and a = alpha^(p^i)
         out[base] = add[out[base]][a]
@@ -994,13 +996,15 @@ def critical_projection_formula(k: int, alpha: FieldElement, ell: int,
     if k + 1 <= prec:
         out[k + 1] = a
     mul, neg, frob1 = spec._mul, spec._neg, spec._frob1
-    e, odd, m = b, True, q ** ell * (k + 1)
+    # q^ell > prec once ell reaches the bit length of prec: no q ** ell then
+    ql = q ** ell if ell < prec.bit_length() else prec + 1
+    e, odd, m = b, True, ql * (k + 1)
     while m <= prec:
         for _ in range(lam * ell % spec.n):
             a, b = frob1[a], frob1[b]
         c = mul[a][e]
         out[m] = neg[c] if odd else c
-        e, odd, m = mul[e][b], not odd, m * q ** ell
+        e, odd, m = mul[e][b], not odd, m * ql
     return _series(spec, prec, out)
 
 
@@ -1041,5 +1045,8 @@ def _random_gamma(pq: PrimePower, spec: FieldSpec, prec: int,
 def random_gamma(pq: PrimePower, spec: FieldSpec, prec: int, seed: int,
                  factors: int) -> AdditiveSeries:
     """Reproducible composition of `factors` random series X + beta*X^(q^ell)
-    with q^ell within the precision bound. Zero factors gives X."""
+    with q^ell within the precision bound. Zero factors gives X; a count
+    below 0 or above MAX_PREC is refused."""
+    if not 0 <= factors <= MAX_PREC:
+        raise ValueError(f"factors {factors} outside [0, {MAX_PREC}]")
     return _random_gamma(pq, spec, prec, random.Random(seed), factors)

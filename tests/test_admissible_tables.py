@@ -1,9 +1,10 @@
 """The admissible listing, its blocks and the sweeps on per-integer digit
 tables against the per-quadruple loops of tests/admissible_reference.py:
 the listing gives the same quadruples in the same (m, ell, j) order, the
-blocks give them j then ell, each block a prefix of block (1, j), and
-under a fault injected at a single integer the sweeps give the same
-counterexamples in the same order, from the API and from the CLI."""
+blocks give them j then ell, each block a prefix of block (1, j), both
+build the blocks of each j once, and under a fault injected at a single
+integer the sweeps give the same counterexamples in the same order, from
+the API and from the CLI."""
 
 import itertools
 import json
@@ -60,18 +61,47 @@ def test_blocks_list_the_reference_quadruples_in_order(p, m_bound, ell_bound):
     check_blocks(p, m_bound, ell_bound)
 
 
-def test_a_listing_cut_short_builds_few_blocks(monkeypatch):
-    # the blocks are built as the listing reaches their least m, so the
-    # first quadruples of `qcrit admissible --limit` do not wait for all
-    # 4,095 blocks of p = 2, m <= 4096: m = 3 and 5 need the blocks
-    # (ell, j) = (1, 1), (1, 2) and (2, 1)
+def _record_builds(monkeypatch) -> list[int]:
+    """The j of every _dominating call from here on, in call order."""
     built, dominating = [], digits._dominating
     monkeypatch.setattr(digits, "_dominating",
                         lambda j, zmax, p: built.append(j) or dominating(
                             j, zmax, p))
-    got = list(itertools.islice(admissible_quadruples(2, MAX_M_BOUND, 12), 4))
-    assert got == list(itertools.islice(ref.quadruples(2, MAX_M_BOUND, 12), 4))
-    assert built == [1, 2, 1]
+    return built
+
+
+def test_a_listing_cut_short_builds_few_blocks(monkeypatch):
+    # the blocks of j are built as the listing reaches m = j*p + 1, the
+    # least m of block (1, j), so the first quadruples of `qcrit admissible
+    # --limit` do not wait for all 2,047 j of p = 2, m <= 4096: a listing
+    # cut at m has built the blocks of each j <= (m-1)//p once, j ascending
+    built = _record_builds(monkeypatch)
+    for p, m_bound, ell_bound in BOUNDS + [(2, MAX_M_BOUND, 12)]:
+        for cut in (1, 4, 50, 1000, 3000):
+            built.clear()
+            got = list(itertools.islice(
+                admissible_quadruples(p, m_bound, ell_bound), cut))
+            assert got == list(itertools.islice(
+                ref.quadruples(p, m_bound, ell_bound), cut))
+            assert built == list(range(1, (got[-1].m - 1) // p + 1))
+
+
+@pytest.mark.parametrize("p,m_bound,ell_bound",
+                         BOUNDS + [(2, MAX_M_BOUND, 12), (3, 2187, 7)])
+def test_a_full_listing_sorts_the_blocks(monkeypatch, p, m_bound, ell_bound):
+    # the listing and the blocks build the k of each j once, and the
+    # listing is the blocks' quadruples in (m, ell, j) order, also at the
+    # desk bounds of p = 2 and 3, where the reference is too slow
+    built = _record_builds(monkeypatch)
+    got = list(admissible_quadruples(p, m_bound, ell_bound))
+    assert built == list(range(1, (m_bound - 1) // p + 1))
+    built.clear()
+    quads = sorted((AdmissibleQuadruple(j, k, ell, k + j * step)
+                    for ell, j, step, ks in digits.admissible_blocks(
+                        p, m_bound, ell_bound) for k in ks),
+                   key=lambda q: (q.m, q.ell, q.j))
+    assert built == list(range(1, (m_bound - 1) // p + 1))
+    assert got == quads
 
 
 @pytest.mark.parametrize("p,m_bound,ell_bound", BOUNDS)

@@ -75,6 +75,12 @@ RAISES = [
      lambda: series.critical_projection_formula(
          4, F4.one(), 1, F4.one(), PQ4, 8),
      ValueError, "exponent 4 must be positive and coprime to 2"),
+    ("random gamma of -1 factors", lambda: series.random_gamma(
+        PQ4, F4, 16, 0, -1),
+     ValueError, "factors -1 outside [0, 2048]"),
+    ("random gamma above 2048 factors", lambda: series.random_gamma(
+        PQ4, F4, 16, 0, 2049),
+     ValueError, "factors 2049 outside [0, 2048]"),
     # finite_field
     ("extension degree 0", lambda: finite_field.FieldSpec(2, 0),
      ValueError, "extension degree must be >= 1, got 0"),
@@ -129,6 +135,15 @@ RETURNS = [
      TruncSeries.x(F4, 8)),
     ("random gamma below q is X", lambda: series.random_gamma(PQ4, F4, 3, 0, 2),
      AdditiveSeries.identity(F4, PQ4, 3)),
+    # ell past the bit length of prec: q^ell, which has 2*10^9 bits here
+    # and takes seconds to compute, is never computed
+    ("twisted orbit with ell past the precision", lambda: (
+        series.twisted_orbit_series(1, F4.one(), 10 ** 9, F4.one(), PQ4, 32)),
+     series.orbit_series(1, F4.one(), 32)),
+    ("projection formula with ell past the precision", lambda: (
+        series.critical_projection_formula(
+            1, F4.one(), 10 ** 9, F4.one(), PQ4, 32)),
+     TruncSeries.monomial(F4, 32, 2, F4.one())),
     ("series repr", lambda: repr(TruncSeries.x(F4, 2)),
      "<series X + O(X^3) over F_4>"),
     ("odd composite", lambda: finite_field.is_prime(9), False),

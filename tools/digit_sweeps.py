@@ -7,16 +7,18 @@ integers up to 10000 for q = 4, 16, 9 and 25. For the admissible
 quadruples it times the listing in (m, ell, j) order (`enumerate_ms`),
 its first quadruple alone (`first_ms`: what `qcrit admissible --limit 1`
 waits for), the blocks that the two sweeps enumerate (`blocks_ms`: every
-k of `admissible_blocks`), and the admissible-order and admissible-witness
-sweeps, at the desk bounds (`theorems.desk_bounds`: m <= 4096, 2187 and
-3125 for p = 2, 3 and 5) and at the sizes of the short `verify` and
-`admissible` jobs of the benchmark's queries workload: (p, m_bound,
-ell_bound) = (3, 243, 4) and (2, 99, 4). Each figure is the time per
-call, the best of --repeat samples that loop the call for at least 20 ms
-(tools/timing.py). When the checkout has digit tables, they are dropped
-before every call but those of `blocks_ms`, which reads none, so each
-figure includes building them, as in a fresh `qcrit` process. Run it
-with PYTHONPATH pointing at two checkouts to compare them.
+k of `admissible_blocks`), the per-integer tables that the sweeps read
+(`tables_ms`: one `digit_tables` call), and the admissible-order and
+admissible-witness sweeps, at the desk bounds (`theorems.desk_bounds`:
+m <= 4096, 2187 and 3125 for p = 2, 3 and 5) and at the sizes of the
+short `verify` and `admissible` jobs of the benchmark's queries workload:
+(p, m_bound, ell_bound) = (3, 243, 4) and (2, 99, 4). Each figure is the
+time per call, the best of --repeat samples that loop the call for at
+least 20 ms (tools/timing.py). When the checkout has digit tables, they
+are dropped before every call but those of `blocks_ms`, which reads
+none, so each figure includes building them, as in a fresh `qcrit`
+process. Run it with PYTHONPATH pointing at two checkouts to compare
+them.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def admissible(repeat: int) -> list[dict]:
                 p, m_bound, ell_bound)), repeat)
         row["first_ms"] = best(cold(lambda: next(iter(
             digits.admissible_quadruples(p, m_bound, ell_bound)))), repeat)
+        if hasattr(digits, "digit_tables"):
+            row["tables_ms"] = best(
+                cold(lambda: digits.digit_tables(p, m_bound)), repeat)
         for name, sweep in (("order", theorems.verify_admissible_order),
                             ("witness", theorems.verify_admissible_witness)):
             row[f"{name}_sweep_ms"] = best(
