@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -450,9 +451,10 @@ def admissible_quadruples(p: int, m_bound: int, ell_bound: int
     """All admissible quadruples with m <= m_bound and ell <= ell_bound,
     in ascending (m, ell, j) order, from the blocks of admissible_blocks:
     the blocks of a j are built when the listing reaches m = j*p + 1, the
-    least m of block (1, j), so a listing cut short builds the blocks of
-    the j up to its last m / p only. A bad p or m_bound raises at the
-    call."""
+    least m of block (1, j), and block (ell, j) is filed by m at
+    m = j*p^ell + 1, its least m, so a listing cut short builds the blocks
+    of the j up to its last m / p only and files fewer still. A bad p or
+    m_bound raises at the call."""
     check_prime(p)
     check_m_bound(m_bound)
     return _in_m_order(p, m_bound, ell_bound)
@@ -460,24 +462,34 @@ def admissible_quadruples(p: int, m_bound: int, ell_bound: int
 
 def _in_m_order(p: int, m_bound: int, ell_bound: int
                 ) -> Iterator[AdmissibleQuadruple]:
-    # Block (ell, j) holds m from j*p^ell + 1 >= j*p + 1 up. The blocks of
-    # j are built at m = j*p + 1, and each puts j in the bucket of its ell
-    # at each of its m. So the buckets of an m are complete once it is
-    # reached, and read ell by ell they give (ell, j) order, as j comes
-    # ascending. The buckets of an ell are made with its first block, and
-    # each is dropped once read.
+    # Block (ell, j) holds m from j*p^ell + 1 up. The blocks of j are built
+    # at m = j*p + 1 and wait in the queue of their ell, j ascending, until
+    # m = j*p^ell + 1, when the block puts j in the bucket of its ell at
+    # each of its m. So the buckets of an m are complete once it is
+    # reached, and read ell by ell they give (ell, j) order. The buckets of
+    # an ell are made with its first block filed, and each is dropped once
+    # read.
+    waiting: list[deque[tuple[int, list[int]]]] = []
     buckets: list[list[list[int]]] = []
     steps: list[int] = []
     for m in range(2, m_bound + 1):
         j, r = divmod(m - 1, p)
         if not r:
-            for ell, j, step, ks in _blocks_of(j, p, m_bound, ell_bound):
-                if ell > len(buckets):
-                    buckets.append([[] for _ in range(m_bound + 1)])
-                    steps.append(step)
-                by_m = buckets[ell - 1]
-                for mk in map((j * step).__add__, ks):
-                    by_m[mk].append(j)
+            for ell, _, step, ks in _blocks_of(j, p, m_bound, ell_bound):
+                if ell > len(waiting):
+                    waiting.append(deque())
+                waiting[ell - 1].append((step, ks))
+        ell = 1
+        while not r and ell <= len(waiting):  # m - 1 = j*p^ell: file (ell, j)
+            step, ks = waiting[ell - 1].popleft()
+            if ell > len(buckets):
+                buckets.append([[] for _ in range(m_bound + 1)])
+                steps.append(step)
+            by_m = buckets[ell - 1]
+            for mk in map((j * step).__add__, ks):
+                by_m[mk].append(j)
+            j, r = divmod(j, p)
+            ell += 1
         for ell, (by_m, step) in enumerate(zip(buckets, steps), 1):
             for j in by_m[m]:
                 yield AdmissibleQuadruple(j, m - j * step, ell, m)

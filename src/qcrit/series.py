@@ -26,7 +26,7 @@ from math import comb
 from typing import Sequence
 
 from .digits import PrimePower, is_critical
-from .finite_field import FieldElement, FieldSpec, _cache_put, _pack, json_member
+from .finite_field import FieldElement, FieldSpec, _cache_put, json_member
 
 
 # The largest precision that the CLI options and JSON documents accept.
@@ -292,10 +292,15 @@ _BLOCK = 128
 # log_deriv's recurrence makes about one table lookup per nonzero
 # coefficient of f per degree; its quotient route makes a few products per
 # degree, each over the d coordinate planes, which costs about d^1.6 plane
-# products (Karatsuba), half again for odd p (a v % p pass per plane). The
-# quotient is taken when f has more nonzero coefficients than this many per
-# unit of that cost, and at least twice this many. Above 256 elements each
-# lookup computes a product mod the modulus, and the count is this alone.
+# products (Karatsuba). The quotient is taken when f has more nonzero
+# coefficients than this many per unit of 1.5 d^1.6, and at least twice
+# this many; the fields this rule serves up to 256 elements have odd p.
+# The 1.5 once paid for a v % p pass per plane. With the products reduced
+# on bytes the crossover moves with the precision across the rule with and
+# without it (F_9: about 60 nonzero at precision 128, 40 at 2048; F_243:
+# about 220 at 512, 350 at 1024, 125 at 2048; BENCH_25.json), so it
+# stays. Above 256 elements each lookup computes a product mod the
+# modulus, and the count is this alone.
 _QUOTIENT_NONZERO = 15
 # On bytes the recurrence costs one translate per degree whatever the count,
 # and the quotient is taken from precision this times d^2 on: F_2 from 128,
@@ -345,27 +350,74 @@ def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[
     the d = spec.n planes of a and b gives the 2d - 1 planes of the product,
     with slots of at most min(len) * d * (p-1)^2. For p = 2 a mask reduces
     them mod 2, t^d .. t^(2d-2) fold back by XOR, and a slot then holds an
-    index; for odd p one pass of v % p per plane gives the coordinates."""
+    index. For odd p each plane is reduced mod p into slots as wide as an
+    index (_residues), the high planes fold back by multiples of the digits
+    of t^d, which keeps a slot below p^d, and the low planes, reduced once
+    more, join as idx * p + plane from the top; one to_bytes reads it."""
     p, d = spec.p, spec.n
     bits = max(min(len(a), len(b)) * d * (p - 1) ** 2, spec.order - 1).bit_length()
     slot = next((s for s in _SLOT_FORMATS if 8 * s >= bits), (bits + 7) // 8)
     planes = _karatsuba(_planes(spec, a, slot), _planes(spec, b, slot))
     count = min(n + 1, len(a) + len(b) - 1)
-    top = _pack([-c % p for c in spec.modulus[:d]], p)  # the element t^d
+    top = [-c % p for c in spec.modulus[:d]]  # the digits of t^d
     if p == 2:
         mask = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
         planes = [c & mask for c in planes]
         for k in reversed(range(d, 2 * d - 1)):  # t^k = t^(k-d) t^d
-            for j in (j for j in range(d) if top >> j & 1):
+            for j in (j for j, t in enumerate(top) if t):
                 planes[k - d + j] ^= planes[k]
-        out = list(_slots(sum(c << j for j, c in enumerate(planes[:d])), count, slot))
+        idx, width = sum(c << j for j, c in enumerate(planes[:d])), slot
     else:
-        digits = [[v % p for v in _slots(c, count, slot)] for c in planes]
-        out = _horner(digits[:d], p)
-        if d > 1:  # plus t^d times the high part
-            add, row, high = spec._add, spec._mul[top], _horner(digits[d:], p)
-            out = [add[x][row[h]] if h else x for x, h in zip(out, high)]
-    return out + [0] * (n + 1 - count)
+        width = ((spec.order - 1).bit_length() + 7) // 8
+        planes = [_residues(c, count, slot, p, width) for c in planes]
+        if d > 1:
+            for k in reversed(range(d, 2 * d - 1)):
+                for j, t in enumerate(top):
+                    planes[k - d + j] += t * planes[k]
+            planes = [_residues(c, count, width, p, width) for c in planes[:d]]
+        idx = 0
+        for c in reversed(planes):
+            idx = idx * p + c
+    return list(_slots(idx, count, width)) + [0] * (n + 1 - count)
+
+
+def _residues(c: int, count: int, slot: int, p: int, width: int) -> int:
+    """The first count slots of c, slot bytes each, reduced mod p into
+    slots of width bytes. Below p = 256 byte b of every slot is looked up
+    as its value times 256^b mod p by one translate per b, and the lookups
+    are summed per slot and reduced by one more translate. Where their sum
+    can pass a byte it is taken in two-byte slots, whose two bytes are
+    looked up and summed again, less p where that passes p - 1."""
+    if p > 255:
+        return int.from_bytes(b"".join((v % p).to_bytes(width, "little")
+                                       for v in _slots(c, count, slot)), "little")
+    raw = c.to_bytes(max(count * slot, c.bit_length() // 8 + 1), "little")
+    tables = _residue_tables(p, slot)
+    wide = 1 if slot * (p - 1) < 256 else 2
+    sums = sum(_widen(raw[b:count * slot:slot].translate(t), wide)
+               for b, t in enumerate(tables)).to_bytes(wide * count, "little")
+    if wide == 1:
+        return _widen(sums.translate(tables[0]), width)
+    r = (_widen(sums[::2].translate(tables[0]), 2)
+         + _widen(sums[1::2].translate(tables[1]), 2))
+    ones = int.from_bytes(b"\1\0" * count, "little")
+    r -= ((r + ones * (0x8000 - p)) >> 15 & ones) * p  # bit 15: r >= p
+    return _widen(r.to_bytes(2 * count, "little")[::2], width)
+
+
+@lru_cache(maxsize=None)
+def _residue_tables(p: int, slot: int) -> list[bytes]:
+    """Table b maps a byte x to x * 256^b mod p."""
+    return [bytes(x * 256 ** b % p for x in range(256)) for b in range(slot)]
+
+
+def _widen(raw: bytes, width: int) -> int:
+    """The int whose slots of width bytes hold the bytes of raw."""
+    if width == 1:
+        return int.from_bytes(raw, "little")
+    buf = bytearray(len(raw) * width)
+    buf[::width] = raw
+    return int.from_bytes(buf, "little")
 
 
 def _planes(spec: FieldSpec, a: list[int], slot: int) -> list[int]:
@@ -406,14 +458,6 @@ def _slots(c: int, count: int, slot: int):
         return raw[:count * slot].cast(_SLOT_FORMATS[slot])
     return [int.from_bytes(raw[i:i + slot], "little")
             for i in range(0, count * slot, slot)]
-
-
-def _horner(digits: list[list[int]], p: int) -> list[int]:
-    """Pack digit planes (lowest first) into element indices."""
-    acc = digits[-1]
-    for plane in reversed(digits[:-1]):
-        acc = [x * p + y for x, y in zip(acc, plane)]
-    return acc
 
 
 def _spread(spec: FieldSpec, a: list[int], n: int) -> list[int]:
@@ -589,8 +633,7 @@ def _quotient_wins(spec: FieldSpec, n: int, a: Sequence[int]) -> bool:
     route (see _QUOTIENT_NONZERO and _QUOTIENT_PREC)."""
     if spec._mul_bytes is not None:
         return n >= _QUOTIENT_PREC * spec.n ** 2
-    cost = 1 if spec.order > 256 else max(
-        2, spec.n ** 1.6 * (1.5 if spec.p % 2 else 1))
+    cost = 1 if spec.order > 256 else max(2, 1.5 * spec.n ** 1.6)
     return n + 1 - a.count(0) > _QUOTIENT_NONZERO * cost
 
 

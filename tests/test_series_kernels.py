@@ -28,7 +28,10 @@ The Kronecker kernel is also called on its own: on operands of unequal
 length, on prime-field coefficients (every coordinate plane but the first
 zero), with its slots filled to their bound, and through the fold of the
 high planes under every default modulus of F_2 .. F_256, other moduli of
-F_8, F_9 and F_25 and odd-p default moduli, against the coordinate oracle.
+F_8, F_9, F_25 and F_289 and odd-p default moduli, against the coordinate
+oracle. Its reduction mod p (_residues) is checked against v % p with
+sums of one and two bytes, and spies show that an odd-p product reads no
+entry of the field's tables.
 
 The byte path of _mul_rows and _online, which F_{2^d} up to 256 elements
 take, is called on its own under non-default moduli: rows in the last
@@ -159,24 +162,37 @@ def test_kronecker_products_of_prime_field_coefficients(p, n):
         assert sr._mul_kronecker(spec, x, y, 64) == ref.mul(spec, x, y, 64)
 
 
-@pytest.mark.parametrize("p,n", SMALL + LARGE,
-                         ids=[f"F{p ** n}" for p, n in SMALL + LARGE])
+# F_729's digit planes join in two-byte slots; F_131 and F_251 reduce
+# their slots through two-byte sums, as p - 1 > 127
+SLOT_FIELDS = SMALL + LARGE + [(3, 6), (131, 1), (251, 1)]
+
+
+@pytest.mark.parametrize("p,n", SLOT_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in SLOT_FIELDS])
 def test_kronecker_slots_hold_their_largest_sum(p, n):
     # with every coordinate p - 1, the middle plane's slots reach the bound
-    # min(len) * n * (p-1)^2; lengths put the bound on both sides of 256
+    # min(len) * n * (p-1)^2; lengths put the bound on both sides of 256,
+    # and of 2^16 where that takes at most 300 coefficients
     spec = field_make(p, n)
-    top = spec.order - 1
-    for length in {max(1, 255 // (n * (p - 1) ** 2)), 256 // (n * (p - 1) ** 2) + 1}:
+    top, unit = spec.order - 1, n * (p - 1) ** 2
+    lengths = {max(1, (limit - 1) // unit) for limit in (256, 2 ** 16)}
+    lengths |= {limit // unit + 1 for limit in (256, 2 ** 16)}
+    for length in sorted(x for x in lengths if x <= 300):
         a = [top] * length
         got = sr._mul_kronecker(spec, a, a, 2 * length)
         assert got == ref.mul(spec, a, a, 2 * length), length
 
 
 # (p, n, modulus): the p = 2 fold under every default modulus through F_256
-# and one other modulus of F_8; the odd-p fold under default and other moduli
+# and one other modulus of F_8; the odd-p fold under default and other
+# moduli. The product slots of F_169 and F_289 pass a byte before their
+# first reduction mod p; under x^2 + x + 1, t^2 = 16 t + 16, so F_289's
+# folded digits reach 16 + 16 * 16 = 272 before their last (they sit in
+# two-byte slots); and F_66049 reduces each slot in a loop, as p > 255
 FOLDS = ([(2, n, None) for n in range(1, 9)] + [(2, 3, (1, 0, 1, 1))]
          + [(3, 2, None), (3, 2, (2, 1, 1)), (3, 3, None), (3, 5, None),
-            (5, 2, None), (5, 2, (2, 1, 1)), (7, 2, None)])
+            (5, 2, None), (5, 2, (2, 1, 1)), (7, 2, None), (13, 2, None),
+            (17, 2, None), (17, 2, (1, 1, 1)), (257, 2, None)])
 
 
 @pytest.mark.parametrize("p,n,modulus", FOLDS, ids=[
@@ -185,14 +201,63 @@ FOLDS = ([(2, n, None) for n in range(1, 9)] + [(2, 3, (1, 0, 1, 1))]
 def test_kronecker_fold_matches_coordinate_oracle(p, n, modulus):
     spec = field_make(p, n, modulus)
     rng = random.Random(spec.order)
-    # t^(n-1) in every coefficient puts t^(2n-2) in every product slot
-    high = [p ** (n - 1)] * 24
+    # t^(n-1) in every coefficient puts t^(2n-2) in every product slot;
+    # every coordinate p - 1 puts the largest sums in every plane
+    high, full = [p ** (n - 1)] * 24, [spec.order - 1] * 24
     for a, b in ((random_idx(spec, 30, rng), random_idx(spec, 30, rng)),
-                 (high, high), (high, random_idx(spec, 24, rng))):
+                 (high, high), (high, random_idx(spec, 24, rng)), (full, full),
+                 (full, random_idx(spec, 24, rng))):
         coords = [[spec.from_index(i).coords for i in x] for x in (a, b)]
         got = sr._mul_kronecker(spec, a, b, len(a) - 1)
         assert ([spec.from_index(i).coords for i in got]
                 == series_mul(*coords, spec.modulus, p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 67, 127, 131, 251, 257])
+def test_residues_match_the_remainder_of_each_slot(p):
+    # slot * (p - 1) on both sides of 255 (one-byte and two-byte sums), the
+    # largest slot value, residues in slots of one and two bytes, and a
+    # slot past count, which is left out
+    rng = random.Random(p)
+    for slot in (1, 2, 3, 4, 5, 8):
+        for width in (2,) if p > 255 else (1, 2):
+            for count in (1, 7, 130):
+                values = [rng.randrange(256 ** slot) for _ in range(count - 1)]
+                values += [256 ** slot - 1, rng.randrange(1, 256 ** slot)]
+                c = sum(v << 8 * slot * i for i, v in enumerate(values))
+                want = sum(v % p << 8 * width * i for i, v in enumerate(values[:count]))
+                assert sr._residues(c, count, slot, p, width) == want, (slot, width, count)
+
+
+# The odd-p fields of test_characteristic_2_fields_to_256_elements_take_the_byte_path
+# with F_729, whose digit planes join in two-byte slots
+ODD_KRONECKER_FIELDS = [(3, 1), (3, 2), (3, 5), (3, 6)]
+
+
+@pytest.mark.parametrize("p,n", ODD_KRONECKER_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in ODD_KRONECKER_FIELDS])
+def test_odd_p_kronecker_products_make_no_table_lookup(p, n):
+    # the planes reduce, fold and join on packed ints: no row of _add or
+    # _mul is read, let alone an entry per coefficient
+    spec = FieldSpec(p, n)  # not field_make's: the spies stay in this test
+    reads = []
+
+    class Spy:
+        def __init__(self, table, rows):
+            self.table, self.rows = table, rows
+
+        def __getitem__(self, i):
+            reads.append(i)
+            entry = self.table[i]
+            return Spy(entry, False) if self.rows else entry
+
+    spec._add, spec._mul = Spy(spec._add, True), Spy(spec._mul, True)
+    rng = random.Random(spec.order)
+    for la, lb, prec in ((40, 40, 79), (200, 150, 300), (300, 300, 150)):
+        a, b = random_idx(spec, la, rng), random_idx(spec, lb, rng)
+        got = sr._mul_kronecker(spec, a, b, prec)
+        assert got == ref.mul(field_make(p, n), a, b, prec), (la, lb, prec)
+    assert reads == []
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
@@ -253,8 +318,8 @@ def test_both_log_deriv_routes_match_coordinate_oracle(p, n):
 
 
 # The largest nonzero count that log_deriv still solves by the recurrence,
-# by field order: 15 times max(2, d^1.6), half again for odd p, on the
-# tabled fields of odd p, and 15 on those above 256 elements
+# by field order: 15 times max(2, 1.5 d^1.6) on the tabled fields of odd
+# p, and 15 on those above 256 elements
 ROWS_UP_TO = {3: 30, 5: 30, 9: 68, 243: 295, 512: 15, 729: 15, 257: 15,
               4294967291: 15}
 # In characteristic 2 up to 256 elements the recurrence runs on bytes, at
