@@ -168,7 +168,7 @@ def min_residue(c: int, pq: PrimePower) -> int:
     """Least positive integer congruent to c mod q-1; always in (0, q)."""
     if c <= 0:
         raise ValueError("residue reduction requires a positive integer")
-    return (c - 1) % (pq.q - 1) + 1 if pq.q > 2 else 1
+    return (c - 1) % (pq.q - 1) + 1
 
 
 def orbit_residues(c: int, pq: PrimePower) -> frozenset[int]:
@@ -189,15 +189,18 @@ def orbit_min(c: int, pq: PrimePower) -> int:
     minimum core has the shape (core+1) * p^g - 1, and among those the
     digital order increases with g. So: take the smallest core over the
     reduced rotations, then the smallest g whose candidate lands in the
-    orbit. Residues of the candidates repeat with period dividing lam, so
-    scanning g up to 2*lam is exhaustive.
+    orbit. Scanning g up to lam is exhaustive: p^lam = q is 1 mod q - 1,
+    so the residue of (core+1) * p^g - 1 mod q - 1 has period lam in g,
+    and for g >= 1 the candidate is at least 1 and coprime to p (it is -1
+    mod p). So if some g' >= 1 lands in the orbit, so does the g in
+    [1, lam] congruent to g' mod lam, and g = 0 is scanned on its own.
     """
     p, lam, q = pq.p, pq.lam, pq.q
     core = min(p_core(min_residue(c * p ** i, pq), p) for i in range(lam))
     base = core + 1
     res = orbit_residues(c, pq)
     m = q - 1
-    for g in range(2 * lam + 2):
+    for g in range(lam + 1):
         cand = base * p ** g - 1
         if cand >= 1 and cand % p and cand % m in res:
             return cand

@@ -395,11 +395,8 @@ class FieldSpec:
         p, add, mul, images = self.p, self._add, self._mul, [0]
         for j in range(self.n):  # images holds those of the indices below p^j
             b = self.from_index(p ** j).frobenius(m).idx
-            if p == 2:
-                images += [y ^ b for y in images]
-            else:
-                images += [add[y][s] for s in [mul[c][b] for c in range(1, p)]
-                           for y in images]
+            images += [add[y][s] for s in [mul[c][b] for c in range(1, p)]
+                       for y in images]
         return tuple(self._elements[x] for x, y in enumerate(images) if x == y)
 
     def random_element(self, rng) -> FieldElement:

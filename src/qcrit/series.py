@@ -350,10 +350,11 @@ def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[
     the d = spec.n planes of a and b gives the 2d - 1 planes of the product,
     with slots of at most min(len) * d * (p-1)^2. For p = 2 a mask reduces
     them mod 2, t^d .. t^(2d-2) fold back by XOR, and a slot then holds an
-    index. For odd p each plane is reduced mod p into slots as wide as an
-    index (_residues), the high planes fold back by multiples of the digits
-    of t^d, which keeps a slot below p^d, and the low planes, reduced once
-    more, join as idx * p + plane from the top; one to_bytes reads it."""
+    index. For odd p each plane is reduced mod p (_residues: on bytes where
+    slot * (p-1) fits one, else by v % p) into slots as wide as an index,
+    the high planes fold back by multiples of the digits of t^d, keeping a
+    slot below p^d, and the low planes, reduced once more, join as
+    idx * p + plane from the top; one to_bytes reads it."""
     p, d = spec.p, spec.n
     bits = max(min(len(a), len(b)) * d * (p - 1) ** 2, spec.order - 1).bit_length()
     slot = next((s for s in _SLOT_FORMATS if 8 * s >= bits), (bits + 7) // 8)
@@ -383,26 +384,21 @@ def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[
 
 def _residues(c: int, count: int, slot: int, p: int, width: int) -> int:
     """The first count slots of c, slot bytes each, reduced mod p into
-    slots of width bytes. Below p = 256 byte b of every slot is looked up
-    as its value times 256^b mod p by one translate per b, and the lookups
-    are summed per slot and reduced by one more translate. Where their sum
-    can pass a byte it is taken in two-byte slots, whose two bytes are
-    looked up and summed again, less p where that passes p - 1."""
-    if p > 255:
-        return int.from_bytes(b"".join((v % p).to_bytes(width, "little")
-                                       for v in _slots(c, count, slot)), "little")
+    slots of width bytes. Where slot * (p - 1) fits a byte, byte b of
+    every slot is looked up as its value times 256^b mod p by one
+    translate per b, and the lookups are summed per slot and reduced by
+    one more translate. Elsewhere each slot is reduced by v % p."""
+    if slot * (p - 1) > 255:
+        res = [v % p for v in _slots(c, count, slot)]
+        if p < 256:
+            return _widen(bytes(res), width)
+        return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in res),
+                              "little")
     raw = c.to_bytes(max(count * slot, c.bit_length() // 8 + 1), "little")
     tables = _residue_tables(p, slot)
-    wide = 1 if slot * (p - 1) < 256 else 2
-    sums = sum(_widen(raw[b:count * slot:slot].translate(t), wide)
-               for b, t in enumerate(tables)).to_bytes(wide * count, "little")
-    if wide == 1:
-        return _widen(sums.translate(tables[0]), width)
-    r = (_widen(sums[::2].translate(tables[0]), 2)
-         + _widen(sums[1::2].translate(tables[1]), 2))
-    ones = int.from_bytes(b"\1\0" * count, "little")
-    r -= ((r + ones * (0x8000 - p)) >> 15 & ones) * p  # bit 15: r >= p
-    return _widen(r.to_bytes(2 * count, "little")[::2], width)
+    sums = sum(int.from_bytes(raw[b:count * slot:slot].translate(t), "little")
+               for b, t in enumerate(tables)).to_bytes(count, "little")
+    return _widen(sums.translate(tables[0]), width)
 
 
 @lru_cache(maxsize=None)
@@ -836,7 +832,7 @@ class AdditiveSeries:
             s = spec.zero()
             for j, bj in b.items():
                 a = self.terms.get(m - j)
-                if a is not None and j < m:
+                if a is not None:
                     s = s + bj * a.frobenius(lam * j)
             if s:
                 b[m] = -s

@@ -578,6 +578,7 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
     (orbit_min+1)*q^i - 1 are exactly those coprime to p whose digit core
     is minimal in their orbit; and the critical sets coincide with their
     direct-definition scans."""
+    _check_nonempty("orbit-min", c_bound=c_bound, oracle_bound=oracle_bound)
     _check_orbit_scans(pq, c_bound=c_bound, oracle_bound=oracle_bound)
     bad = _Collector()
     p, lam, q = pq.p, pq.lam, pq.q

@@ -66,6 +66,9 @@ def test_cmp_text_output(capsys):
     code, out = run_cli(capsys, "cmp", "3", "6", "--p", "2")
     assert code == 0
     assert out.strip() == "3 <_2 6"
+    # the (p-1) run decides before the zeros: 4 = 100_2 precedes 3 = 11_2
+    code, out = run_cli(capsys, "cmp", "4", "3", "--p", "2")
+    assert code == 0 and out.strip() == "4 <_2 3"
 
 
 def test_core_defect_lucas_mu(capsys):
@@ -472,8 +475,8 @@ def no_work(monkeypatch):
 def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
         capsys, monkeypatch, no_work):
     # each would print PASS with checks=0: every admissible quadruple has
-    # m >= p + 1 and ell >= 1, and cyclic-digits and projection need a
-    # bound of at least 1. verify all refuses before its first suite.
+    # m >= p + 1 and ell >= 1, and orbit-min, cyclic-digits and projection
+    # need bounds of at least 1. verify all refuses before its first suite.
     admissible = "no admissible quadruple, which needs m_bound > p = 2"
     for argv, message in (
             (["admissible-order", "--lambda", "1", "--ell-bound", "-1"],
@@ -486,6 +489,11 @@ def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
              "projection: k_bound = 0 leaves nothing to check"),
             (["projection", "--lambda", "1", "--proj-ell-bound", "0"],
              "projection: ell_bound = 0 leaves nothing to check"),
+            (["orbit-min", "--lambda", "2", "--c-bound", "0",
+              "--oracle-bound", "0"],
+             "orbit-min: c_bound = 0 leaves nothing to check"),
+            (["orbit-min", "--lambda", "2", "--oracle-bound", "-4"],
+             "orbit-min: oracle_bound = -4 leaves nothing to check"),
             (["all", "--lambda", "1", "--m-bound", "2"], admissible),
             (["all", "--lambda", "1", "--ell-bound", "-1"], admissible),
             (["all", "--lambda", "2", "--bound", "-3"],
@@ -494,6 +502,8 @@ def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
              "projection: k_bound = 0 leaves nothing to check"),
             (["all", "--lambda", "1", "--proj-ell-bound", "0"],
              "projection: ell_bound = 0 leaves nothing to check"),
+            (["all", "--lambda", "2", "--c-bound", "-1"],
+             "orbit-min: c_bound = -1 leaves nothing to check"),
             # options that a sweep cannot run with: refused as early
             (["coleman", "--lambda", "1", "--prec", "0"],
              "precision must be at least 1"),
@@ -512,6 +522,7 @@ def test_bounds_that_leave_nothing_to_check_exit_two_before_any_work(
     monkeypatch.undo()
     for argv in (["admissible-order", "--m-bound", "3", "--ell-bound", "1"],
                  ["admissible-witness", "--m-bound", "3", "--ell-bound", "1"],
+                 ["orbit-min", "--c-bound", "1", "--oracle-bound", "1"],
                  ["cyclic-digits", "--bound", "1"],
                  ["projection", "--k-bound", "1", "--proj-ell-bound", "1",
                   "--proj-prec", "8"]):

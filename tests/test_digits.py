@@ -194,6 +194,30 @@ def test_digital_cmp_total_order():
                 assert digital_cmp(x, z, p) <= 0
 
 
+def digit_key(n, p):
+    """The digital order's key read off the expansion of n: the core, then
+    the count of trailing (p-1) digits of the part coprime to p, then the
+    count of trailing zeros."""
+    ds, zeros, nines = to_digits(n, p), 0, 0
+    while ds[-1] == 0:
+        ds.pop()
+        zeros += 1
+    while ds and ds[-1] == p - 1:
+        ds.pop()
+        nines += 1
+    return from_digits(ds, p), nines, zeros
+
+
+def test_digital_key_sorts_as_the_digit_key():
+    # the core decides first, then the (p-1) run, then the zeros: 4 = 100_2
+    # (core 0, one 1, two zeros) precedes 3 = 11_2 (core 0, two 1s)
+    assert digit_key(4, 2) == (0, 1, 2) and digit_key(3, 2) == (0, 2, 0)
+    for p in (2, 3, 5):
+        ns = range(1, 501)
+        assert (sorted(ns, key=lambda n: digital_key(n, p))
+                == sorted(ns, key=lambda n: digit_key(n, p))), p
+
+
 def test_defect_approximates_order():
     for p in (2, 3, 5):
         ds = {n: p_defect(n, p) for n in range(1, 500)}
@@ -259,6 +283,26 @@ def test_orbit_min_fast_equals_bruteforce(p, lam):
     # spot-check the standalone per-orbit oracle as well
     for c in (1, 2, 7, 39, 100, 999):
         assert orbit_min(c, pq) == orbit_min_bruteforce(c, pq)
+
+
+def orbit_min_wide_scan(c, pq):
+    """orbit_min as it was written with g scanned up to 2*lam + 1."""
+    p, lam, q = pq.p, pq.lam, pq.q
+    core = min(p_core(min_residue(c * p ** i, pq), p) for i in range(lam))
+    res = orbit_residues(c, pq)
+    for g in range(2 * lam + 2):
+        cand = (core + 1) * p ** g - 1
+        if cand >= 1 and cand % p and cand % (q - 1) in res:
+            return cand
+
+
+@pytest.mark.parametrize("p,lams", [(2, range(1, 8)), (3, range(1, 5)),
+                                    (5, range(1, 4)), (7, [2])])
+def test_orbit_min_scan_to_lambda_equals_the_wide_scan(p, lams):
+    for lam in lams:
+        pq = PrimePower(p, lam)
+        for c in range(1, pq.q):
+            assert orbit_min(c, pq) == orbit_min_wide_scan(c, pq), (lam, c)
 
 
 # ---------------------------------------------------------------------------

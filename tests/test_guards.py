@@ -1,8 +1,8 @@
-"""The argument guards of the digit, field and series layers, and the
-early returns beside them: each case calls one public entry with an
-argument outside its domain and checks the exception and its message, or
-the value returned. The invariant raises, which no argument reaches, are
-each reached with one helper patched."""
+"""The argument guards of the digit, field and series layers and of the
+sweeps' bounds, and the early returns beside them: each case calls one
+public entry with an argument outside its domain and checks the exception
+and its message, or the value returned. The invariant raises, which no
+argument reaches, are each reached with one helper patched."""
 
 import re
 from fractions import Fraction
@@ -117,6 +117,14 @@ RAISES = [
      ValueError, "residue reduction requires a positive integer"),
     ("criticality of 0", lambda: digits.is_critical(0, PQ4),
      ValueError, "criticality is defined for positive integers"),
+    # theorems: a sweep bound below 1 would pass with nothing checked
+    ("orbit-min c_bound 0", lambda: theorems.verify_orbit_min(PQ4, c_bound=0),
+     ValueError, "orbit-min: c_bound = 0 leaves nothing to check; it must be "
+     "at least 1"),
+    ("orbit-min oracle_bound -1", lambda: theorems.verify_orbit_min(
+        PQ4, oracle_bound=-1),
+     ValueError, "orbit-min: oracle_bound = -1 leaves nothing to check; it "
+     "must be at least 1"),
 ]
 
 

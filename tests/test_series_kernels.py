@@ -29,9 +29,9 @@ length, on prime-field coefficients (every coordinate plane but the first
 zero), with its slots filled to their bound, and through the fold of the
 high planes under every default modulus of F_2 .. F_256, other moduli of
 F_8, F_9, F_25 and F_289 and odd-p default moduli, against the coordinate
-oracle. Its reduction mod p (_residues) is checked against v % p with
-sums of one and two bytes, and spies show that an odd-p product reads no
-entry of the field's tables.
+oracle. Its reduction mod p (_residues) is checked against v % p on both
+sides of its byte-lookup limit, and spies show that an odd-p product reads
+no entry of the field's tables.
 
 The byte path of _mul_rows and _online, which F_{2^d} up to 256 elements
 take, is called on its own under non-default moduli: rows in the last
@@ -163,7 +163,7 @@ def test_kronecker_products_of_prime_field_coefficients(p, n):
 
 
 # F_729's digit planes join in two-byte slots; F_131 and F_251 reduce
-# their slots through two-byte sums, as p - 1 > 127
+# their slots by v % p, as p - 1 > 127
 SLOT_FIELDS = SMALL + LARGE + [(3, 6), (131, 1), (251, 1)]
 
 
@@ -188,7 +188,7 @@ def test_kronecker_slots_hold_their_largest_sum(p, n):
 # moduli. The product slots of F_169 and F_289 pass a byte before their
 # first reduction mod p; under x^2 + x + 1, t^2 = 16 t + 16, so F_289's
 # folded digits reach 16 + 16 * 16 = 272 before their last (they sit in
-# two-byte slots); and F_66049 reduces each slot in a loop, as p > 255
+# two-byte slots); and F_66049 packs its residues by to_bytes, as p > 255
 FOLDS = ([(2, n, None) for n in range(1, 9)] + [(2, 3, (1, 0, 1, 1))]
          + [(3, 2, None), (3, 2, (2, 1, 1)), (3, 3, None), (3, 5, None),
             (5, 2, None), (5, 2, (2, 1, 1)), (7, 2, None), (13, 2, None),
@@ -215,7 +215,7 @@ def test_kronecker_fold_matches_coordinate_oracle(p, n, modulus):
 
 @pytest.mark.parametrize("p", [3, 5, 13, 67, 127, 131, 251, 257])
 def test_residues_match_the_remainder_of_each_slot(p):
-    # slot * (p - 1) on both sides of 255 (one-byte and two-byte sums), the
+    # slot * (p - 1) on both sides of 255 (byte lookups and v % p), the
     # largest slot value, residues in slots of one and two bytes, and a
     # slot past count, which is left out
     rng = random.Random(p)

@@ -267,14 +267,19 @@ ORBIT_RUNS = {
         PrimePower(2, 3), bound=200), ["--lambda", "3", "--bound", "200"]),
 }
 
-# check -> (sweep, fault, first counterexample), for q = 4 (orbit-min) and
-# q = 8 (cyclic-digits)
+# check, or check/case -> (sweep, fault, first counterexample), for q = 4
+# (orbit-min) and q = 8 (cyclic-digits)
 ORBIT_FAULTS = {
     # 2 is even, so it is no orbit minimum; c = 50 is above q, so no other
     # check reads it
     "minimum_in_orbit": ("orbit-min", lambda mp: _wrong_at(
         mp, "orbit_min", 50, lambda mu, pq: 2),
         {"c": 50, "mu": 2}),
+    # 3 is odd and below q, but 0 mod 3 while the orbit of 50 is {1, 2}:
+    # only the residue half of the check sees it
+    "minimum_in_orbit/residue": ("orbit-min", lambda mp: _wrong_at(
+        mp, "orbit_min", 50, lambda mu, pq: 3),
+        {"c": 50, "mu": 3}),
     # 7 = q*(1+1) - 1 is core-minimal in the orbit of 1, and not the orbit
     # minimum; a wrong core drops it from the scan by definition
     "core_minimal_window": ("orbit-min", lambda mp: _wrong_at(
@@ -293,18 +298,26 @@ ORBIT_FAULTS = {
     "shifted_min_escapes": ("cyclic-digits", lambda mp: _wrong_at(
         mp, "orbit_residues", 5, lambda res, pq: frozenset(range(pq.q - 1))),
         {"c": 5, "i": 1, "mu": 3}),
+    # the successor of 5 reduces to 6, whose part coprime to 2 is 3 = 1 +
+    # p_core(5): the bound holds with equality, so a core of 5 one too high
+    # breaks it. 5 is not the least core of its orbit {3, 5, 6}, so no other
+    # check moves
+    "successor_inequality": ("cyclic-digits", lambda mp: _wrong_at(
+        mp, "p_core", 5, lambda core, p: core + 1), {"c": 5}),
 }
 
 
-@pytest.mark.parametrize("check", ORBIT_FAULTS)
-def test_orbit_sweeps_report_each_broken_check(check, monkeypatch, capsys):
-    statement, inject, first = ORBIT_FAULTS[check]
+@pytest.mark.parametrize("case", ORBIT_FAULTS)
+def test_orbit_sweeps_report_each_broken_check(case, monkeypatch, capsys):
+    statement, inject, first = ORBIT_FAULTS[case]
+    check = case.partition("/")[0]
     sweep, argv = ORBIT_RUNS[statement]
     inject(monkeypatch)
     r = sweep()
     assert not r.passed
     assert r.counterexamples[0] == {"check": check, **first}
-    others = {ce["check"] for ce in r.counterexamples} - {check}
+    # the marker of a truncated list names no check
+    others = {ce["check"] for ce in r.counterexamples if "check" in ce} - {check}
     assert others == ({"successor_inequality"} if check == "rotation_bound"
                       else set())
     assert json.loads(json.dumps(r.to_json_dict()))["pass"] is False

@@ -4,8 +4,9 @@
 
 Times TruncSeries `*`, `inverse_mult`, `log_deriv`, `solve_log_deriv`
 and `compose` at precision 128, 512 and 2048 over F_4, F_9, F_243 and
-F_256, and `*` alone over F_251 and F_729, in time per call: the best of
---repeat samples that loop the call for at least 20 ms (tools/timing.py).
+F_256, and `*` alone over F_67, F_251 and F_729, in time per call: the
+best of --repeat samples that loop the call for at least 20 ms
+(tools/timing.py).
 The inputs are seeded random units; `solve_log_deriv` solves for the
 logarithmic derivative of one, and the inner series of `compose` is a
 random composition of two X + beta*X^(q^ell), the shape the equivariance
@@ -65,9 +66,10 @@ CROSSOVER_FIELDS = [(2, 1), (2, 2), (3, 2), (2, 4), (3, 5), (2, 8)]
 BLOCK_FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (2, 4), (3, 5), (2, 8)]
 # the inverse rows: every byte field through F_16, and F_32 and F_256
 INVERSE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 8)]
-# the product rows add F_251, whose slots reduce mod p through two-byte
-# sums as p > 127, and F_729, whose digits join in two-byte slots
-MUL_FIELDS = [(251, 1), (3, 6)]
+# the product rows add F_67, the least p whose four-byte product slots
+# reduce mod p by v % p (4 (p - 1) > 255), F_251, whose product slots, of
+# two bytes and up, all do, and F_729, whose digits join in two-byte slots
+MUL_FIELDS = [(67, 1), (251, 1), (3, 6)]
 PRECS = [128, 512, 2048]
 
 
