@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import random
 import re
+import struct
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -272,7 +273,8 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 # A kernel takes series as sequences of packed element indices and returns
 # the list of the n + 1 coefficients through degree n. The crossovers below
 # come from timings on F_2, F_4, F_9, F_16, F_243 and F_256 at precision 64
-# to 2048 (tools/series_ops.py, BENCH_21.json). In characteristic 2 with at
+# to 2048 (tools/series_ops.py, BENCH_21.json), and that of KS2 on F_4,
+# F_9, F_67, F_243 and F_256 (BENCH_27.json). In characteristic 2 with at
 # most 256 elements (spec._mul_bytes) a sum of indices is their XOR, and a
 # row of a product or of the recurrence is one bytes.translate of a whole
 # operand through a row of _mul, XORed into one big int.
@@ -306,6 +308,11 @@ _QUOTIENT_NONZERO = 15
 # and the quotient is taken from precision this times d^2 on: F_2 from 128,
 # F_4 from 512, F_16 at 2048, and F_256 never below MAX_PREC.
 _QUOTIENT_PREC = 128
+# Kronecker products through at least this many slots (coefficients) take
+# KS2, two big-int products at half the width (_mul_kronecker). At 512 slots
+# KS2 took 0.74-0.98 of the time of one plane per slot on the five fields
+# above, 0.71-0.76 at 2048; at 256 it took 1.15 on F_4 and 1.21 on F_9.
+_KS2_SLOTS = 512
 
 # memoryview formats of the slot widths a product can be unpacked with
 _SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"} if sys.byteorder == "little" else {}
@@ -348,7 +355,42 @@ def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[
 
     Slot i of plane j holds coordinate j of coefficient i. Karatsuba over
     the d = spec.n planes of a and b gives the 2d - 1 planes of the product,
-    with slots of at most min(len) * d * (p-1)^2. For p = 2 a mask reduces
+    whose slots need bits bits: min(len) * d * (p-1)^2 bounds them.
+    _reduce takes the planes to indices.
+
+    From _KS2_SLOTS product slots on, where a half slot of h = ceil(bits /
+    16) bytes is narrower than the plane's, the planes are evaluated at
+    2^(8h) and at -2^(8h) (Harvey's KS2: "Faster polynomial multiplication
+    via multipoint Kronecker substitution", J. Symbolic Comput. 2009): with
+    E and O the even- and odd-index coordinates at a stride of 2h bytes,
+    the operands are E + O 2^(8h) and E - O 2^(8h), each half as wide as
+    one plane at a full slot. Karatsuba runs once on each, and from the two
+    product planes P+ and P-, (P+ + P-) / 2 holds the even-index slots and
+    (P+ - P-) / 2^(8h + 1) the odd ones, both in slots of 2h bytes."""
+    p, d = spec.p, spec.n
+    bits = max(min(len(a), len(b)) * d * (p - 1) ** 2, spec.order - 1).bit_length()
+    slot = next((s for s in _SLOT_FORMATS if 8 * s >= bits), (bits + 7) // 8)
+    count = min(n + 1, len(a) + len(b) - 1)
+    half = -(-bits // 16)
+    if count < _KS2_SLOTS or half >= slot:
+        planes = _karatsuba(_planes(spec, a, slot), _planes(spec, b, slot))
+        return list(_reduce(spec, planes, count, slot)) + [0] * (n + 1 - count)
+    shift, wide, ops = 8 * half, 2 * half, []
+    for x in (a, b):
+        eo = list(zip(_planes(spec, x[::2], wide), _planes(spec, x[1::2], wide)))
+        ops += [[e + (o << shift) for e, o in eo], [e - (o << shift) for e, o in eo]]
+    pm = list(zip(_karatsuba(ops[0], ops[2]), _karatsuba(ops[1], ops[3])))
+    out = [0] * (n + 1)
+    evens = [(x + y) >> 1 for x, y in pm]
+    odds = [(x - y) >> (shift + 1) for x, y in pm]
+    out[0:count:2] = _reduce(spec, evens, (count + 1) // 2, wide)
+    out[1:count:2] = _reduce(spec, odds, count // 2, wide)
+    return out
+
+
+def _reduce(spec: FieldSpec, planes: list[int], count: int, slot: int):
+    """The first count indices of the product whose 2d - 1 coordinate
+    planes, in slots of slot bytes, are planes. For p = 2 a mask reduces
     them mod 2, t^d .. t^(2d-2) fold back by XOR, and a slot then holds an
     index. For odd p each plane is reduced mod p (_residues: on bytes where
     slot * (p-1) fits one, else by v % p) into slots as wide as an index,
@@ -356,10 +398,6 @@ def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[
     slot below p^d, and the low planes, reduced once more, join as
     idx * p + plane from the top; one to_bytes reads it."""
     p, d = spec.p, spec.n
-    bits = max(min(len(a), len(b)) * d * (p - 1) ** 2, spec.order - 1).bit_length()
-    slot = next((s for s in _SLOT_FORMATS if 8 * s >= bits), (bits + 7) // 8)
-    planes = _karatsuba(_planes(spec, a, slot), _planes(spec, b, slot))
-    count = min(n + 1, len(a) + len(b) - 1)
     top = [-c % p for c in spec.modulus[:d]]  # the digits of t^d
     if p == 2:
         mask = int.from_bytes((b"\1" + bytes(slot - 1)) * count, "little")
@@ -367,19 +405,18 @@ def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[
         for k in reversed(range(d, 2 * d - 1)):  # t^k = t^(k-d) t^d
             for j in (j for j, t in enumerate(top) if t):
                 planes[k - d + j] ^= planes[k]
-        idx, width = sum(c << j for j, c in enumerate(planes[:d])), slot
-    else:
-        width = ((spec.order - 1).bit_length() + 7) // 8
-        planes = [_residues(c, count, slot, p, width) for c in planes]
-        if d > 1:
-            for k in reversed(range(d, 2 * d - 1)):
-                for j, t in enumerate(top):
-                    planes[k - d + j] += t * planes[k]
-            planes = [_residues(c, count, width, p, width) for c in planes[:d]]
-        idx = 0
-        for c in reversed(planes):
-            idx = idx * p + c
-    return list(_slots(idx, count, width)) + [0] * (n + 1 - count)
+        return _slots(sum(c << j for j, c in enumerate(planes[:d])), count, slot)
+    width = ((spec.order - 1).bit_length() + 7) // 8
+    planes = [_residues(c, count, slot, p, width) for c in planes]
+    if d > 1:
+        for k in reversed(range(d, 2 * d - 1)):
+            for j, t in enumerate(top):
+                planes[k - d + j] += t * planes[k]
+        planes = [_residues(c, count, width, p, width) for c in planes[:d]]
+    idx = 0
+    for c in reversed(planes):
+        idx = idx * p + c
+    return _slots(idx, count, width)
 
 
 def _residues(c: int, count: int, slot: int, p: int, width: int) -> int:
@@ -711,7 +748,15 @@ def _critical_set(pq: PrimePower, bound: int) -> frozenset[int]:
     key = (pq.p, pq.lam, bound)
     got = _CRITICAL_CACHE.get(key)
     if got is None:
-        got = frozenset(k for k in range(1, bound + 1) if is_critical(k, pq))
+        # the critical c below q are the base set, and the full set is its
+        # closure under c -> q(c + 1) - 1 (critical_members)
+        q, got = pq.q, set()
+        for c in range(1, min(q, bound + 1)):
+            if is_critical(c, pq):
+                while c <= bound:
+                    got.add(c)
+                    c = q * (c + 1) - 1
+        got = frozenset(got)
         _cache_put(_CRITICAL_CACHE, _CRITICAL_CACHE_SIZE, key, got)
     return got
 
@@ -1055,11 +1100,38 @@ def critical_projection_formula(k: int, alpha: FieldElement, ell: int,
 # depends on a particular stream; a different generator only means
 # different random instances.
 
+def _draws(rng: random.Random, n: int, count: int) -> list[int]:
+    """[rng.randrange(n) for _ in range(count)], leaving rng in the same
+    state. Up to 32 bits randrange keeps the top n.bit_length() bits of one
+    32-bit word and rejects values >= n, so each word yields at most one
+    value: a round draws as many words as values are still missing."""
+    k = n.bit_length()
+    if k > 32:
+        return [rng.randrange(n) for _ in range(count)]
+    out: list[int] = []
+    while len(out) < count:
+        need = count - len(out)
+        raw = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        if k <= 8:
+            out += raw[3::4].translate(*_draw_tables(n))
+        else:
+            out += [v for v in (w >> (32 - k) for w in struct.unpack(f"<{need}I", raw))
+                    if v < n]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _draw_tables(n: int) -> tuple[bytes, bytes]:
+    """For n < 256: the table from a word's top byte to its top
+    n.bit_length() bits, and the top bytes whose value is rejected."""
+    shift = 8 - n.bit_length()
+    return (bytes(x >> shift for x in range(256)),
+            bytes(x for x in range(256) if x >> shift >= n))
+
+
 def _random_unit(spec: FieldSpec, prec: int, rng: random.Random) -> TruncSeries:
     q = spec.order
-    idx = [rng.randrange(1, q)]
-    idx.extend(rng.randrange(q) for _ in range(prec))
-    return _series(spec, prec, idx)
+    return _series(spec, prec, [rng.randrange(1, q), *_draws(rng, q, prec)])
 
 
 def random_unit(spec: FieldSpec, prec: int, seed: int) -> TruncSeries:

@@ -27,7 +27,7 @@ from .digits import (PrimePower, critical_base_set, critical_members,
                      digital_cmp, digital_key, min_residue, coprime_part,
                      orbit_id, orbit_min, orbit_residues, p_core, GREATER)
 from .finite_field import FieldSpec, check_prime, field_make
-from .series import (TruncSeries, _random_gamma, _random_unit,
+from .series import (TruncSeries, _draws, _random_gamma, _random_unit,
                      _series, artin_hasse, check_prec, critical_projection,
                      critical_projection_formula, log_deriv, orbit_series,
                      solve_log_deriv, twisted_orbit_series)
@@ -411,7 +411,7 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
         # a unit supported on multiples of p
         ker = [0] * (prec + 1)
         ker[0] = rng.randrange(1, q)
-        ker[p::p] = [rng.randrange(q) for _ in range(prec // p)]
+        ker[p::p] = _draws(rng, q, prec // p)
         # a unit forced to have a coefficient off the multiples of p
         cs = list(_random_unit(spec, prec, rng).idx)
         i0 = rng.choice(off_p)
@@ -419,8 +419,9 @@ def verify_logderiv(spec: FieldSpec, prec: int = 128, trials: int = 100,
         g = _random_unit(spec, prec, rng)
         # a target that meets the image constraint
         aim = [0] * (prec + 1)
+        drawn = iter(_draws(rng, q, len(off_p)))
         for i in range(1, prec + 1):
-            aim[i] = rng.randrange(q) if i % p else frob1[aim[i // p]]
+            aim[i] = next(drawn) if i % p else frob1[aim[i // p]]
         alpha = spec.random_nonzero(rng)
         return checks(ker, cs, i0, g, aim, alpha)
 

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 from fractions import Fraction
@@ -538,6 +539,21 @@ def test_random_unit_deterministic():
     assert random_unit(F4, 32, 5).is_unit()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 243, 255, 256, 257, 2 ** 16, 2 ** 32,
+                               2 ** 32 + 1, 2 ** 40 + 7])
+def test_draws_equal_randrange_one_call_at_a_time(n):
+    # the values and the state the generator is left in, for n below 256
+    # (the top byte of each word), up to 32 bits (whole words) and above
+    # (randrange's own calls), at counts of 0, 1, 7 and 2049, most of which
+    # reject some words
+    from qcrit.series import _draws
+    for count in (0, 1, 7, 2049):
+        one, bulk = random.Random(n + count), random.Random(n + count)
+        want = [one.randrange(n) for _ in range(count)]
+        assert _draws(bulk, n, count) == want
+        assert bulk.getstate() == one.getstate()
+
+
 def test_random_gamma_structure():
     pq = PQ4
     for seed in range(6):
@@ -684,6 +700,27 @@ def test_coefficients_are_views_of_the_indices():
     g = TruncSeries.monomial(F9, 6, 3, F9.gen())
     assert g.valuation() == 3 and g.support() == [3]
     assert TruncSeries.zero(F9, 6).valuation() is None
+
+
+# every (p, lambda) with q <= 3^4
+SMALL_PQ = [(p, lam) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43,
+                               47, 53, 59, 61, 67, 71, 73, 79)
+            for lam in range(1, 7) if p ** lam <= 81]
+
+
+@pytest.mark.parametrize("p,lam", SMALL_PQ, ids=[f"p{p}-lam{lam}" for p, lam in SMALL_PQ])
+def test_critical_set_is_the_closure_of_the_critical_integers_below_q(p, lam, monkeypatch):
+    # at every bound from 1 to 2049, below q and above it: is_critical is
+    # memoized, as the direct scan asks it the same questions
+    from qcrit import series as sr
+    known = functools.cache(is_critical)
+    monkeypatch.setattr(sr, "is_critical", known)
+    monkeypatch.setattr(sr, "_CRITICAL_CACHE", {})
+    pq, direct = PrimePower(p, lam), set()
+    for bound in range(1, 2050):
+        if known(bound, pq):
+            direct.add(bound)
+        assert sr._critical_set(pq, bound) == direct, bound
 
 
 def test_critical_set_and_artin_hasse_caches_are_bounded():

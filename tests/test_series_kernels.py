@@ -26,7 +26,9 @@ take the route of its rule on both sides of each field's crossover.
 
 The Kronecker kernel is also called on its own: on operands of unequal
 length, on prime-field coefficients (every coordinate plane but the first
-zero), with its slots filled to their bound, and through the fold of the
+zero), with its slots filled to their bound, on both sides of the slot
+count from which it evaluates at 2^b and -2^b (KS2, _KS2_SLOTS), where a
+spy shows which route runs, and through the fold of the
 high planes under every default modulus of F_2 .. F_256, other moduli of
 F_8, F_9, F_25 and F_289 and odd-p default moduli, against the coordinate
 oracle. Its reduction mod p (_residues) is checked against v % p on both
@@ -211,6 +213,46 @@ def test_kronecker_fold_matches_coordinate_oracle(p, n, modulus):
         got = sr._mul_kronecker(spec, a, b, len(a) - 1)
         assert ([spec.from_index(i).coords for i in got]
                 == series_mul(*coords, spec.modulus, p))
+
+
+# KS2, taken from _KS2_SLOTS product slots on: half slots of one byte
+# (F_2, F_4, F_9, F_243, F_256, and F_729, which packs by to_bytes), of two
+# (F_25, F_67) and of five (4294967291, whose slots pass the memoryview
+# formats)
+KS2_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (67, 1), (3, 5), (2, 8)]
+K = sr._KS2_SLOTS
+# (len(a), len(b), n): one slot below and at the crossover, odd and even
+# slot counts, full products, a Newton step of _inverse (m, 2m + 1, 2m) and
+# a split of _online (m, 2m - 1, 2m - 2)
+KS2_SHAPES = [(K - 1, K - 1, K - 2), (K, K, K - 1), (K + 1, K + 1, K),
+              (300, K - 88, 1000), (300, K - 87, 1000), (K // 2 + 1, K + 1, K),
+              (K, 2 * K - 1, 2 * K - 2)]
+# at precision 2048 on half slots of one and two bytes: a Newton step, a
+# square, and an operand of 40 coefficients, whose slots fit one byte on F_4
+# (so the one-plane route stays) but not on F_9 or F_25
+DEEP_SHAPES = [(1025, 2049, 2048), (2049, 2049, 2048), (40, 2049, 2048)]
+KS2_CASES = ([(p, n, *shape) for p, n in KS2_FIELDS for shape in KS2_SHAPES]
+             + [(p, n, *shape) for p, n in ((2, 2), (3, 2), (5, 2))
+                for shape in DEEP_SHAPES]
+             + [(3, 6, K, K, K - 1), (4294967291, 1, K, K, K - 1)])
+
+
+@pytest.mark.parametrize("p,n,la,lb,prec", KS2_CASES, ids=[
+    f"F{p ** n}-{la}x{lb}-prec{prec}" for p, n, la, lb, prec in KS2_CASES])
+def test_ks2_products_match_schoolbook(p, n, la, lb, prec):
+    # KS2 reduces twice (its even and its odd half); it runs exactly from
+    # K product slots on, where a slot needs more than one byte
+    spec = field_make(p, n)
+    rng = random.Random(la * lb + spec.order)
+    a, b = random_idx(spec, la, rng), random_idx(spec, lb, rng)
+    reduces, reduce = [], sr._reduce
+    with mock.patch.object(sr, "_reduce",
+                           lambda *args: reduces.append(args) or reduce(*args)):
+        got = sr._mul_kronecker(spec, a, b, prec)
+    assert got == ref.mul(spec, a, b, prec)
+    count = min(prec + 1, la + lb - 1)
+    bits = max(min(la, lb) * n * (p - 1) ** 2, spec.order - 1).bit_length()
+    assert len(reduces) == (2 if count >= K and bits > 8 else 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 67, 127, 131, 251, 257])

@@ -39,7 +39,13 @@ takes. The inverse rows time 1/f of a random unit on the byte fields F_2,
 F_4, F_8, F_16, F_32 and F_256 at precision 512, 1024 and 2048 in three
 ways: Newton steps above _BLOCK degrees, the checkout's own rule
 (_newton_limit) and the recurrence as one block of every degree, the
-medians of max(3, --repeat) samples of each in turn.
+medians of max(3, --repeat) samples of each in turn. The kronecker rows
+time _mul_kronecker on two random units of 256, 512, 1024 and 2048
+coefficients through their first as many slots, over F_4, F_9, F_67,
+F_243 and F_256, by one plane per slot and by KS2 (evaluation at 2^b and
+-2^b), the medians of max(5, --repeat) samples of each in turn, and name
+the route that the checkout's rule (_KS2_SLOTS) takes; a checkout without
+KS2 times its one route twice.
 """
 
 from __future__ import annotations
@@ -70,6 +76,9 @@ INVERSE_FIELDS = [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 8)]
 # reduce mod p by v % p (4 (p - 1) > 255), F_251, whose product slots, of
 # two bytes and up, all do, and F_729, whose digits join in two-byte slots
 MUL_FIELDS = [(67, 1), (251, 1), (3, 6)]
+# the KS2 rows: half slots of one byte (F_4, F_9, F_243, F_256) and of two
+# (F_67, whose product coefficients need 21 to 24 bits here)
+KS2_FIELDS = [(2, 2), (3, 2), (67, 1), (3, 5), (2, 8)]
 PRECS = [128, 512, 2048]
 
 
@@ -195,7 +204,30 @@ def crossovers(repeat: int) -> dict:
     out["inverse_newton_vs_block"] = [
         inverse_row(p, n, prec, max(3, repeat))
         for p, n in INVERSE_FIELDS for prec in (512, 1024, 2048)]
+    out["kronecker_plain_vs_ks2"] = [
+        kronecker_row(p, n, slots, max(5, repeat))
+        for p, n in KS2_FIELDS for slots in (256, 512, 1024, 2048)]
     return out
+
+
+def kronecker_row(p: int, n: int, slots: int, rounds: int) -> dict:
+    spec = field_make(p, n)
+    a, b = sr.random_unit(spec, slots - 1, 8).idx, sr.random_unit(spec, slots - 1, 9).idx
+    limit = getattr(sr, "_KS2_SLOTS", None)
+
+    def kronecker(ks2_slots):
+        # both routes patch the module, so that both pay the same for it
+        def run():
+            with mock.patch.object(sr, "_KS2_SLOTS", ks2_slots, create=True):
+                return sr._mul_kronecker(spec, a, b, slots - 1)
+        return run
+
+    row = {"field": spec.order, "slots": slots,
+           "rule": "ks2" if limit is not None and slots >= limit else "plain"}
+    row.update(alternated({"plain_ms": kronecker(slots + 1), "ks2_ms": kronecker(0)},
+                          rounds))
+    print(json.dumps(row), flush=True, file=sys.stderr)
+    return row
 
 
 def inverse_row(p: int, n: int, prec: int, rounds: int) -> dict:
