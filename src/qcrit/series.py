@@ -290,6 +290,8 @@ _SPARSE = 16
 # bytes a block costs one translate per degree whatever d, while the split's
 # product costs about d^1.6 plane products: there blocks take up to 4 times
 # this on F_2 and F_4, and 16 times (MAX_PREC) from F_8 on (_block_limit).
+# For odd p a block on digit slots (_online_packed) holds up to (p - 1)
+# times this in a slot, which fits 2 bytes for every p below 256.
 _BLOCK = 128
 # log_deriv's recurrence makes about one table lookup per nonzero
 # coefficient of f per degree; its quotient route makes a few products per
@@ -302,7 +304,14 @@ _BLOCK = 128
 # without it (F_9: about 60 nonzero at precision 128, 40 at 2048; F_243:
 # about 220 at 512, 350 at 1024, 125 at 2048; BENCH_25.json), so it
 # stays. Above 256 elements each lookup computes a product mod the
-# modulus, and the count is this alone.
+# modulus, and the count is this alone. Where a dense block of the
+# recurrence runs on digit slots (_packed_wins: odd p up to 256 elements
+# but F_243) and building its rows costs no more than its adds (F_3 to
+# F_27, not F_81 or F_251), the recurrence costs about one add per degree,
+# and below precision 2 _QUOTIENT_PREC it beats the quotient whatever the
+# count (F_9 dense at 128: 0.10 against 0.17 ms; about even at 256). On
+# F_251, whose 128 rows cost four times its adds, the quotient stays ahead
+# there (0.23 against 0.27 ms at 128; BENCH_28.json).
 _QUOTIENT_NONZERO = 15
 # On bytes the recurrence costs one translate per degree whatever the count,
 # and the quotient is taken from precision this times d^2 on: F_2 from 128,
@@ -587,8 +596,11 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
     conquer (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
     solve the left half, add its terms to the right half's sums with one
     product, then solve the right half. Within a block, a field on bytes
-    adds all of f_m's terms to the later sums as soon as f_m is known;
-    other fields gather the terms of S_m when they reach degree m."""
+    adds all of f_m's terms to the later sums as soon as f_m is known, one
+    XOR per degree. For odd p up to 256 elements, a block whose window of
+    w is dense enough for its field (_packed_wins) does the same on digit
+    slots, one add per degree (_online_packed). Other blocks gather the
+    terms of S_m when they reach degree m, one lookup per term."""
     add = spec._add
     if hi - lo > _block_limit(spec):
         mid = (lo + hi) // 2
@@ -597,10 +609,11 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
         s[mid:hi] = [add[x][y] if y else x for x, y in zip(s[mid:hi], part)]
         _online(spec, w, s, f, scales, mid, hi)
         return
+    window = w[1:hi - lo]
     if spec._mul_bytes is not None:
         # byte j of acc holds the terms of S_(m+j) known so far; f_m's
         # terms w_k f_m (k >= 1) join it as one translate of w's bytes
-        rows, ws = spec._mul_bytes, bytes(w[1:hi - lo])
+        rows, ws = spec._mul_bytes, bytes(window)
         acc = int.from_bytes(bytes(s[lo:hi]), "little")
         for m in range(lo, hi):
             s[m] = sm = acc & 255
@@ -609,8 +622,11 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
             if fm:
                 acc ^= int.from_bytes(ws.translate(rows[fm]), "little")
         return
+    if _packed_wins(spec, hi - lo, len(window) - window.count(0)):
+        _online_packed(spec, window, s, f, scales, lo, hi)
+        return
     mul = spec._mul
-    rows = [(k, mul[w[k]]) for k in range(1, hi - lo) if w[k]]
+    rows = [(k, mul[c]) for k, c in enumerate(window, 1) if c]
     # w_k f_(m-k) joins the sums at degree lo + k, so the degrees before the
     # next such start take the same terms, with no test of k per term
     live, start = [], lo
@@ -626,6 +642,73 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
             f[m] = scales[m][sm]
         live.append(term)
         start = stop
+
+
+def _online_packed(spec: FieldSpec, window: Sequence[int], s: list[int],
+                   f: list[int], scales: list, lo: int, hi: int) -> None:
+    """_online's block lo <= m < hi for odd p, on digit slots: window is
+    w_1 .. w_(hi-lo-1). Element j of acc, d slots of 2 bytes, holds the
+    digits of the terms of S_(m+j) known so far, summed without carries
+    (_packed_wins keeps (p - 1)(hi - lo) below 2^16). At degree m the
+    digits of element 0 are taken mod p and joined into S_m, and acc
+    shifts down one element; f_m's terms w_k f_m (k >= 1) then join it as
+    one add of P[f_m], the packed v w_1 .. v w_(hi-lo-1), built the first
+    time v appears in the block."""
+    p, d, slot = spec.p, spec.n, 2
+    planes, mul_rows = _plane_tables(p, d), _translate_rows(spec)
+    ws, packed = bytes(window), {}
+    acc = _digit_slots(bytes(s[lo:hi]), planes, slot)
+    bits = 8 * slot
+    shift, ones = bits * d, (1 << bits) - 1
+    mask, digits = (1 << shift) - 1, range(shift - bits, -1, -bits)
+    for m in range(lo, hi):
+        low, sm = acc & mask, 0
+        for j in digits:  # the top digit first
+            sm = sm * p + (low >> j & ones) % p
+        s[m] = sm
+        f[m] = fm = scales[m][sm]
+        acc >>= shift
+        if fm:
+            row = packed.get(fm)
+            if row is None:
+                row = packed[fm] = _digit_slots(ws.translate(mul_rows[fm]), planes, slot)
+            acc += row
+
+
+def _digit_slots(raw: bytes, planes: list[bytes], slot: int) -> int:
+    """The int whose element i holds the d digits of index raw[i], one in
+    each of d slots of slot bytes."""
+    stride = slot * len(planes)
+    buf = bytearray(stride * len(raw))
+    for j, table in enumerate(planes):
+        buf[slot * j::stride] = raw.translate(table)
+    return int.from_bytes(buf, "little")
+
+
+@lru_cache(maxsize=32)
+def _translate_rows(spec: FieldSpec) -> tuple[bytes, ...]:
+    """Row v of spec._mul as a bytes.translate table, for at most 256
+    elements (spec._mul_bytes keeps these in characteristic 2 only), for
+    as many fields as field_make's cache keeps."""
+    pad = bytes(256 - spec.order)
+    return tuple(bytes(row) + pad for row in spec._mul)
+
+
+def _packed_wins(spec: FieldSpec, size: int, nonzero: int) -> bool:
+    """Whether _online solves a block of size degrees, whose window of w
+    holds nonzero nonzero coefficients, on digit slots (_online_packed).
+    The gather loop makes about nonzero * size / 2 table lookups. In the
+    time of one, the packed block takes about 4d per degree and 12d + 4
+    per row P[v] it builds, one for each distinct v, up to min(q - 1, size)
+    (_packed_rows; BENCH_28.json). A slot must hold (p - 1) * size."""
+    return (spec.order <= 256 and (spec.p - 1) * size < 65536
+            and nonzero * size > 8 * spec.n * size + 2 * _packed_rows(spec, size))
+
+
+def _packed_rows(spec: FieldSpec, size: int) -> int:
+    """The time that a block of size degrees on digit slots spends building
+    its rows P[v], in table lookups (see _packed_wins)."""
+    return min(spec.order - 1, size) * (12 * spec.n + 4)
 
 
 def _block_limit(spec: FieldSpec) -> int:
@@ -666,6 +749,9 @@ def _quotient_wins(spec: FieldSpec, n: int, a: Sequence[int]) -> bool:
     route (see _QUOTIENT_NONZERO and _QUOTIENT_PREC)."""
     if spec._mul_bytes is not None:
         return n >= _QUOTIENT_PREC * spec.n ** 2
+    if (n < 2 * _QUOTIENT_PREC and _packed_wins(spec, _BLOCK, _BLOCK - 1)
+            and _packed_rows(spec, _BLOCK) <= 4 * spec.n * _BLOCK):
+        return False
     cost = 1 if spec.order > 256 else max(2, 1.5 * spec.n ** 1.6)
     return n + 1 - a.count(0) > _QUOTIENT_NONZERO * cost
 
@@ -674,12 +760,22 @@ def _log_deriv_rows(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
     """X f' = f t at degree m reads m a_m = sum_{k=0..m-1} a_k t_(m-k), so
     t_m = -(1/a_0) (-m a_m + sum_{k=1..m} a_k t_(m-k)), with t_0 = 0 and the
     integer m the prime-field element of index m mod p."""
-    mul, p = spec._mul, spec.p
     t = [0] * (n + 1)
-    s = [mul[-m % p][c] for m, c in enumerate(a)]
-    scale = mul[spec._neg[spec._inv[a[0]]]]
+    s = _weighted(spec, a, -1)
+    scale = spec._mul[spec._neg[spec._inv[a[0]]]]
     _online(spec, a, s, t, [scale] * (n + 1), 1, n + 1)
     return t
+
+
+def _weighted(spec: FieldSpec, a: Sequence[int], sign: int) -> list[int]:
+    """sign * m * a_m for every m, the integer m the prime-field element of
+    index m mod p: one slice per nonzero residue class of m (the terms at
+    multiples of p are 0)."""
+    mul, p = spec._mul, spec.p
+    out = [0] * len(a)
+    for r in range(1, min(p, len(a))):
+        out[r::p] = map(mul[sign * r % p].__getitem__, a[r::p])
+    return out
 
 
 def _log_deriv_quotient(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
@@ -688,9 +784,9 @@ def _log_deriv_quotient(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
     through degree h, q0 = X f' g is exact through degree h, and
     X f' - f q0 = X^(h+1) r; the quotient is q0 + X^(h+1) g r, and g r is
     needed only through degree n - h - 1 <= h."""
-    add, mul, neg, p = spec._add, spec._mul, spec._neg, spec.p
+    add, neg = spec._add, spec._neg
     h = n // 2
-    xf = [mul[m % p][c] for m, c in enumerate(a)]
+    xf = _weighted(spec, a, 1)
     g = _inverse(spec, a, h)
     q0 = _mul(spec, xf, g, h)
     r = [add[x][neg[y]] if y else x
@@ -767,12 +863,10 @@ def critical_projection(t: TruncSeries, pq: PrimePower) -> TruncSeries:
     zero constant term; output precision is one higher."""
     if t.idx[0]:
         raise ValueError("projection requires zero constant term")
-    n = t.prec
-    crit = _critical_set(pq, n)
+    n, idx = t.prec, t.idx
     out = [0] * (n + 2)
-    for k, c in enumerate(t.idx):
-        if c and k in crit:
-            out[k + 1] = c
+    for k in _critical_set(pq, n):
+        out[k + 1] = idx[k]
     return _series(t.spec, n + 1, out)
 
 

@@ -8,9 +8,11 @@ bytes), past which log_deriv and solve_log_deriv split their blocks by
 divide and conquer, the degree past which inverse_mult takes Newton steps
 (_newton_limit: _BLOCK, larger on bytes from F_8 on), the route rule of log_deriv
 (the recurrence up to a nonzero count set by the field, _QUOTIENT_NONZERO
-times a cost of its coordinate planes, and one quotient above it; in
-characteristic 2 up to 256 elements, the quotient from precision
-_QUOTIENT_PREC d^2 on), the
+times a cost of its coordinate planes, and one quotient above it, but
+below precision 2 _QUOTIENT_PREC always the recurrence where its dense
+blocks run on digit slots and build their rows for no more than their
+adds cost; in characteristic 2 up to 256 elements, the quotient from
+precision _QUOTIENT_PREC d^2 on), the
 byte width of the Kronecker slots, which grows with the precision and
 with p, and in compose the residue split, which starts at precision p,
 the monomial inner series, and the terms of the inner series carried down
@@ -42,6 +44,20 @@ caller above its block limit, where its blocks start at lo > 1, and the
 sums it leaves in s; a spy shows which fields take it, and another that
 _online splits a block exactly when it is longer than its field's limit
 (_block_limit).
+
+The odd-p path of _online on digit slots (_online_packed), which a block
+takes when its window of w holds more nonzero coefficients than its
+field's count (_packed_wins), is checked at d = 1, 2 and 3 to 5: one
+block from lo > 1 with f below lo known and s preloaded, one nonzero
+coefficient below the count, at it and dense, against the definition of
+the sums it leaves in s; every caller above _BLOCK degrees, whose split
+starts packed blocks at lo > 1, on dense and sparse units against
+series_reference; the largest load of a slot, with every term's digits
+p - 1, through a block of _BLOCK degrees and of the most degrees whose
+sums fit 2 bytes on F_251; the route that the benchmark's fields take,
+digit slots for F_9 at precision 2048 and the gather loop for F_243 at
+128; and the route of log_deriv on a dense unit on each side of precision
+2 _QUOTIENT_PREC on each of these fields.
 
 The closed forms of the projection sweep, twisted_orbit_series and
 critical_projection_formula, are compared with the FieldElement versions
@@ -118,6 +134,18 @@ def series(spec, idx):
 
 def idx(f):
     return [c.idx for c in f.coeffs]
+
+
+def recurrence(spec, w, s0, f0, scales, lo, hi):
+    """s and f after _online(spec, w, s0, f0, scales, lo, hi), from the
+    definition: S_m = s_m + sum_{k=1..m-lo} w_k f_(m-k), f_m = c_m S_m."""
+    add, mul = spec._add, spec._mul
+    s, f = list(s0), list(f0)
+    for m in range(lo, hi):
+        for k in range(1, m - lo + 1):
+            s[m] = add[s[m]][mul[w[k]][f[m - k]]]
+        f[m] = scales[m][s[m]]
+    return s, f
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)
@@ -364,6 +392,11 @@ def test_both_log_deriv_routes_match_coordinate_oracle(p, n):
 # p, and 15 on those above 256 elements
 ROWS_UP_TO = {3: 30, 5: 30, 9: 68, 243: 295, 512: 15, 729: 15, 257: 15,
               4294967291: 15}
+# On these fields a dense block of the recurrence runs on digit slots and
+# builds its rows for no more than its adds cost, and log_deriv takes the
+# recurrence whatever the count below precision 2 _QUOTIENT_PREC; F_243
+# keeps the gather loop and its count rule
+PACKED_ORDERS = {3, 5, 9}
 # In characteristic 2 up to 256 elements the recurrence runs on bytes, at
 # the same cost whatever the count: the quotient is taken from precision
 # 128 d^2 on, which F_256 (8192) never reaches
@@ -398,7 +431,13 @@ def test_log_deriv_takes_the_quotient_above_its_crossover(p, n):
             route(sr.MAX_PREC, sr.MAX_PREC + 1, "rows")
         return
     top = ROWS_UP_TO[spec.order]
-    for prec in (top - 1, top, 2 * top + 1):
+    precs = (top - 1, top, 2 * top + 1)
+    assert sr._packed_wins(spec, B, B - 1) == (spec.order in PACKED_ORDERS)
+    if spec.order in PACKED_ORDERS:
+        start = 2 * sr._QUOTIENT_PREC
+        route(start - 1, start, "rows")  # a dense unit
+        precs = (start, start + 1)
+    for prec in precs:
         for nonzero in (top, top + 1):
             if nonzero <= prec + 1:
                 route(prec, nonzero, "quotient" if nonzero > top else "rows")
@@ -469,19 +508,15 @@ def test_byte_recurrence_leaves_each_sum_in_s(p, n, modulus):
     # on return s_m = S_m = s_m + sum_{k=1..m-1} w_k f_(m-k) for every m,
     # in one block and across the split, and f_m = c_m S_m
     spec = field_make(p, n, modulus)
-    add, mul = spec._add, spec._mul
     rng = random.Random(spec.order + 11)
     for prec in (B // 4 - 1, 2 * B + 3):
         w = random_idx(spec, prec + 1, rng)
         s0 = random_idx(spec, prec + 1, rng)
-        scales = [mul[rng.randrange(1, spec.order)] for _ in range(prec + 1)]
-        f, s = [rng.randrange(spec.order)] + [0] * prec, list(s0)
+        scales = [spec._mul[rng.randrange(1, spec.order)] for _ in range(prec + 1)]
+        f0 = [rng.randrange(spec.order)] + [0] * prec
+        s, f = list(s0), list(f0)
         sr._online(spec, w, s, f, scales, 1, prec + 1)
-        for m in range(1, prec + 1):
-            want = s0[m]
-            for k in range(1, m):
-                want = add[want][mul[w[k]][f[m - k]]]
-            assert s[m] == want and f[m] == scales[m][want], (prec, m)
+        assert (s, f) == recurrence(spec, w, s0, f0, scales, 1, prec + 1), prec
 
 
 @pytest.mark.parametrize("p,n,modulus", BYTE_FIELDS, ids=BYTE_IDS)
@@ -497,7 +532,8 @@ def test_byte_section_kernel_checks_every_even_degree(p, n, modulus):
         sr._solve_log_deriv(spec, t, prec)
 
 
-# F_2 .. F_256 take the byte path; odd p and F_512 keep the lookup loops
+# F_2 .. F_256 take the byte path; odd p and F_512 keep the lookup loop of
+# _mul_rows (odd p up to 256 elements may solve _online on digit slots)
 PATH_FIELDS = [(2, d) for d in range(1, 9)] + [(3, 1), (3, 2), (3, 5), (2, 9)]
 
 
@@ -529,7 +565,7 @@ def test_characteristic_2_fields_to_256_elements_take_the_byte_path(p, n):
     w = random_idx(spec, 40, rng, unit=True)
     s, f = [0] * 40, [1] + [0] * 39
     sr._online(spec, w, s, f, [spec._mul[1]] * 40, 1, 40)
-    # the byte path reads no sum from _add; the lookup loops read many
+    # the byte path reads no sum from _add; _mul_rows' lookup loop reads many
     assert (reads["add"] == 0) == on_bytes and (reads["bytes"] > 0) == on_bytes
     assert got == ref.mul(field_make(p, n), a, b, 39)
 
@@ -568,6 +604,134 @@ def test_inverse_takes_newton_steps_only_above_the_field_limit(p, n):
             g = sr._inverse(spec, a, degrees)
         assert product.called == newton, degrees
         assert sr._mul(spec, a, g, degrees) == [1] + [0] * degrees
+
+
+# ---------------------------------------------------------------------------
+# The odd-p digit-slot path of _online
+# ---------------------------------------------------------------------------
+
+# (p, n, modulus): d = 1 (F_3, and F_251, the largest p the path admits),
+# d = 2 (F_9 under a modulus other than the default, F_25) and d >= 3
+# (F_27, F_81, and F_243, which keeps the gather loop)
+PACKED_FIELDS = [(3, 1, None), (251, 1, None), (3, 2, (2, 2, 1)), (5, 2, None),
+                 (3, 3, None), (3, 4, None), (3, 5, None)]
+PACKED_IDS = [f"F{p ** n}-{'default' if m is None else ''.join(map(str, m))}"
+              for p, n, m in PACKED_FIELDS]
+# The least nonzero count of w's window from which a block of _BLOCK
+# degrees runs on digit slots, nonzero * size > 8 d size + min(q - 1,
+# size) (24 d + 8); on F_243 no block of _BLOCK degrees does
+PACKED_FROM = {3: 9, 251: 41, 9: 20, 25: 27, 27: 41, 81: 98, 243: None}
+
+
+def spied_online(spec, w, s, f, scales, lo, hi):
+    """Run _online; return the (lo, hi) of every block it solved on digit
+    slots."""
+    with mock.patch.object(sr, "_online_packed", wraps=sr._online_packed) as packed:
+        sr._online(spec, w, s, f, scales, lo, hi)
+    return [call.args[5:] for call in packed.call_args_list]
+
+
+@pytest.mark.parametrize("p,n,modulus", PACKED_FIELDS, ids=PACKED_IDS)
+def test_packed_block_leaves_each_sum_in_s(p, n, modulus):
+    # one block of _BLOCK degrees from lo = 5, f below lo known and s
+    # preloaded, on both sides of the field's nonzero count, and dense
+    spec = field_make(p, n, modulus)
+    start = PACKED_FROM[spec.order]
+    assert sr._packed_wins(spec, B, B - 1) == (start is not None)
+    rng = random.Random(spec.order + 19)
+    lo, hi = 5, 5 + B
+    counts = (B // 4, B - 1) if start is None else (start - 1, start, B - 1)
+    for nonzero in counts:
+        w = random_idx(spec, B, rng, nonzero=nonzero, valuation=1)
+        s0 = random_idx(spec, hi, rng)
+        f0 = random_idx(spec, lo, rng) + [0] * B
+        scales = [spec._mul[rng.randrange(spec.order)] for _ in range(hi)]
+        s, f = list(s0), list(f0)
+        blocks = spied_online(spec, w, s, f, scales, lo, hi)
+        packs = start is not None and nonzero >= start
+        assert blocks == ([(lo, hi)] if packs else []), nonzero
+        assert (s, f) == recurrence(spec, w, s0, f0, scales, lo, hi), nonzero
+
+
+@pytest.mark.parametrize("p,n,modulus", PACKED_FIELDS, ids=PACKED_IDS)
+def test_packed_recurrence_matches_the_references(p, n, modulus):
+    # above _BLOCK degrees the row route, inverse_mult's reciprocal and
+    # solve_log_deriv split their blocks: a packed block then starts at
+    # lo > 1, with s preloaded by the split; dense and sparse units
+    spec = field_make(p, n, modulus)
+    packs = PACKED_FROM[spec.order] is not None
+    rng = random.Random(spec.order + 23)
+    late = []  # the packed blocks from lo > 1
+    for prec in (B, 2 * B, 2 * B + 1, 3 * B + 2):
+        for nonzero in (None, prec // 6):
+            a = random_idx(spec, prec + 1, rng, nonzero=nonzero, valuation=1,
+                           unit=True)
+            with mock.patch.object(sr, "_online_packed",
+                                   wraps=sr._online_packed) as packed:
+                assert sr._log_deriv_rows(spec, a, prec) == ref.log_deriv(spec, a, prec)
+                assert sr._inverse(spec, a, prec) == ref.inverse(spec, a, prec)
+            late += [call.args[5] for call in packed.call_args_list
+                     if call.args[5] > 1]
+        t = section_target(spec, prec + 1, rng)
+        assert idx(solve_log_deriv(series(spec, t))) == ref.solve_log_deriv(spec, t, prec)
+    assert bool(late) == packs
+
+
+@pytest.mark.parametrize("p,n", [(251, 1), (13, 2)], ids=["F251", "F169"])
+def test_packed_slots_hold_their_largest_load(p, n):
+    # every s_m and w_k the element q - 1, all of whose digits are p - 1, and
+    # every f_m 1: slot j of S_m sums m - lo + 1 digits p - 1, and at the
+    # top of a block of size degrees holds (p - 1) size. Through a block of
+    # _BLOCK degrees, and of the most degrees that fit 2 bytes on F_251
+    # (262), the next of which keeps the gather loop
+    spec = field_make(p, n)
+    q = spec.order
+    ones = [1] * q
+    sizes = [B] + ([65535 // (p - 1), 65535 // (p - 1) + 1] if p == 251 else [])
+    for size in sizes:
+        lo, hi = 1, size + 1
+        w, s0 = [q - 1] * hi, [q - 1] * hi
+        f0 = [1] + [0] * size
+        s, f = list(s0), list(f0)
+        with mock.patch.object(sr, "_BLOCK", max(B, size)):
+            blocks = spied_online(spec, w, s, f, [ones] * hi, lo, hi)
+        assert blocks == ([(lo, hi)] if (p - 1) * size < 65536 else []), size
+        assert (s, f) == recurrence(spec, w, s0, f0, [ones] * hi, lo, hi), size
+
+
+def test_workload_fields_take_their_routes():
+    # deep-series' logderiv sweep: F_9 at precision 2048, where log_deriv of
+    # a dense unit takes the quotient, whose reciprocal's one block packs,
+    # and solve_log_deriv packs every block; wide-field's F_243 sweeps at
+    # precision 128 keep the gather loop
+    for (p, n), prec, packs in (((3, 2), 2048, True), ((3, 5), 128, False)):
+        spec = field_make(p, n)
+        f = sr.random_unit(spec, prec, 1)
+        with mock.patch.object(sr, "_online_packed",
+                               wraps=sr._online_packed) as packed:
+            t = log_deriv(f)
+            assert log_deriv(solve_log_deriv(t)) == t
+        assert packed.call_count == (2 + prec // B if packs else 0), (p, n)
+
+
+# The digit-slot fields on which log_deriv of a dense unit below precision
+# 2 _QUOTIENT_PREC takes the recurrence: a dense block's rows P[v] cost no
+# more than its adds. F_81 and F_251 pack but build up to 80 and 128 rows
+# per block, and keep the count rule, as F_243 does
+CHEAP_ROWS = {3, 9, 25, 27}
+
+
+@pytest.mark.parametrize("p,n,modulus", PACKED_FIELDS, ids=PACKED_IDS)
+def test_dense_log_deriv_below_256_takes_the_recurrence_where_rows_are_cheap(
+        p, n, modulus):
+    spec = field_make(p, n, modulus)
+    top = 2 * sr._QUOTIENT_PREC
+    a = random_idx(spec, top + 1, random.Random(spec.order + 29), unit=True)
+    # on every field here but F_243 the count rule takes the quotient
+    by_count = spec.order != 243
+    assert sr._quotient_wins(spec, top - 1, a[:top]) == (
+        by_count and spec.order not in CHEAP_ROWS)
+    assert sr._quotient_wins(spec, top, a) == by_count
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)

@@ -45,7 +45,16 @@ coefficients through their first as many slots, over F_4, F_9, F_67,
 F_243 and F_256, by one plane per slot and by KS2 (evaluation at 2^b and
 -2^b), the medians of max(5, --repeat) samples of each in turn, and name
 the route that the checkout's rule (_KS2_SLOTS) takes; a checkout without
-KS2 times its one route twice.
+KS2 times its one route twice. The online rows time the odd-p online
+recurrence through solve_log_deriv and log_deriv's recurrence
+(_log_deriv_rows) on F_3, F_9, F_25, F_27, F_81, F_243 and F_251 at
+precision 128, 512 and 2048, on a dense and a sparse input (a unit, or a
+logarithmic derivative, with 1/16 of its coefficients nonzero), in three
+ways: every block by the gather loop, every block on digit slots
+(_online_packed) and the checkout's own rule (_packed_wins), the medians
+of max(5, --repeat) samples of each in turn; a checkout without the
+digit-slot path times its one route three times. The log_deriv rows cover
+F_3, F_25, F_27, F_81 and F_251 as well.
 """
 
 from __future__ import annotations
@@ -79,6 +88,11 @@ MUL_FIELDS = [(67, 1), (251, 1), (3, 6)]
 # the KS2 rows: half slots of one byte (F_4, F_9, F_243, F_256) and of two
 # (F_67, whose product coefficients need 21 to 24 bits here)
 KS2_FIELDS = [(2, 2), (3, 2), (67, 1), (3, 5), (2, 8)]
+# the online rows: odd p at d = 1 (F_3, F_251), 2 (F_9, F_25) and 3 to 5
+ONLINE_FIELDS = [(3, 1), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5), (251, 1)]
+# the log_deriv rows add the odd-p online fields that the crossover rows lack
+LOG_DERIV_FIELDS = CROSSOVER_FIELDS + [f for f in ONLINE_FIELDS
+                                       if f not in CROSSOVER_FIELDS]
 PRECS = [128, 512, 2048]
 
 
@@ -154,33 +168,11 @@ def closed_forms(repeat: int) -> list[dict]:
 def crossovers(repeat: int) -> dict:
     out = {"mul_rows_vs_kronecker": [], "kernel_block_vs_split": [],
            "log_deriv_rows_vs_quotient": []}
-    for p, n in CROSSOVER_FIELDS:
+    for p, n in LOG_DERIV_FIELDS:
         spec = field_make(p, n)
-        for prec in (128, 2048):
-            dense = [c.idx for c in sr.random_unit(spec, prec, 4).coeffs]
-            for nonzero in (4, 8, 16, 32):
-                sparse = [0] * (prec + 1)
-                for i in range(nonzero):
-                    sparse[i * (prec // nonzero)] = dense[i] or 1
-                out["mul_rows_vs_kronecker"].append({
-                    "field": spec.order, "prec": prec, "nonzero": nonzero,
-                    "rows_ms": best(lambda: sr._mul_rows(spec, sparse, dense, prec), repeat),
-                    "kronecker_ms": best(
-                        lambda: sr._mul_kronecker(spec, sparse, dense, prec), repeat)})
-        for prec in (64, 128, 256, 512, 1024, 2048):
-            for share in (16, 4, 1):
-                a = _unit(spec, prec, share, random.Random(prec * share))
-                quotient = sr._quotient_wins(spec, prec, a)
-                row = {"field": spec.order, "prec": prec,
-                       "nonzero": "all" if share == 1 else f"1/{share}",
-                       "count": prec + 1 - a.count(0),
-                       "rule": "quotient" if quotient else "rows"}
-                row.update(alternated({
-                    "rows_ms": lambda: sr._log_deriv_rows(spec, a, prec),
-                    "quotient_ms": lambda: sr._log_deriv_quotient(spec, a, prec)},
-                    max(5, repeat)))
-                print(json.dumps(row), flush=True, file=sys.stderr)
-                out["log_deriv_rows_vs_quotient"].append(row)
+        if (p, n) in CROSSOVER_FIELDS:
+            mul_rows(spec, out["mul_rows_vs_kronecker"], repeat)
+        out["log_deriv_rows_vs_quotient"] += log_deriv_rows(spec, repeat)
     for p, n in BLOCK_FIELDS:
         spec = field_make(p, n)
         limit = getattr(sr, "_block_limit", lambda spec: sr._BLOCK)(spec)
@@ -207,7 +199,77 @@ def crossovers(repeat: int) -> dict:
     out["kronecker_plain_vs_ks2"] = [
         kronecker_row(p, n, slots, max(5, repeat))
         for p, n in KS2_FIELDS for slots in (256, 512, 1024, 2048)]
+    out["online_gather_vs_packed"] = [
+        online_row(p, n, prec, kind, max(5, repeat))
+        for p, n in ONLINE_FIELDS for prec in PRECS
+        for kind in ("solve dense", "solve sparse", "rows dense", "rows sparse")]
     return out
+
+
+def mul_rows(spec, rows: list, repeat: int) -> None:
+    for prec in (128, 2048):
+        dense = [c.idx for c in sr.random_unit(spec, prec, 4).coeffs]
+        for nonzero in (4, 8, 16, 32):
+            sparse = [0] * (prec + 1)
+            for i in range(nonzero):
+                sparse[i * (prec // nonzero)] = dense[i] or 1
+            rows.append({
+                "field": spec.order, "prec": prec, "nonzero": nonzero,
+                "rows_ms": best(lambda: sr._mul_rows(spec, sparse, dense, prec), repeat),
+                "kronecker_ms": best(
+                    lambda: sr._mul_kronecker(spec, sparse, dense, prec), repeat)})
+
+
+def log_deriv_rows(spec, repeat: int) -> list[dict]:
+    rows = []
+    for prec in (64, 128, 256, 512, 1024, 2048):
+        for share in (16, 4, 1):
+            a = _unit(spec, prec, share, random.Random(prec * share))
+            quotient = sr._quotient_wins(spec, prec, a)
+            row = {"field": spec.order, "prec": prec,
+                   "nonzero": "all" if share == 1 else f"1/{share}",
+                   "count": prec + 1 - a.count(0),
+                   "rule": "quotient" if quotient else "rows"}
+            row.update(alternated({
+                "rows_ms": lambda: sr._log_deriv_rows(spec, a, prec),
+                "quotient_ms": lambda: sr._log_deriv_quotient(spec, a, prec)},
+                max(5, repeat)))
+            print(json.dumps(row), flush=True, file=sys.stderr)
+            rows.append(row)
+    return rows
+
+
+def online_row(p: int, n: int, prec: int, kind: str, rounds: int) -> dict:
+    """One input of the online recurrence, by the gather loop, on digit
+    slots and by the checkout's rule: "solve" is _solve_log_deriv of a
+    logarithmic derivative, "rows" _log_deriv_rows of a unit, and a sparse
+    input has 1/16 of its coefficients nonzero."""
+    spec = field_make(p, n)
+    rng = random.Random(prec + spec.order)
+    share = 16 if kind.endswith("sparse") else 1
+    if kind.startswith("solve"):
+        a = _target(spec, prec, share, rng)
+        call = sr._solve_log_deriv
+    else:
+        a = _unit(spec, prec, share, rng)
+        call = sr._log_deriv_rows
+    rule = getattr(sr, "_packed_wins", None)
+
+    def online(packed_wins):
+        # every way patches the module, so that all pay the same for it
+        def run():
+            with mock.patch.object(sr, "_packed_wins", packed_wins, create=True):
+                return call(spec, a, prec)
+        return run
+
+    row = {"field": spec.order, "prec": prec, "input": kind,
+           "count": prec + 1 - a.count(0)}
+    row.update(alternated({
+        "gather_ms": online(lambda spec, size, nonzero: False),
+        "packed_ms": online(lambda spec, size, nonzero: rule is not None),
+        "rule_ms": online(rule)}, rounds))
+    print(json.dumps(row), flush=True, file=sys.stderr)
+    return row
 
 
 def kronecker_row(p: int, n: int, slots: int, rounds: int) -> dict:
@@ -260,6 +322,20 @@ def _unit(spec, prec: int, share: int, rng: random.Random) -> list[int]:
     for i in [0] + rng.sample(range(1, prec + 1), (prec + 1) // share - 1):
         a[i] = rng.randrange(1, spec.order)
     return a
+
+
+def _target(spec, prec: int, share: int, rng: random.Random) -> list[int]:
+    """A logarithmic derivative (zero constant term, a_(p i) = a_i^p) with
+    about (prec + 1) / share nonzero coefficients: random ones at degrees
+    prime to p, and the Frobenius images they force."""
+    p, frob = spec.p, spec._frob1
+    t = [0] * (prec + 1)
+    free = [i for i in range(1, prec + 1) if i % p]
+    for i in rng.sample(free, max(1, len(free) // share)):
+        t[i] = rng.randrange(1, spec.order)
+    for i in range(p, prec + 1, p):
+        t[i] = frob[t[i // p]]
+    return t
 
 
 def main() -> None:
