@@ -22,7 +22,7 @@ from . import digits as dg
 from . import series as sr
 from . import theorems as th
 from .digits import PrimePower
-from .finite_field import field_make
+from .finite_field import check_prime, field_make
 
 
 def _prime_power(args) -> PrimePower:
@@ -62,16 +62,19 @@ def _digit_str(ds: list[int]) -> str:
 
 def _cmd_criticals(args):
     pq = _prime_power(args)
+    bound = pq.q if args.bound is None else args.bound
+    if bound < 1:
+        raise ValueError(f"--bound must be at least 1, got {bound}")
     if args.base:
         members = dg.critical_base_set(pq)
         kind = "base"
     else:
-        members = dg.critical_members(pq, args.bound or pq.q)
+        members = dg.critical_members(pq, bound)
         kind = "closure"
     payload = {"p": pq.p, "lambda": pq.lam, "q": pq.q, "kind": kind,
                "set": members}
     if kind == "closure":
-        payload["bound"] = args.bound or pq.q
+        payload["bound"] = bound
     label = "base critical set" if args.base else "critical integers"
     text = f"{label} for q={pq.q}: " + "{" + ", ".join(map(str, members)) + "}"
     return 0, payload, text
@@ -121,18 +124,21 @@ def _cmd_mu(args):
 
 
 def _cmd_core(args):
+    check_prime(args.p)
     v = dg.p_core(args.n, args.p)
     return 0, {"p": args.p, "n": args.n, "core": v}, \
         f"{args.p}-core of {args.n}: {v}"
 
 
 def _cmd_defect(args):
+    check_prime(args.p)
     v = dg.p_defect(args.n, args.p)
     return 0, {"p": args.p, "n": args.n, "defect": v}, \
         f"{args.p}-defect of {args.n}: {v}"
 
 
 def _cmd_cmp(args):
+    check_prime(args.p)
     c = dg.digital_cmp(args.m, args.n, args.p)
     rel = {dg.LESS: "<", dg.EQUAL: "=", dg.GREATER: ">"}[c]
     return 0, {"p": args.p, "m": args.m, "n": args.n, "cmp": c,
@@ -140,12 +146,15 @@ def _cmd_cmp(args):
 
 
 def _cmd_lucas(args):
+    check_prime(args.p)
     v = dg.lucas_binom(args.m, args.k, args.p)
     return 0, {"p": args.p, "m": args.m, "k": args.k, "value": v}, \
         f"binomial({args.m}, {args.k}) mod {args.p} = {v}"
 
 
 def _cmd_admissible(args):
+    if args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, got {args.limit}")
     quads = [list(quad) for quad in islice(dg.admissible_quadruples(
         args.p, args.m_bound, args.ell_bound), args.limit or None)]
     payload = {"p": args.p, "m_bound": args.m_bound,

@@ -177,7 +177,8 @@ class TruncSeries:
         """Multiplicative inverse of a unit, at the same precision."""
         if not self.idx[0]:
             raise ValueError("series with zero constant term has no reciprocal")
-        return _series(self.spec, self.prec, _inverse(self.spec, self.idx, self.prec))
+        spec, n = self.spec, self.prec
+        return _series(spec, n, _divide(spec, None, self.idx, n, _newton_limit(spec)))
 
     def derivative(self) -> TruncSeries:
         """Formal derivative; precision drops by one. In characteristic p
@@ -293,30 +294,17 @@ _SPARSE = 16
 # For odd p a block on digit slots (_online_packed) holds up to (p - 1)
 # times this in a slot, which fits 2 bytes for every p below 256.
 _BLOCK = 128
-# log_deriv's recurrence makes about one table lookup per nonzero
-# coefficient of f per degree; its quotient route makes a few products per
-# degree, each over the d coordinate planes, which costs about d^1.6 plane
-# products (Karatsuba). The quotient is taken when f has more nonzero
-# coefficients than this many per unit of 1.5 d^1.6, and at least twice
-# this many; the fields this rule serves up to 256 elements have odd p.
-# The 1.5 once paid for a v % p pass per plane. With the products reduced
-# on bytes the crossover moves with the precision across the rule with and
-# without it (F_9: about 60 nonzero at precision 128, 40 at 2048; F_243:
-# about 220 at 512, 350 at 1024, 125 at 2048; BENCH_25.json), so it
-# stays. Above 256 elements each lookup computes a product mod the
-# modulus, and the count is this alone. Where a dense block of the
-# recurrence runs on digit slots (_packed_wins: odd p up to 256 elements
-# but F_243) and building its rows costs no more than its adds (F_3 to
-# F_27, not F_81 or F_251), the recurrence costs about one add per degree,
-# and below precision 2 _QUOTIENT_PREC it beats the quotient whatever the
-# count (F_9 dense at 128: 0.10 against 0.17 ms; about even at 256). On
-# F_251, whose 128 rows cost four times its adds, the quotient stays ahead
-# there (0.23 against 0.27 ms at 128; BENCH_28.json).
-_QUOTIENT_NONZERO = 15
-# On bytes the recurrence costs one translate per degree whatever the count,
-# and the quotient is taken from precision this times d^2 on: F_2 from 128,
-# F_4 from 512, F_16 at 2048, and F_256 never below MAX_PREC.
+# log_deriv takes _divide's quotient step where it beats the recurrence
+# alone (_quotient_wins). Up to 256 elements that depends on the precision
+# only: on bytes, where the recurrence costs one translate per degree
+# whatever the count, from this times d^2 on (F_2 from 128, F_4 from 512,
+# F_16 at 2048, F_256 never below MAX_PREC); for odd p from 4 times this
+# on, where a dense window of the recurrence runs on digit slots and the
+# crossover of F_3 .. F_251 falls with the precision (BENCH_29.json).
 _QUOTIENT_PREC = 128
+# Above 256 elements each lookup of the recurrence computes a product, and
+# the quotient is taken for more nonzero coefficients than this.
+_QUOTIENT_NONZERO = 15
 # Kronecker products through at least this many slots (coefficients) take
 # KS2, two big-int products at half the width (_mul_kronecker). At 512 slots
 # KS2 took 0.74-0.98 of the time of one plane per slot on the five fields
@@ -564,25 +552,36 @@ def _compose(spec: FieldSpec, a: list[int], terms: list[tuple[int, int]],
     return res if rows is None else list(res.to_bytes(n + 1, "little"))
 
 
-def _inverse(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
-    """1/f through degree n for a unit f: the recurrence
-    g_m = -(1/a_0) sum_{k=1..m} a_k g_(m-k) through degree _newton_limit,
-    then Newton steps g <- g + g(1 - f g), each of which doubles the number
-    of exact coefficients."""
-    tops, limit = [], _newton_limit(spec)
-    while n > limit:
-        tops.append(n)
-        n //= 2
-    mul, neg = spec._mul, spec._neg
+def _divide(spec: FieldSpec, num: Sequence[int] | None, a: Sequence[int], n: int,
+            limit: int) -> list[int]:
+    """num/a through degree n for a unit a, num=None meaning 1: through
+    degree limit by the online recurrence a_0 q_m = num_m - sum_{k=1..m}
+    a_k q_(m-k), above it by one quotient step of Karp and Markstein
+    ("High-precision division and square root", ACM TOMS 1997). With
+    h = n // 2 and g = 1/a through degree h, q0 = num g is exact through
+    degree h, num - a q0 = X^(h+1) r, and the quotient is q0 + X^(h+1) g r,
+    with g r needed only through degree n - h - 1 <= h. For num = 1 this is
+    Newton's step g + g (1 - a g), which doubles the exact coefficients of
+    g: 1/a takes such steps above _newton_limit."""
+    add, mul, neg = spec._add, spec._mul, spec._neg
+    if n > limit:
+        h = n // 2
+        g = _divide(spec, None, a, h, _newton_limit(spec))
+        q0 = g if num is None else _mul(spec, num, g, h)
+        e = _mul(spec, a, q0, n)[h + 1:]  # e = -r
+        if num is not None:
+            e = [add[y][neg[x]] if x else y for x, y in zip(num[h + 1:], e)]
+        return q0 + [neg[c] for c in _mul(spec, g, e, n - h - 1)]
     inv0 = spec._inv[a[0]]
-    g = [inv0] + [0] * n
-    _online(spec, a, list(map(mul[inv0].__getitem__, a[:n + 1])), g,
-            [mul[neg[inv0]]] * (n + 1), 1, n + 1)
-    for top in reversed(tops):
-        # f g = 1 + X^k e through degree top, with k = len(g) > top / 2
-        e = _mul(spec, a, g, top)[len(g):]
-        g += [neg[c] for c in _mul(spec, g, e, top - len(g))]
-    return g
+    if num is None:  # s_m holds the term a_m q_0 of the sum at degree m
+        q0, s = inv0, list(map(mul[inv0].__getitem__, a[:n + 1]))
+    else:  # and -num_m, which is num_m in characteristic 2
+        q0, s = mul[inv0][num[0]], num[:n + 1]
+        s = s if spec.p == 2 else list(map(neg.__getitem__, s))
+        s = [add[x][mul[q0][y]] for x, y in zip(s, a)] if q0 else s
+    q = [q0] + [0] * n
+    _online(spec, a, s, q, [mul[neg[inv0]]] * (n + 1), 1, n + 1)
+    return q
 
 
 def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
@@ -700,15 +699,10 @@ def _packed_wins(spec: FieldSpec, size: int, nonzero: int) -> bool:
     The gather loop makes about nonzero * size / 2 table lookups. In the
     time of one, the packed block takes about 4d per degree and 12d + 4
     per row P[v] it builds, one for each distinct v, up to min(q - 1, size)
-    (_packed_rows; BENCH_28.json). A slot must hold (p - 1) * size."""
+    (BENCH_28.json). A slot must hold (p - 1) * size."""
+    rows = min(spec.order - 1, size) * (12 * spec.n + 4)
     return (spec.order <= 256 and (spec.p - 1) * size < 65536
-            and nonzero * size > 8 * spec.n * size + 2 * _packed_rows(spec, size))
-
-
-def _packed_rows(spec: FieldSpec, size: int) -> int:
-    """The time that a block of size degrees on digit slots spends building
-    its rows P[v], in table lookups (see _packed_wins)."""
-    return min(spec.order - 1, size) * (12 * spec.n + 4)
+            and nonzero * size > 8 * spec.n * size + 2 * rows)
 
 
 def _block_limit(spec: FieldSpec) -> int:
@@ -719,7 +713,7 @@ def _block_limit(spec: FieldSpec) -> int:
 
 
 def _newton_limit(spec: FieldSpec) -> int:
-    """The most degrees of 1/f that _inverse solves by the recurrence: on
+    """The most degrees of 1/f that _divide solves by the recurrence: on
     bytes, twice _BLOCK on F_8 and F_16 and one block from F_32 on, where
     a Newton step's products cost d^1.6 (BENCH_23.json inverse)."""
     if spec._mul_bytes is None or spec.n <= 2:
@@ -740,58 +734,27 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
     spec, n, a = f.spec, f.prec, f.idx
     if not a[0]:
         raise ValueError("logarithmic derivative requires a unit series")
-    route = _log_deriv_quotient if _quotient_wins(spec, n, a) else _log_deriv_rows
-    return _series(spec, n, route(spec, a, n))
+    limit = n - 1 if _quotient_wins(spec, n, a) else n
+    return _series(spec, n, _divide(spec, _weighted(spec, a), a, n, limit))
 
 
 def _quotient_wins(spec: FieldSpec, n: int, a: Sequence[int]) -> bool:
     """Whether log_deriv of the unit a through degree n takes the quotient
-    route (see _QUOTIENT_NONZERO and _QUOTIENT_PREC)."""
-    if spec._mul_bytes is not None:
-        return n >= _QUOTIENT_PREC * spec.n ** 2
-    if (n < 2 * _QUOTIENT_PREC and _packed_wins(spec, _BLOCK, _BLOCK - 1)
-            and _packed_rows(spec, _BLOCK) <= 4 * spec.n * _BLOCK):
-        return False
-    cost = 1 if spec.order > 256 else max(2, 1.5 * spec.n ** 1.6)
-    return n + 1 - a.count(0) > _QUOTIENT_NONZERO * cost
+    step of _divide (see _QUOTIENT_PREC and _QUOTIENT_NONZERO)."""
+    if spec.order > 256:
+        return n + 1 - a.count(0) > _QUOTIENT_NONZERO
+    return n >= _QUOTIENT_PREC * (spec.n ** 2 if spec._mul_bytes is not None else 4)
 
 
-def _log_deriv_rows(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
-    """X f' = f t at degree m reads m a_m = sum_{k=0..m-1} a_k t_(m-k), so
-    t_m = -(1/a_0) (-m a_m + sum_{k=1..m} a_k t_(m-k)), with t_0 = 0 and the
-    integer m the prime-field element of index m mod p."""
-    t = [0] * (n + 1)
-    s = _weighted(spec, a, -1)
-    scale = spec._mul[spec._neg[spec._inv[a[0]]]]
-    _online(spec, a, s, t, [scale] * (n + 1), 1, n + 1)
-    return t
-
-
-def _weighted(spec: FieldSpec, a: Sequence[int], sign: int) -> list[int]:
-    """sign * m * a_m for every m, the integer m the prime-field element of
-    index m mod p: one slice per nonzero residue class of m (the terms at
-    multiples of p are 0)."""
+def _weighted(spec: FieldSpec, a: Sequence[int]) -> list[int]:
+    """X f' for f = a: m a_m for every m, the integer m the prime-field
+    element of index m mod p; one slice per nonzero residue class of m
+    (the terms at multiples of p are 0)."""
     mul, p = spec._mul, spec.p
     out = [0] * len(a)
     for r in range(1, min(p, len(a))):
-        out[r::p] = map(mul[sign * r % p].__getitem__, a[r::p])
+        out[r::p] = map(mul[r].__getitem__, a[r::p])
     return out
-
-
-def _log_deriv_quotient(spec: FieldSpec, a: Sequence[int], n: int) -> list[int]:
-    """X f' / f by the quotient step of Karp and Markstein ("High-precision
-    division and square root", ACM TOMS 1997). With h = n // 2 and g = 1/f
-    through degree h, q0 = X f' g is exact through degree h, and
-    X f' - f q0 = X^(h+1) r; the quotient is q0 + X^(h+1) g r, and g r is
-    needed only through degree n - h - 1 <= h."""
-    add, neg = spec._add, spec._neg
-    h = n // 2
-    xf = _weighted(spec, a, 1)
-    g = _inverse(spec, a, h)
-    q0 = _mul(spec, xf, g, h)
-    r = [add[x][neg[y]] if y else x
-         for x, y in zip(xf[h + 1:], _mul(spec, a, q0, n)[h + 1:])]
-    return q0 + _mul(spec, g, r, n - h - 1)
 
 
 def solve_log_deriv(t: TruncSeries) -> TruncSeries:

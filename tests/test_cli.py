@@ -676,6 +676,53 @@ def test_witness_with_a_composite_p_exits_two(capsys):
     assert "p must be prime, got 4" in captured.err
 
 
+# The digit queries once hung on --p 1 (coprime_part divided by 1 for
+# ever), divided by zero on --p 0 and answered in base 4 on --p 4
+NOT_PRIME = [([*argv, "--p", p], f"p must be prime, got {p}")
+             for argv in (["core", "12"], ["defect", "12"], ["cmp", "3", "6"],
+                          ["lucas", "5", "2"]) for p in ("1", "0", "4")]
+
+
+def test_digit_queries_refuse_a_p_that_is_not_prime_within_a_second():
+    # in a child process, so that an argument that hangs fails the test
+    code = ("import json, sys, time\nfrom qcrit.cli import main\nout = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    start = time.perf_counter()\n"
+            "    out.append([main(argv), time.perf_counter() - start])\n"
+            "print(json.dumps(out))\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps([argv for argv, _ in NOT_PRIME])],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC))
+    results = json.loads(proc.stdout)
+    assert [code for code, _ in results] == [2] * len(NOT_PRIME)
+    assert max(seconds for _, seconds in results) < 1
+    assert proc.stderr.splitlines() == [f"error: {message}"
+                                        for _, message in NOT_PRIME]
+
+
+def test_bounds_below_their_least_value_exit_two(capsys):
+    # criticals printed {} for a bound below 1, and admissible showed
+    # islice's own message for a negative limit
+    for argv, message in (
+            (["criticals", "--p", "2", "--lambda", "2", "--bound", "-5"],
+             "--bound must be at least 1, got -5"),
+            (["criticals", "--p", "2", "--lambda", "2", "--bound", "0"],
+             "--bound must be at least 1, got 0"),
+            (["admissible", "--p", "3", "--limit", "-1"],
+             "--limit must be at least 0, got -1")):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
+def test_criticals_bound_defaults_to_q_and_is_kept_when_given(capsys):
+    for extra, bound in (((), 4), (("--bound", "1"), 1), (("--bound", "7"), 7)):
+        code, payload = run_json(capsys, "criticals", "--p", "2", "--lambda",
+                                 "2", *extra)
+        assert code == 0 and payload["bound"] == bound
+        assert payload["set"] == critical_members(PrimePower(2, 2), bound)
+
+
 def test_witness_with_a_huge_ell_exits_two(capsys):
     assert main(["witness", "1", "2", "1000000000", "3", "--p", "2"]) == 2
     assert "not admissible" in capsys.readouterr().err

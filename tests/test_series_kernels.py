@@ -7,24 +7,29 @@ coefficients), the block size of the online recurrence (_BLOCK, larger on
 bytes), past which log_deriv and solve_log_deriv split their blocks by
 divide and conquer, the degree past which inverse_mult takes Newton steps
 (_newton_limit: _BLOCK, larger on bytes from F_8 on), the route rule of log_deriv
-(the recurrence up to a nonzero count set by the field, _QUOTIENT_NONZERO
-times a cost of its coordinate planes, and one quotient above it, but
-below precision 2 _QUOTIENT_PREC always the recurrence where its dense
-blocks run on digit slots and build their rows for no more than their
-adds cost; in characteristic 2 up to 256 elements, the quotient from
-precision _QUOTIENT_PREC d^2 on), the
+(up to 256 elements, the recurrence below a precision and one quotient
+step from it on: 4 _QUOTIENT_PREC for odd p, _QUOTIENT_PREC d^2 in
+characteristic 2; above 256 elements, the quotient when the unit has more
+than _QUOTIENT_NONZERO nonzero coefficients), the
 byte width of the Kronecker slots, which grows with the precision and
 with p, and in compose the residue split, which starts at precision p,
 the monomial inner series, and the terms of the inner series carried down
 the split: exactly 2 and _SPARSE of them, the byte path's limit, and
 gamma-shaped series whose top term a level of the split keeps or drops.
 
-Both routes of log_deriv are also called on their own, on every field of
-the grid, at precisions 0 to 3, odd and even, on both sides of the
-quotient's Newton reciprocal (2 _BLOCK), on dense units, units with one
-nonzero coefficient in six and single-term units, against the recurrence
-of series_reference and the coordinate oracle; and log_deriv is seen to
-take the route of its rule on both sides of each field's crossover.
+The division kernel _divide, which inverse_mult and log_deriv share, is
+called on its own at one degree below, at and above its limit and at
+twice it, for 1, X f' and a numerator with a nonzero constant term,
+against series_reference, and its quotient step is seen to take its
+reciprocal at _newton_limit, whatever its own limit. Both routes of
+log_deriv, _divide with its limit at n and at n - 1, are also called on
+every field of the grid, at precisions 0 to 3, odd and even, on both
+sides of the quotient's Newton reciprocal (2 _BLOCK), on dense units,
+units with one nonzero coefficient in six and single-term units, against
+the recurrence of series_reference and the coordinate oracle; and
+log_deriv is seen to take the route of its rule on both sides of each
+field's crossover and on the shapes that the benchmark's workloads give
+it.
 
 The Kronecker kernel is also called on its own: on operands of unequal
 length, on prime-field coefficients (every coordinate plane but the first
@@ -56,8 +61,8 @@ series_reference; the largest load of a slot, with every term's digits
 p - 1, through a block of _BLOCK degrees and of the most degrees whose
 sums fit 2 bytes on F_251; the route that the benchmark's fields take,
 digit slots for F_9 at precision 2048 and the gather loop for F_243 at
-128; and the route of log_deriv on a dense unit on each side of precision
-2 _QUOTIENT_PREC on each of these fields.
+128; and the route of log_deriv on each side of precision 4 _QUOTIENT_PREC
+on each of these fields, which does not depend on how its blocks run.
 
 The closed forms of the projection sweep, twisted_orbit_series and
 critical_projection_formula, are compared with the FieldElement versions
@@ -250,7 +255,7 @@ def test_kronecker_fold_matches_coordinate_oracle(p, n, modulus):
 KS2_FIELDS = [(2, 1), (2, 2), (3, 2), (5, 2), (67, 1), (3, 5), (2, 8)]
 K = sr._KS2_SLOTS
 # (len(a), len(b), n): one slot below and at the crossover, odd and even
-# slot counts, full products, a Newton step of _inverse (m, 2m + 1, 2m) and
+# slot counts, full products, a Newton step of _divide (m, 2m + 1, 2m) and
 # a split of _online (m, 2m - 1, 2m - 2)
 KS2_SHAPES = [(K - 1, K - 1, K - 2), (K, K, K - 1), (K + 1, K + 1, K),
               (300, K - 88, 1000), (300, K - 87, 1000), (K // 2 + 1, K + 1, K),
@@ -344,7 +349,16 @@ def test_inverse_and_log_deriv_match_recurrences(p, n, prec):
 # The two routes of log_deriv, called directly
 # ---------------------------------------------------------------------------
 
-ROUTES = {"rows": sr._log_deriv_rows, "quotient": sr._log_deriv_quotient}
+def inverse(spec, a, n):
+    """1/a through degree n, as inverse_mult computes it."""
+    return sr._divide(spec, None, a, n, sr._newton_limit(spec))
+
+
+# log_deriv's two routes: _divide by the recurrence alone, and by one
+# quotient step above the recurrence through degree n - 1
+ROUTES = {"rows": lambda spec, a, n: sr._divide(spec, sr._weighted(spec, a), a, n, n),
+          "quotient": lambda spec, a, n: sr._divide(spec, sr._weighted(spec, a), a, n,
+                                                    n - 1)}
 # The quotient halves the precision: its reciprocal takes Newton steps from
 # h = n // 2 > B on, and g r needs g's top coefficient only for odd n
 ROUTE_PRECS = {0, 1, 2, 3, 10, 11}
@@ -387,38 +401,44 @@ def test_both_log_deriv_routes_match_coordinate_oracle(p, n):
                 assert [spec.from_index(i).coords for i in got] == want, name
 
 
-# The largest nonzero count that log_deriv still solves by the recurrence,
-# by field order: 15 times max(2, 1.5 d^1.6) on the tabled fields of odd
-# p, and 15 on those above 256 elements
-ROWS_UP_TO = {3: 30, 5: 30, 9: 68, 243: 295, 512: 15, 729: 15, 257: 15,
-              4294967291: 15}
-# On these fields a dense block of the recurrence runs on digit slots and
-# builds its rows for no more than its adds cost, and log_deriv takes the
-# recurrence whatever the count below precision 2 _QUOTIENT_PREC; F_243
-# keeps the gather loop and its count rule
-PACKED_ORDERS = {3, 5, 9}
-# In characteristic 2 up to 256 elements the recurrence runs on bytes, at
-# the same cost whatever the count: the quotient is taken from precision
-# 128 d^2 on, which F_256 (8192) never reaches
-QUOTIENT_FROM = {2: 128, 4: 512, 256: 8192}
+# The precision from which log_deriv takes the quotient, whatever the count,
+# on the fields of at most 256 elements: 4 _QUOTIENT_PREC for odd p, and
+# _QUOTIENT_PREC d^2 in characteristic 2, which F_256 (8192) never reaches.
+# Above 256 elements it takes the quotient for more than _QUOTIENT_NONZERO
+# nonzero coefficients, at any precision.
+QUOTIENT_FROM = {2: 128, 4: 512, 256: 8192, 3: 512, 5: 512, 9: 512, 243: 512}
+ROWS_UP_TO = sr._QUOTIENT_NONZERO
+
+
+def divide_routes(run):
+    """The value of run() and the routes of the top-level _divide calls it
+    made: "quotient" where the call's n exceeds its limit, else "rows"."""
+    routes, divide, depth = [], sr._divide, [0]
+
+    def spy(spec, num, a, n, limit):
+        if not depth[0]:
+            routes.append("quotient" if n > limit else "rows")
+        depth[0] += 1
+        try:
+            return divide(spec, num, a, n, limit)
+        finally:
+            depth[0] -= 1
+
+    with mock.patch.object(sr, "_divide", spy):
+        got = run()
+    return got, routes
 
 
 @pytest.mark.parametrize("p,n", KRONECKER_FIELDS, ids=KRONECKER_IDS)
 def test_log_deriv_takes_the_quotient_above_its_crossover(p, n):
     spec = field_make(p, n)
     rng = random.Random(spec.order + 3)
-    taken = []
-
-    def spy(name):
-        return lambda *args: taken.append(name) or ROUTES[name](*args)
 
     def route(prec, nonzero, want):
         a = random_idx(spec, prec + 1, rng, nonzero=nonzero - 1, valuation=1,
                        unit=True)
-        with mock.patch.multiple(sr, _log_deriv_rows=spy("rows"),
-                                 _log_deriv_quotient=spy("quotient")):
-            got = idx(log_deriv(series(spec, a)))
-        assert taken.pop() == want, (prec, nonzero)
+        got, routes = divide_routes(lambda: idx(log_deriv(series(spec, a))))
+        assert routes == [want], (prec, nonzero)
         assert got == ref.log_deriv(spec, a, prec), (prec, nonzero)
 
     if spec.order in QUOTIENT_FROM:
@@ -430,17 +450,99 @@ def test_log_deriv_takes_the_quotient_above_its_crossover(p, n):
         if start > sr.MAX_PREC:
             route(sr.MAX_PREC, sr.MAX_PREC + 1, "rows")
         return
-    top = ROWS_UP_TO[spec.order]
-    precs = (top - 1, top, 2 * top + 1)
-    assert sr._packed_wins(spec, B, B - 1) == (spec.order in PACKED_ORDERS)
-    if spec.order in PACKED_ORDERS:
-        start = 2 * sr._QUOTIENT_PREC
-        route(start - 1, start, "rows")  # a dense unit
-        precs = (start, start + 1)
-    for prec in precs:
+    top = ROWS_UP_TO
+    for prec in (top - 1, top, 2 * top + 1):
         for nonzero in (top, top + 1):
             if nonzero <= prec + 1:
                 route(prec, nonzero, "quotient" if nonzero > top else "rows")
+
+
+def test_log_deriv_quotient_starts_at_a_precision_up_to_256_elements():
+    # up to 256 elements the route depends on the precision alone: the
+    # recurrence through one degree below the start, the quotient from it
+    # on, for a single term, a unit with 16 nonzero coefficients and a
+    # dense unit; characteristic 2 from _QUOTIENT_PREC d^2 (F_8 from 1152,
+    # F_16 from 2048), odd p from 4 _QUOTIENT_PREC = 512, among them F_81
+    # and F_251, whose blocks pack but build many rows, and F_243, whose
+    # blocks keep the gather loop; F_512 and F_729 still count
+    rng = random.Random(29)
+    starts = {(2, d): sr._QUOTIENT_PREC * d * d for d in (1, 2, 3, 4)}
+    starts.update({field: 4 * sr._QUOTIENT_PREC for field in (
+        (3, 1), (5, 1), (251, 1), (3, 2), (5, 2), (3, 3), (3, 4), (3, 5))})
+    assert starts[2, 2] == 512 and starts[3, 5] == 512
+    for (p, n), start in starts.items():
+        spec = field_make(p, n)
+        for prec in (start - 1, start, start + 1):
+            for nonzero in (1, 16, prec + 1):
+                a = random_idx(spec, prec + 1, rng, nonzero=nonzero - 1,
+                               valuation=1, unit=True)
+                assert sr._quotient_wins(spec, prec, a) == (prec >= start), (
+                    spec.order, prec, nonzero)
+    for p, n in ((2, 9), (3, 6)):
+        spec = field_make(p, n)
+        for nonzero in (ROWS_UP_TO, ROWS_UP_TO + 1):
+            a = random_idx(spec, 1025, rng, nonzero=nonzero - 1, valuation=1,
+                           unit=True)
+            assert sr._quotient_wins(spec, 1024, a) == (nonzero > ROWS_UP_TO)
+
+
+# The shapes on which the benchmark's workloads call log_deriv: desk's and
+# deep-series' F_4 at precision 128, 256 and 2048, deep-series' F_9 at
+# 2048, wide-field's F_243 and F_256 at 128, and queries' F_3 at 96
+WORKLOAD_ROUTES = [((2, 2), 128, "rows"), ((2, 2), 256, "rows"),
+                   ((2, 2), 2048, "quotient"), ((3, 2), 2048, "quotient"),
+                   ((3, 5), 128, "rows"), ((2, 8), 128, "rows"),
+                   ((3, 1), 96, "rows")]
+
+
+def test_log_deriv_takes_its_route_on_the_workload_shapes():
+    for (p, n), prec, want in WORKLOAD_ROUTES:
+        spec = field_make(p, n)
+        f = sr.random_unit(spec, prec, 1)
+        t, routes = divide_routes(lambda: log_deriv(f))
+        assert routes == [want], (spec.order, prec)
+        assert t == log_deriv(f)
+
+
+# (p, n): characteristic 2 on bytes (F_2, F_4, F_256), odd p on digit
+# slots (F_9) and by the gather loop (F_243), and above 256 elements
+DIVIDE_FIELDS = [(2, 1), (2, 2), (3, 2), (3, 5), (2, 8), (2, 9), (3, 6)]
+
+
+@pytest.mark.parametrize("p,n", DIVIDE_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in DIVIDE_FIELDS])
+def test_divide_matches_the_references_around_its_limit(p, n):
+    # num/a by the recurrence through degree limit and one quotient step
+    # above it, for num = 1, X a' and a random numerator whose constant term
+    # is not 0; the quotient's reciprocal recurs at _newton_limit
+    spec = field_make(p, n)
+    rng = random.Random(spec.order + 31)
+    for limit in (40, B):
+        for prec in (limit - 1, limit, limit + 1, 2 * limit + 1):
+            a = random_idx(spec, prec + 1, rng, unit=True)
+            inv = ref.inverse(spec, a, prec)
+            num = random_idx(spec, prec + 1, rng, unit=True)
+            assert sr._divide(spec, None, a, prec, limit) == inv, (limit, prec)
+            assert (sr._divide(spec, sr._weighted(spec, a), a, prec, limit)
+                    == ref.log_deriv(spec, a, prec)), (limit, prec)
+            assert (sr._divide(spec, num, a, prec, limit)
+                    == ref.mul(spec, num, inv, prec)), (limit, prec)
+
+
+@pytest.mark.parametrize("p,n", DIVIDE_FIELDS,
+                         ids=[f"F{p ** n}" for p, n in DIVIDE_FIELDS])
+def test_divide_takes_its_reciprocal_at_the_newton_limit(p, n):
+    # whatever the limit of the quotient step, its reciprocal through h
+    # takes one Newton step above _newton_limit, then the recurrence
+    spec = field_make(p, n)
+    newton = sr._newton_limit(spec)
+    top = 2 * newton + 3
+    a = random_idx(spec, top + 1, random.Random(spec.order + 37), unit=True)
+    with mock.patch.object(sr, "_divide", wraps=sr._divide) as divide:
+        q = divide(spec, sr._weighted(spec, a), a, top, 40)
+    assert [call.args[3:] for call in divide.call_args_list] == [
+        (top, 40), (newton + 1, newton), ((newton + 1) // 2, newton)]
+    assert sr._mul(spec, a, q, top) == sr._weighted(spec, a)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +703,7 @@ def test_inverse_takes_newton_steps_only_above_the_field_limit(p, n):
     for degrees, newton in ((limit, False), (limit + 1, True)):
         a = random_idx(spec, degrees + 1, rng, unit=True)
         with mock.patch.object(sr, "_mul", wraps=sr._mul) as product:
-            g = sr._inverse(spec, a, degrees)
+            g = inverse(spec, a, degrees)
         assert product.called == newton, degrees
         assert sr._mul(spec, a, g, degrees) == [1] + [0] * degrees
 
@@ -668,8 +770,8 @@ def test_packed_recurrence_matches_the_references(p, n, modulus):
                            unit=True)
             with mock.patch.object(sr, "_online_packed",
                                    wraps=sr._online_packed) as packed:
-                assert sr._log_deriv_rows(spec, a, prec) == ref.log_deriv(spec, a, prec)
-                assert sr._inverse(spec, a, prec) == ref.inverse(spec, a, prec)
+                assert ROUTES["rows"](spec, a, prec) == ref.log_deriv(spec, a, prec)
+                assert inverse(spec, a, prec) == ref.inverse(spec, a, prec)
             late += [call.args[5] for call in packed.call_args_list
                      if call.args[5] > 1]
         t = section_target(spec, prec + 1, rng)
@@ -712,26 +814,6 @@ def test_workload_fields_take_their_routes():
             t = log_deriv(f)
             assert log_deriv(solve_log_deriv(t)) == t
         assert packed.call_count == (2 + prec // B if packs else 0), (p, n)
-
-
-# The digit-slot fields on which log_deriv of a dense unit below precision
-# 2 _QUOTIENT_PREC takes the recurrence: a dense block's rows P[v] cost no
-# more than its adds. F_81 and F_251 pack but build up to 80 and 128 rows
-# per block, and keep the count rule, as F_243 does
-CHEAP_ROWS = {3, 9, 25, 27}
-
-
-@pytest.mark.parametrize("p,n,modulus", PACKED_FIELDS, ids=PACKED_IDS)
-def test_dense_log_deriv_below_256_takes_the_recurrence_where_rows_are_cheap(
-        p, n, modulus):
-    spec = field_make(p, n, modulus)
-    top = 2 * sr._QUOTIENT_PREC
-    a = random_idx(spec, top + 1, random.Random(spec.order + 29), unit=True)
-    # on every field here but F_243 the count rule takes the quotient
-    by_count = spec.order != 243
-    assert sr._quotient_wins(spec, top - 1, a[:top]) == (
-        by_count and spec.order not in CHEAP_ROWS)
-    assert sr._quotient_wins(spec, top, a) == by_count
 
 
 @pytest.mark.parametrize("p,n,prec", GRID, ids=IDS)

@@ -22,39 +22,39 @@ for p = 3). The "closed_forms" rows time
 of the projection sweep, at the same precisions over F_4 and F_9. Run it
 with PYTHONPATH pointing at two checkouts to compare them.
 
-When the checkout has both routes of log_deriv (_log_deriv_quotient), a
-"crossovers" section times each kernel against the alternative on either
-side of its threshold: row products against Kronecker products by the
-number of nonzero coefficients; the online recurrence through
-solve_log_deriv, its thinnest caller, in three ways: split into blocks of
-at most _BLOCK degrees, at the checkout's own rule (_block_limit, which
-lets blocks grow on bytes) and as one block of every degree, at precision
-64 to 2048, here also over F_8; and the two routes of
-log_deriv, the recurrence and the quotient, called directly on units with
-1/16, 1/4 and all of their coefficients nonzero, at precision 64, 128, 256,
-512, 1024 and 2048. The crossovers run over F_2, F_4, F_9, F_16, F_243 and
-F_256. Each log_deriv row takes max(5, --repeat) samples of each route in
-turn, reports their medians, and names the route that log_deriv's rule
-takes. The inverse rows time 1/f of a random unit on the byte fields F_2,
-F_4, F_8, F_16, F_32 and F_256 at precision 512, 1024 and 2048 in three
-ways: Newton steps above _BLOCK degrees, the checkout's own rule
-(_newton_limit) and the recurrence as one block of every degree, the
-medians of max(3, --repeat) samples of each in turn. The kronecker rows
-time _mul_kronecker on two random units of 256, 512, 1024 and 2048
-coefficients through their first as many slots, over F_4, F_9, F_67,
-F_243 and F_256, by one plane per slot and by KS2 (evaluation at 2^b and
--2^b), the medians of max(5, --repeat) samples of each in turn, and name
-the route that the checkout's rule (_KS2_SLOTS) takes; a checkout without
-KS2 times its one route twice. The online rows time the odd-p online
-recurrence through solve_log_deriv and log_deriv's recurrence
-(_log_deriv_rows) on F_3, F_9, F_25, F_27, F_81, F_243 and F_251 at
-precision 128, 512 and 2048, on a dense and a sparse input (a unit, or a
-logarithmic derivative, with 1/16 of its coefficients nonzero), in three
-ways: every block by the gather loop, every block on digit slots
-(_online_packed) and the checkout's own rule (_packed_wins), the medians
-of max(5, --repeat) samples of each in turn; a checkout without the
-digit-slot path times its one route three times. The log_deriv rows cover
-F_3, F_25, F_27, F_81 and F_251 as well.
+When the checkout has one division kernel for inverse_mult and log_deriv
+(_divide), a "crossovers" section times each kernel against the
+alternative on either side of its threshold: row products against
+Kronecker products by the number of nonzero coefficients; the online
+recurrence through solve_log_deriv, its thinnest caller, in three ways:
+split into blocks of at most _BLOCK degrees, at the checkout's own rule
+(_block_limit, which lets blocks grow on bytes) and as one block of
+every degree, at precision 64 to 2048, here also over F_8; and the two
+routes of log_deriv, _divide by the recurrence alone (its limit at the
+precision) and by one quotient step (its limit one below), on units with
+1/16, 1/4 and all of their coefficients nonzero, at precision 64, 128,
+256, 512, 1024 and 2048. The crossovers run over F_2, F_4, F_9, F_16,
+F_243 and F_256. Each log_deriv row takes max(5, --repeat) samples of
+each route in turn, reports their medians, and names the route that
+log_deriv's rule (_quotient_wins) takes. The inverse rows time 1/f of a
+random unit on the byte fields F_2, F_4, F_8, F_16, F_32 and F_256 at
+precision 512, 1024 and 2048 in three ways: Newton steps above _BLOCK
+degrees, the checkout's own rule (_newton_limit) and the recurrence as
+one block of every degree, the medians of max(3, --repeat) samples of
+each in turn. The kronecker rows time _mul_kronecker on two random units
+of 256, 512, 1024 and 2048 coefficients through their first as many
+slots, over F_4, F_9, F_67, F_243 and F_256, by one plane per slot and
+by KS2 (evaluation at 2^b and -2^b), the medians of max(5, --repeat)
+samples of each in turn, and name the route that the checkout's rule
+(_KS2_SLOTS) takes. The online rows time the odd-p online recurrence
+through solve_log_deriv and log_deriv's recurrence (_divide through its
+limit) on F_3, F_9, F_25, F_27, F_81, F_243 and F_251 at precision 128,
+512 and 2048, on a dense and a sparse input (a unit, or a logarithmic
+derivative, with 1/16 of its coefficients nonzero), in three ways: every
+block by the gather loop, every block on digit slots (_online_packed)
+and the checkout's own rule (_packed_wins), the medians of max(5,
+--repeat) samples of each in turn. The log_deriv rows cover F_3, F_25,
+F_27, F_81 and F_251 as well.
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def crossovers(repeat: int) -> dict:
         out["log_deriv_rows_vs_quotient"] += log_deriv_rows(spec, repeat)
     for p, n in BLOCK_FIELDS:
         spec = field_make(p, n)
-        limit = getattr(sr, "_block_limit", lambda spec: sr._BLOCK)(spec)
+        limit = sr._block_limit(spec)
         for prec in (64, 128, 256, 512, 1024, 2048):
             t = sr.log_deriv(sr.random_unit(spec, prec, 6)).idx
             row = {"field": spec.order, "prec": prec, "block": sr._BLOCK,
@@ -184,12 +184,10 @@ def crossovers(repeat: int) -> dict:
             def solve():
                 return sr._solve_log_deriv(spec, t, prec)
 
-            with mock.patch.object(sr, "_block_limit", lambda spec: sr._BLOCK,
-                                   create=True):
+            with mock.patch.object(sr, "_block_limit", lambda spec: sr._BLOCK):
                 row["split_ms"] = best(solve, repeat)
             row["rule_ms"] = best(solve, repeat)
-            with mock.patch.object(sr, "_block_limit", lambda spec: prec,
-                                   create=True), \
+            with mock.patch.object(sr, "_block_limit", lambda spec: prec), \
                     mock.patch.object(sr, "_BLOCK", max(sr._BLOCK, prec)):
                 row["one_block_ms"] = best(solve, repeat)
             out["kernel_block_vs_split"].append(row)
@@ -231,8 +229,8 @@ def log_deriv_rows(spec, repeat: int) -> list[dict]:
                    "count": prec + 1 - a.count(0),
                    "rule": "quotient" if quotient else "rows"}
             row.update(alternated({
-                "rows_ms": lambda: sr._log_deriv_rows(spec, a, prec),
-                "quotient_ms": lambda: sr._log_deriv_quotient(spec, a, prec)},
+                "rows_ms": lambda: _log_deriv(spec, a, prec, prec),
+                "quotient_ms": lambda: _log_deriv(spec, a, prec, prec - 1)},
                 max(5, repeat)))
             print(json.dumps(row), flush=True, file=sys.stderr)
             rows.append(row)
@@ -242,7 +240,7 @@ def log_deriv_rows(spec, repeat: int) -> list[dict]:
 def online_row(p: int, n: int, prec: int, kind: str, rounds: int) -> dict:
     """One input of the online recurrence, by the gather loop, on digit
     slots and by the checkout's rule: "solve" is _solve_log_deriv of a
-    logarithmic derivative, "rows" _log_deriv_rows of a unit, and a sparse
+    logarithmic derivative, "rows" log_deriv's recurrence on a unit, and a sparse
     input has 1/16 of its coefficients nonzero."""
     spec = field_make(p, n)
     rng = random.Random(prec + spec.order)
@@ -252,13 +250,15 @@ def online_row(p: int, n: int, prec: int, kind: str, rounds: int) -> dict:
         call = sr._solve_log_deriv
     else:
         a = _unit(spec, prec, share, rng)
-        call = sr._log_deriv_rows
-    rule = getattr(sr, "_packed_wins", None)
+
+        def call(spec, a, prec):
+            return _log_deriv(spec, a, prec, prec)
+    rule = sr._packed_wins
 
     def online(packed_wins):
         # every way patches the module, so that all pay the same for it
         def run():
-            with mock.patch.object(sr, "_packed_wins", packed_wins, create=True):
+            with mock.patch.object(sr, "_packed_wins", packed_wins):
                 return call(spec, a, prec)
         return run
 
@@ -266,7 +266,7 @@ def online_row(p: int, n: int, prec: int, kind: str, rounds: int) -> dict:
            "count": prec + 1 - a.count(0)}
     row.update(alternated({
         "gather_ms": online(lambda spec, size, nonzero: False),
-        "packed_ms": online(lambda spec, size, nonzero: rule is not None),
+        "packed_ms": online(lambda spec, size, nonzero: True),
         "rule_ms": online(rule)}, rounds))
     print(json.dumps(row), flush=True, file=sys.stderr)
     return row
@@ -275,17 +275,17 @@ def online_row(p: int, n: int, prec: int, kind: str, rounds: int) -> dict:
 def kronecker_row(p: int, n: int, slots: int, rounds: int) -> dict:
     spec = field_make(p, n)
     a, b = sr.random_unit(spec, slots - 1, 8).idx, sr.random_unit(spec, slots - 1, 9).idx
-    limit = getattr(sr, "_KS2_SLOTS", None)
+    limit = sr._KS2_SLOTS
 
     def kronecker(ks2_slots):
         # both routes patch the module, so that both pay the same for it
         def run():
-            with mock.patch.object(sr, "_KS2_SLOTS", ks2_slots, create=True):
+            with mock.patch.object(sr, "_KS2_SLOTS", ks2_slots):
                 return sr._mul_kronecker(spec, a, b, slots - 1)
         return run
 
     row = {"field": spec.order, "slots": slots,
-           "rule": "ks2" if limit is not None and slots >= limit else "plain"}
+           "rule": "ks2" if slots >= limit else "plain"}
     row.update(alternated({"plain_ms": kronecker(slots + 1), "ks2_ms": kronecker(0)},
                           rounds))
     print(json.dumps(row), flush=True, file=sys.stderr)
@@ -295,13 +295,13 @@ def kronecker_row(p: int, n: int, slots: int, rounds: int) -> dict:
 def inverse_row(p: int, n: int, prec: int, rounds: int) -> dict:
     spec = field_make(p, n)
     a = sr.random_unit(spec, prec, 7).idx
-    rule = getattr(sr, "_newton_limit", lambda spec: sr._BLOCK)
+    rule = sr._newton_limit
 
     def inverse(**values):
         # every way patches the module, so that all pay the same for it
         def run():
-            with mock.patch.multiple(sr, create=True, **values):
-                return sr._inverse(spec, a, prec)
+            with mock.patch.multiple(sr, **values):
+                return sr._divide(spec, None, a, prec, sr._newton_limit(spec))
         return run
 
     row = {"field": spec.order, "prec": prec, "limit": rule(spec)}
@@ -313,6 +313,12 @@ def inverse_row(p: int, n: int, prec: int, rounds: int) -> dict:
             _block_limit=lambda spec: prec)}, rounds))
     print(json.dumps(row), flush=True, file=sys.stderr)
     return row
+
+
+def _log_deriv(spec, a: list[int], prec: int, limit: int) -> list[int]:
+    """log_deriv of the unit a by _divide through the given limit: the
+    recurrence alone at limit = prec, one quotient step below it."""
+    return sr._divide(spec, sr._weighted(spec, a), a, prec, limit)
 
 
 def _unit(spec, prec: int, share: int, rng: random.Random) -> list[int]:
@@ -345,7 +351,7 @@ def main() -> None:
     result = {"python": platform.python_version(), "repeat": args.repeat,
               "ops": ops(args.repeat), "compose": compose(args.repeat),
               "closed_forms": closed_forms(args.repeat)}
-    if hasattr(sr, "_log_deriv_quotient"):
+    if hasattr(sr, "_divide"):
         result["crossovers"] = crossovers(args.repeat)
     print(json.dumps(result, indent=1))
 
