@@ -266,14 +266,16 @@ def critical_base_set(pq: PrimePower) -> list[int]:
 
 def critical_members(pq: PrimePower, bound: int) -> list[int]:
     """All critical integers up to the bound: q^i*(c+1)-1 over the base set."""
-    q = pq.q
+    return sorted(_closure(critical_base_set(pq), pq.q, bound))
+
+
+def _closure(base, q: int, bound: int) -> list[int]:
+    """Every q^i*(c+1)-1 up to the bound, i >= 0, over the c of base."""
     out = []
-    for c in critical_base_set(pq):
-        m = c
-        while m <= bound:
-            out.append(m)
-            m = q * (m + 1) - 1
-    out.sort()
+    for c in base:
+        while c <= bound:
+            out.append(c)
+            c = q * (c + 1) - 1
     return out
 
 

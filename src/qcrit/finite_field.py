@@ -7,13 +7,14 @@ An element's index packs its coordinates as base-p digits.
 
 Every field has the same operation tables on indices (_add, _mul, _neg,
 _inv, _frob1) and an index -> element table (_elements), built on first
-use. Fields of at most 256 elements store them as tuples; above that they
-are small objects that compute each entry when indexed. In characteristic
-2 a sum of elements is the XOR of their indices, and a field of at most
-256 elements also keeps each row of _mul as a 256-byte bytes.translate
-table (_mul_bytes, None for every other field). The build is
-idempotent and specs and elements are otherwise immutable, so everything
-here is safe to share across threads.
+use. Fields of at most _TABLE_LIMIT elements store them as tuples, with
+each row of _mul also kept as a 256-byte bytes.translate table
+(_mul_bytes): in characteristic 2, where a sum is the XOR of indices, the
+series kernels XOR these rows into products and recurrences, and for odd
+p they pack digit slots with them. Larger fields compute each entry when
+indexed, and _mul_bytes is None. The build is idempotent and specs and
+elements are otherwise immutable, so everything here is safe to share
+across threads.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from typing import Iterator, Sequence
 # q-by-q add and mul tables are the large ones: at 256 elements each holds
 # 2^16 references to cached small ints, about 0.5 MB, so a field's tables
 # take about 1 MB. Larger fields compute each entry when it is indexed.
+# An index of a stored table must fit the byte of a _mul_bytes row.
 _TABLE_LIMIT = 256
 
 # Characteristics from 2^32 up would make is_prime's trial division, and
@@ -307,8 +309,7 @@ class FieldSpec:
         self._neg = tuple(row.index(0) for row in add)
         self._add = tuple(add)
         self._mul = tuple(mul)
-        self._mul_bytes = tuple(bytes(row) + bytes(256 - q)
-                                for row in mul) if p == 2 else None
+        self._mul_bytes = tuple(bytes(row) + bytes(256 - q) for row in mul)
         self._elements = tuple(map(self._new_element, range(q)))
 
     def _compute_tables(self) -> None:

@@ -26,7 +26,7 @@ from itertools import compress
 from math import comb
 from typing import Sequence
 
-from .digits import PrimePower, is_critical
+from .digits import PrimePower, _closure, is_critical
 from .finite_field import FieldElement, FieldSpec, _cache_put, json_member
 
 
@@ -185,9 +185,7 @@ class TruncSeries:
         the coefficients at multiples of p are annihilated."""
         if self.prec == 0:
             raise ValueError("cannot differentiate a degree-0 truncation")
-        mul, p = self.spec._mul, self.spec.p
-        return _series(self.spec, self.prec - 1,
-                       [mul[i % p][c] for i, c in enumerate(self.idx) if i])
+        return _series(self.spec, self.prec - 1, _weighted(self.spec, self.idx)[1:])
 
     def compose(self, inner: TruncSeries) -> TruncSeries:
         """Composition self(inner); requires inner(0) = 0.
@@ -275,10 +273,12 @@ def _series(spec: FieldSpec, prec: int, idx) -> TruncSeries:
 # the list of the n + 1 coefficients through degree n. The crossovers below
 # come from timings on F_2, F_4, F_9, F_16, F_243 and F_256 at precision 64
 # to 2048 (tools/series_ops.py, BENCH_21.json), and that of KS2 on F_4,
-# F_9, F_67, F_243 and F_256 (BENCH_27.json). In characteristic 2 with at
-# most 256 elements (spec._mul_bytes) a sum of indices is their XOR, and a
-# row of a product or of the recurrence is one bytes.translate of a whole
-# operand through a row of _mul, XORed into one big int.
+# F_9, F_67, F_243 and F_256 (BENCH_27.json). Every field with stored
+# tables keeps the rows of _mul as bytes.translate tables (spec._mul_bytes).
+# In characteristic 2, where a sum of indices is their XOR, a row of a
+# product or of the recurrence is one translate of a whole operand, XORed
+# into one big int: the byte path (_xor_rows). For odd p the rows build the
+# packed rows of the recurrence's digit-slot blocks (_online_packed).
 
 # An operand with at most this many nonzero coefficients is multiplied row
 # by row; denser products go by Kronecker substitution. On bytes, rows beat
@@ -295,14 +295,14 @@ _SPARSE = 16
 # times this in a slot, which fits 2 bytes for every p below 256.
 _BLOCK = 128
 # log_deriv takes _divide's quotient step where it beats the recurrence
-# alone (_quotient_wins). Up to 256 elements that depends on the precision
+# alone (_quotient_wins). With stored tables that depends on the precision
 # only: on bytes, where the recurrence costs one translate per degree
 # whatever the count, from this times d^2 on (F_2 from 128, F_4 from 512,
 # F_16 at 2048, F_256 never below MAX_PREC); for odd p from 4 times this
 # on, where a dense window of the recurrence runs on digit slots and the
 # crossover of F_3 .. F_251 falls with the precision (BENCH_29.json).
 _QUOTIENT_PREC = 128
-# Above 256 elements each lookup of the recurrence computes a product, and
+# With computed tables each lookup of the recurrence computes a product, and
 # the quotient is taken for more nonzero coefficients than this.
 _QUOTIENT_NONZERO = 15
 # Kronecker products through at least this many slots (coefficients) take
@@ -329,12 +329,8 @@ def _mul_rows(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
     """The schoolbook product, one row per nonzero coefficient of a. In
     characteristic 2 a row is one translate of b's bytes, XORed into one
     int at byte i."""
-    if spec._mul_bytes is not None:
-        rows, seg, acc = spec._mul_bytes, bytes(b[:n + 1]), 0
-        for i, ai in enumerate(a):
-            if ai:
-                acc ^= int.from_bytes(seg[:n + 1 - i].translate(rows[ai]),
-                                      "little") << 8 * i
+    if spec.p == 2 and spec._mul_bytes is not None:
+        acc = _xor_rows(spec, bytes(b[:n + 1]), compress(enumerate(a), a), n)
         return list(acc.to_bytes(n + 1, "little"))
     add, mul = spec._add, spec._mul
     out = [0] * (n + 1)
@@ -345,6 +341,16 @@ def _mul_rows(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
             out[i:i + len(seg)] = [add[o][row[x]] if x else o
                                    for o, x in zip(out[i:i + len(seg)], seg)]
     return out
+
+
+def _xor_rows(spec: FieldSpec, seg: bytes, terms, n: int) -> int:
+    """For p = 2, the sum over the (e, c) of terms of c X^e seg through
+    degree n, as an int of a byte per degree: each term is one translate
+    of seg through row c of spec._mul_bytes, XORed in at byte e."""
+    rows, acc = spec._mul_bytes, 0
+    for e, c in terms:
+        acc ^= int.from_bytes(seg[:n + 1 - e].translate(rows[c]), "little") << 8 * e
+    return acc
 
 
 def _mul_kronecker(spec: FieldSpec, a: list[int], b: list[int], n: int) -> list[int]:
@@ -453,14 +459,11 @@ def _widen(raw: bytes, width: int) -> int:
 def _planes(spec: FieldSpec, a: list[int], slot: int) -> list[int]:
     """The d coordinate planes of a, as big ints of slot-byte slots."""
     p, d = spec.p, spec.n
-    if spec.order > 256:
+    if spec._mul_bytes is None:
         return [int.from_bytes(b"".join((x // p ** j % p).to_bytes(slot, "little")
                                         for x in a), "little") for j in range(d)]
-    raw, buf, planes = bytes(a), bytearray(len(a) * slot), []
-    for table in _plane_tables(p, d):
-        buf[::slot] = raw.translate(table)
-        planes.append(int.from_bytes(buf, "little"))
-    return planes
+    raw = bytes(a)
+    return [_digit_slots(raw, [table], slot) for table in _plane_tables(p, d)]
 
 
 @lru_cache(maxsize=None)
@@ -526,30 +529,27 @@ def _compose(spec: FieldSpec, a: list[int], terms: list[tuple[int, int]],
         return res
     frob = spec._frob1
     inner = [(e, frob[c]) for e, c in terms if e <= n // p]
-    rows = spec._mul_bytes if len(terms) <= _SPARSE else None
-    if rows is None:
+    on_bytes = spec.p == 2 and spec._mul_bytes is not None and len(terms) <= _SPARSE
+    if not on_bytes:
         g = [0] * (n + 1)
         for e, c in terms:
             g[e] = c
-    res = None if rows is None else 0
+    res = 0 if on_bytes else None
     for r in reversed(range(min(p, len(a)))):
         part = a[r::p]
         if len(part) > 1:
             part = _compose(spec, part, inner, n // p)
-        if rows is None:
+        if not on_bytes:
             res = [0] * (n + 1) if res is None else _mul(spec, res, g, n)
             at = slice(0, len(part) * p, p)
             res[at] = [add[x][y] if y else x for x, y in zip(res[at], part)]
             continue
-        if res:  # times g, one translate per term
-            seg, res = res.to_bytes(n + 1, "little"), 0
-            for e, c in terms:
-                res ^= int.from_bytes(seg[:n + 1 - e].translate(rows[c]),
-                                      "little") << 8 * e
+        if res:  # times g
+            res = _xor_rows(spec, res.to_bytes(n + 1, "little"), terms, n)
         spread = bytearray(2 * len(part))  # p = 2: part at the even degrees
         spread[::2] = bytes(part)
         res ^= int.from_bytes(spread, "little")
-    return res if rows is None else list(res.to_bytes(n + 1, "little"))
+    return list(res.to_bytes(n + 1, "little")) if on_bytes else res
 
 
 def _divide(spec: FieldSpec, num: Sequence[int] | None, a: Sequence[int], n: int,
@@ -594,12 +594,12 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
     Blocks of more than _block_limit(spec) degrees are split by divide and
     conquer (van der Hoeven, "Relax, but don't be too lazy", JSC 2002):
     solve the left half, add its terms to the right half's sums with one
-    product, then solve the right half. Within a block, a field on bytes
-    adds all of f_m's terms to the later sums as soon as f_m is known, one
-    XOR per degree. For odd p up to 256 elements, a block whose window of
-    w is dense enough for its field (_packed_wins) does the same on digit
-    slots, one add per degree (_online_packed). Other blocks gather the
-    terms of S_m when they reach degree m, one lookup per term."""
+    product, then solve the right half. Within a block, in characteristic
+    2 a field on bytes adds all of f_m's terms to the later sums as soon as
+    f_m is known, one XOR per degree. For odd p with stored tables, a block
+    whose window of w is dense enough for its field (_packed_wins) does the
+    same on digit slots, one add per degree (_online_packed). Other blocks
+    gather the terms of S_m when they reach degree m, one lookup per term."""
     add = spec._add
     if hi - lo > _block_limit(spec):
         mid = (lo + hi) // 2
@@ -609,7 +609,7 @@ def _online(spec: FieldSpec, w: Sequence[int], s: list[int], f: list[int],
         _online(spec, w, s, f, scales, mid, hi)
         return
     window = w[1:hi - lo]
-    if spec._mul_bytes is not None:
+    if spec.p == 2 and spec._mul_bytes is not None:
         # byte j of acc holds the terms of S_(m+j) known so far; f_m's
         # terms w_k f_m (k >= 1) join it as one translate of w's bytes
         rows, ws = spec._mul_bytes, bytes(window)
@@ -654,7 +654,7 @@ def _online_packed(spec: FieldSpec, window: Sequence[int], s: list[int],
     one add of P[f_m], the packed v w_1 .. v w_(hi-lo-1), built the first
     time v appears in the block."""
     p, d, slot = spec.p, spec.n, 2
-    planes, mul_rows = _plane_tables(p, d), _translate_rows(spec)
+    planes, mul_rows = _plane_tables(p, d), spec._mul_bytes
     ws, packed = bytes(window), {}
     acc = _digit_slots(bytes(s[lo:hi]), planes, slot)
     bits = 8 * slot
@@ -684,15 +684,6 @@ def _digit_slots(raw: bytes, planes: list[bytes], slot: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-@lru_cache(maxsize=32)
-def _translate_rows(spec: FieldSpec) -> tuple[bytes, ...]:
-    """Row v of spec._mul as a bytes.translate table, for at most 256
-    elements (spec._mul_bytes keeps these in characteristic 2 only), for
-    as many fields as field_make's cache keeps."""
-    pad = bytes(256 - spec.order)
-    return tuple(bytes(row) + pad for row in spec._mul)
-
-
 def _packed_wins(spec: FieldSpec, size: int, nonzero: int) -> bool:
     """Whether _online solves a block of size degrees, whose window of w
     holds nonzero nonzero coefficients, on digit slots (_online_packed).
@@ -701,13 +692,13 @@ def _packed_wins(spec: FieldSpec, size: int, nonzero: int) -> bool:
     per row P[v] it builds, one for each distinct v, up to min(q - 1, size)
     (BENCH_28.json). A slot must hold (p - 1) * size."""
     rows = min(spec.order - 1, size) * (12 * spec.n + 4)
-    return (spec.order <= 256 and (spec.p - 1) * size < 65536
+    return (spec._mul_bytes is not None and (spec.p - 1) * size < 65536
             and nonzero * size > 8 * spec.n * size + 2 * rows)
 
 
 def _block_limit(spec: FieldSpec) -> int:
     """The most degrees that _online solves as one block over spec."""
-    if spec._mul_bytes is None:
+    if spec.p != 2 or spec._mul_bytes is None:
         return _BLOCK
     return _BLOCK * (4 if spec.n <= 2 else 16)
 
@@ -716,7 +707,7 @@ def _newton_limit(spec: FieldSpec) -> int:
     """The most degrees of 1/f that _divide solves by the recurrence: on
     bytes, twice _BLOCK on F_8 and F_16 and one block from F_32 on, where
     a Newton step's products cost d^1.6 (BENCH_23.json inverse)."""
-    if spec._mul_bytes is None or spec.n <= 2:
+    if spec.p != 2 or spec._mul_bytes is None or spec.n <= 2:
         return _BLOCK
     return 2 * _BLOCK if spec.n <= 4 else _block_limit(spec)
 
@@ -741,9 +732,9 @@ def log_deriv(f: TruncSeries) -> TruncSeries:
 def _quotient_wins(spec: FieldSpec, n: int, a: Sequence[int]) -> bool:
     """Whether log_deriv of the unit a through degree n takes the quotient
     step of _divide (see _QUOTIENT_PREC and _QUOTIENT_NONZERO)."""
-    if spec.order > 256:
+    if spec._mul_bytes is None:
         return n + 1 - a.count(0) > _QUOTIENT_NONZERO
-    return n >= _QUOTIENT_PREC * (spec.n ** 2 if spec._mul_bytes is not None else 4)
+    return n >= _QUOTIENT_PREC * (spec.n ** 2 if spec.p == 2 else 4)
 
 
 def _weighted(spec: FieldSpec, a: Sequence[int]) -> list[int]:
@@ -809,13 +800,8 @@ def _critical_set(pq: PrimePower, bound: int) -> frozenset[int]:
     if got is None:
         # the critical c below q are the base set, and the full set is its
         # closure under c -> q(c + 1) - 1 (critical_members)
-        q, got = pq.q, set()
-        for c in range(1, min(q, bound + 1)):
-            if is_critical(c, pq):
-                while c <= bound:
-                    got.add(c)
-                    c = q * (c + 1) - 1
-        got = frozenset(got)
+        base = (c for c in range(1, min(pq.q, bound + 1)) if is_critical(c, pq))
+        got = frozenset(_closure(base, pq.q, bound))
         _cache_put(_CRITICAL_CACHE, _CRITICAL_CACHE_SIZE, key, got)
     return got
 

@@ -24,7 +24,7 @@ from functools import partial
 
 from . import digits
 from .digits import (PrimePower, critical_base_set, critical_members,
-                     digital_cmp, digital_key, min_residue, coprime_part,
+                     digital_cmp, min_residue, coprime_part,
                      orbit_id, orbit_min, orbit_residues, p_core, GREATER)
 from .finite_field import FieldSpec, check_prime, field_make
 from .series import (TruncSeries, _draws, _random_gamma, _random_unit,
@@ -600,12 +600,7 @@ def verify_orbit_min(pq: PrimePower, c_bound: int = 1000,
     scan_bound = max(oracle_bound, q * p ** (2 * lam))
     core_min = {oid: p_core(n, p)
                 for oid, n in digits._orbit_min_table(pq, scan_bound).items()}
-    lhs = set()
-    for mu in set(mus.values()):
-        m = mu
-        while m <= oracle_bound:
-            lhs.add(m)
-            m = q * (m + 1) - 1
+    lhs = set(digits._closure(mus.values(), q, oracle_bound))
     rhs = {n for n in range(1, oracle_bound + 1)
            if n % p and p_core(n, p) == core_min[orbit_id(n, pq)]}
     checks += 1
@@ -826,33 +821,29 @@ def verify_coleman(pq: PrimePower, ext_degree: int = 1, prec: int = 128,
 
 def explore_generators(pq: PrimePower, spec: FieldSpec, k_bound: int = 63,
                        prec: int = 128) -> list[dict]:
-    """For each candidate generator E(alpha*X^k) of the unit group, tabulate
-    the digitally least exponent coprime to p carrying a nonzero
-    coefficient in the logarithmic derivative, with its core, defect and
-    criticality. Exploratory output only; draws no conclusion."""
+    """For each candidate generator E(alpha*X^k) of the unit group, k <=
+    min(k_bound, prec) coprime to p, tabulate the digitally least exponent
+    coprime to p carrying a nonzero coefficient in the logarithmic
+    derivative, with its core, defect and criticality. Exploratory output
+    only; draws no conclusion.
+
+    That exponent is k, so no series is computed: E is the Artin-Hasse
+    series, whose logarithmic derivative is sum_i Y^(p^i), and by the chain
+    rule D[E(alpha X^k)] = k * sum_i alpha^(p^i) X^(k p^i). Its exponents
+    are the k p^i, of which only k is coprime to p, and its coefficient
+    k alpha is nonzero since p divides neither k nor alpha != 0."""
     p = pq.p
     if spec.p != p:
         raise ValueError("field characteristic does not match the prime power")
     pool = _coeff_pool(spec)
-    ah = artin_hasse(p, prec, spec)
     rows = []
     for k in range(1, min(k_bound, prec) + 1):
         if k % p == 0:
             continue
-        for alpha in pool:
-            inner = TruncSeries.monomial(spec, prec, k, alpha)
-            t = log_deriv(ah.compose(inner))
-            # k is one of them, with coefficient k*alpha
-            lead = min((m for m in t.support() if m % p),
-                       key=lambda m: digital_key(m, p))
-            rows.append({
-                "k": k,
-                "alpha": alpha.to_json(),
-                "lead_exponent": lead,
-                "core": p_core(lead, p),
-                "defect": digits.p_defect(lead, p),
-                "critical": digits.is_critical(lead, pq),
-            })
+        lead = {"lead_exponent": k, "core": p_core(k, p),
+                "defect": digits.p_defect(k, p),
+                "critical": digits.is_critical(k, pq)}
+        rows += [{"k": k, "alpha": alpha.to_json(), **lead} for alpha in pool]
     return rows
 
 

@@ -48,7 +48,10 @@ degrees and operands shorter than n + 1, the recurrence through every
 caller above its block limit, where its blocks start at lo > 1, and the
 sums it leaves in s; a spy shows which fields take it, and another that
 _online splits a block exactly when it is longer than its field's limit
-(_block_limit).
+(_block_limit). A child process lowers finite_field._TABLE_LIMIT to 64 and
+checks that F_81 and F_128, which then compute their tables, give the
+stored-table answers of *, inverse_mult, log_deriv and solve_log_deriv at
+precision 128: no kernel states the table limit on its own.
 
 The odd-p path of _online on digit slots (_online_packed), which a block
 takes when its window of w holds more nonzero coefficients than its
@@ -69,13 +72,17 @@ critical_projection_formula, are compared with the FieldElement versions
 in series_reference, and are seen to call none of the kernels.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qcrit import series as sr
+from qcrit import finite_field, series as sr
 from qcrit.digits import PrimePower
 from qcrit.finite_field import FieldSpec, field_make
 from qcrit.series import TruncSeries, log_deriv, solve_log_deriv
@@ -656,7 +663,7 @@ def test_characteristic_2_fields_to_256_elements_take_the_byte_path(p, n):
         wrapped.name = name
         return wrapped
 
-    assert (spec._mul_bytes is not None) == on_bytes
+    assert (spec._mul_bytes is not None) == (spec.order <= finite_field._TABLE_LIMIT)
     spec._add = spy("add", spec._add)
     if on_bytes:
         spec._mul_bytes = spy("bytes", spec._mul_bytes)
@@ -670,6 +677,50 @@ def test_characteristic_2_fields_to_256_elements_take_the_byte_path(p, n):
     # the byte path reads no sum from _add; _mul_rows' lookup loop reads many
     assert (reads["add"] == 0) == on_bytes and (reads["bytes"] > 0) == on_bytes
     assert got == ref.mul(field_make(p, n), a, b, 39)
+
+
+# Run in a child process: it lowers the table limit to 64 after building
+# F_81 and F_128 with stored tables, builds both again with computed tables,
+# and prints, per field, whether the second has no byte rows and whether
+# each of *, inverse_mult, a dense log_deriv and solve_log_deriv at
+# precision 128 gives the stored-table answer of series_reference.
+TABLE_LIMIT_CHILD = """
+import json, random
+import series_reference as ref
+from qcrit import finite_field
+from qcrit.finite_field import FieldSpec
+from qcrit.series import TruncSeries, log_deriv, solve_log_deriv
+fields = [(p, d, FieldSpec(p, d)) for p, d in ((3, 4), (2, 7))]
+for p, d, stored in fields:
+    stored._mul  # builds the stored tables
+finite_field._TABLE_LIMIT = 64
+out, n = {}, 128
+for p, d, stored in fields:
+    spec, rng = FieldSpec(p, d), random.Random(p ** d)
+    a, b = ([rng.randrange(1, p ** d) for _ in range(n + 1)] for _ in range(2))
+    t = ref.log_deriv(stored, a, n)
+    f, g, ft = (TruncSeries(spec, n, [spec.from_index(i) for i in x]) for x in (a, b, t))
+    got = [(f * g).idx, f.inverse_mult().idx, log_deriv(f).idx, solve_log_deriv(ft).idx]
+    want = [ref.mul(stored, a, b, n), ref.inverse(stored, a, n), t,
+            ref.solve_log_deriv(stored, t, n)]
+    out[f"F{p ** d}"] = [spec._mul_bytes is None] + [
+        list(x) == y for x, y in zip(got, want)]
+print(json.dumps(out))
+"""
+
+
+def test_fields_above_a_lowered_table_limit_compute_every_kernel():
+    # the table limit is stated once, in finite_field._TABLE_LIMIT, and the
+    # kernels read it from spec._mul_bytes; in a child process with a time
+    # limit, so that a kernel that iterates a computed table, which never
+    # ends, fails the test instead of stalling the suite
+    tests = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", TABLE_LIMIT_CHILD], capture_output=True, text=True,
+        timeout=30, env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(tests), "src"), tests])))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"F81": [True] * 5, "F128": [True] * 5}
 
 
 @pytest.mark.parametrize("p,n", PATH_FIELDS,

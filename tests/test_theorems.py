@@ -342,18 +342,29 @@ def test_equivariance_route_matches_formula_route():
 
 def test_explore_generators_shape():
     # D[E(alpha X^k)] = k * sum_i alpha^(p^i) X^(k p^i), whose only exponent
-    # coprime to p is k: on every field each (k, alpha) gives a row led by k
+    # coprime to p is k: on every field each (k, alpha) gives a row led by k,
+    # as the series route finds, the digitally least exponent coprime to p
+    # in the support of log_deriv(E o alpha X^k)
     for p, lam, n in ((2, 1, 1), (2, 2, 2), (2, 1, 4), (3, 1, 1), (3, 1, 2),
                       (5, 1, 1)):
         pq, spec = PrimePower(p, lam), field_make(p, n)
         rows = explore_generators(pq, spec, k_bound=63, prec=128)
         ks = [k for k in range(1, 64) if k % p]
-        assert len(rows) == len(ks) * len(theorems._coeff_pool(spec))
-        assert sorted({row["k"] for row in rows}) == ks
-        for row in rows:
-            assert row["lead_exponent"] == row["k"]
+        pool = theorems._coeff_pool(spec)
+        assert len(rows) == len(ks) * len(pool)
+        assert [(row["k"], row["alpha"]) for row in rows] == [
+            (k, alpha.to_json()) for k in ks for alpha in pool]
+        ah = series.artin_hasse(p, 128, spec)
+        for row, alpha in zip(rows, pool * len(ks)):
+            inner = TruncSeries.monomial(spec, 128, row["k"], alpha)
+            support = series.log_deriv(ah.compose(inner)).support()
+            lead = min((m for m in support if m % p),
+                       key=lambda m: digits.digital_key(m, p))
+            assert row["lead_exponent"] == row["k"] == lead
             # flags agree with the membership test
             assert row["critical"] == digits.is_critical(row["k"], pq)
+            assert (row["core"], row["defect"]) == (
+                digits.p_core(lead, p), digits.p_defect(lead, p))
 
 
 def test_explore_generators_alpha_pool():
